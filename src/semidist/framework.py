@@ -79,17 +79,22 @@ class SemiDistanceKind(Enum):
     STUDENTIZED = "studentized"
     HALF_LINE_STUDENTIZED = "half_line_studentized"
 
+    # Each kind is |clamp(g(theta1)) - clamp(g(theta2))| / s for three
+    # independent facts, spelled out in its value.
+    @property
+    def half_line(self) -> bool:
+        """Anchored below: values under theta0 collapse onto it."""
+        return self.value.startswith("half_line")
 
-_HALF_LINE_KINDS = frozenset(
-    {
-        SemiDistanceKind.HALF_LINE_ABSOLUTE,
-        SemiDistanceKind.HALF_LINE_LOG_RATIO,
-        SemiDistanceKind.HALF_LINE_STUDENTIZED,
-    }
-)
-_STUDENTIZED_KINDS = frozenset(
-    {SemiDistanceKind.STUDENTIZED, SemiDistanceKind.HALF_LINE_STUDENTIZED}
-)
+    @property
+    def log_scale(self) -> bool:
+        """g = log, on the target space (0, inf); otherwise g = identity."""
+        return self.value.endswith("log_ratio")
+
+    @property
+    def studentized(self) -> bool:
+        """s is the data's sigma_bar_prime / sqrt(n); otherwise s = 1."""
+        return self.value.endswith("studentized")
 
 
 def _safe_log(theta: float) -> float:
@@ -110,7 +115,7 @@ class SemiDistance:
     context: Sample | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _HALF_LINE_KINDS and self.theta0 is None:
+        if self.kind.half_line and self.theta0 is None:
             raise ValueError(f"{self.kind.value} requires an anchor theta0")
 
     def _scale(self, x: Sample | None) -> float:
@@ -406,7 +411,7 @@ def _resolve_sigmas(
                 "(mean_t / mean_t_upper) on each sample"
             )
         return None, problem.sigma1, problem.sigma2
-    if problem.quantity is QuantityKind.MU and problem.distance_kind not in _STUDENTIZED_KINDS:
+    if problem.quantity is QuantityKind.MU and not problem.distance_kind.studentized:
         if isinstance(omega, State):
             return omega.sigma, None, None
         if problem.sigma is None:
@@ -462,10 +467,7 @@ def eta_alpha(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if problem.distance_kind in (
-        SemiDistanceKind.LOG_RATIO,
-        SemiDistanceKind.HALF_LINE_LOG_RATIO,
-    ) and problem.n < 2:
+    if problem.distance_kind.log_scale and problem.n < 2:
         raise ValueError("variance problems need n >= 2")
     sigma, sigma1, sigma2 = _resolve_sigmas(problem, omega)
     return _eta_from_alpha(
@@ -496,12 +498,12 @@ def eta_gamma(
 
 
 def _distance(problem: TestProblem, anchor: float | None, x: Sample) -> SemiDistance:
-    theta0 = anchor if problem.distance_kind in _HALF_LINE_KINDS else None
+    theta0 = anchor if problem.distance_kind.half_line else None
     return SemiDistance(problem.distance_kind, theta0=theta0, context=x)
 
 
 def _validate_hypothesis(problem: TestProblem, hypothesis: Hypothesis) -> None:
-    half_line = problem.distance_kind in _HALF_LINE_KINDS
+    half_line = problem.distance_kind.half_line
     if half_line and hypothesis.kind is not HypothesisKind.LOWER_HALF_LINE:
         raise ValueError("half-line distances pair with lower-half-line hypotheses")
     if not half_line and hypothesis.kind is not HypothesisKind.POINT:
@@ -538,7 +540,7 @@ class Region:
         entries need the sample for their data-dependent scale."""
         kind = self.problem.distance_kind
         t0 = self.hypothesis.value
-        if kind in _STUDENTIZED_KINDS:
+        if kind.studentized:
             if x is None:
                 raise ValueError("studentized cutpoints need the sample")
             scale = sigma_bar_prime(x.values) / math.sqrt(x.n)
@@ -635,7 +637,7 @@ def confidence_region(problem: TestProblem, x: Sample, gamma: float) -> Confiden
         lo, hi = e - eta, e + eta
     elif kind is SemiDistanceKind.HALF_LINE_ABSOLUTE:
         lo, hi = e - eta, math.inf
-    elif kind in (SemiDistanceKind.LOG_RATIO, SemiDistanceKind.HALF_LINE_LOG_RATIO):
+    elif kind.log_scale:
         if not 0.0 < e < math.inf:
             raise ValueError("degenerate sample: log-scale estimate is 0 or infinite")
         if kind is SemiDistanceKind.LOG_RATIO:
@@ -678,7 +680,7 @@ def _statistic_law_cdf(
     kind = problem.distance_kind
     q = problem.quantity
     nrm = dist.normal()
-    if q in (QuantityKind.MU, QuantityKind.MU_DIFF) and kind not in _STUDENTIZED_KINDS:
+    if q in (QuantityKind.MU, QuantityKind.MU_DIFF) and not kind.studentized:
         if q is QuantityKind.MU:
             s = omega.sigma / math.sqrt(problem.n)
         else:
@@ -739,7 +741,7 @@ def eta_alpha_generic(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if problem.distance_kind in _HALF_LINE_KINDS and anchor is None:
+    if problem.distance_kind.half_line and anchor is None:
         raise ValueError("half-line kinds need the hypothesis anchor")
     target = 1.0 - alpha
     if _statistic_law_cdf(problem, omega, anchor, 0.0) >= target:

@@ -9,12 +9,18 @@ mean and SS statistics live here.
 
 Sampling is stream-based: each (seed, replication) pair deterministically
 derives an independent generator, so any partition of replications over
-workers reproduces the sequential results exactly.
+workers reproduces the sequential results exactly.  ``stream`` is the
+reference implementation of that contract.  ``_sample_block`` draws a
+block of replications at once for the Monte Carlo kernel: it re-derives
+numpy's SeedSequence -> PCG64 seeding for every replication of the block
+with array arithmetic and re-seeds one generator per row, and its rows
+equal ``sample(..., rng=stream(seed, j))`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,10 +95,98 @@ def stream(seed: int, replication: int = 0) -> np.random.Generator:
     """Reproducible generator for one replication, derived from (seed, j).
 
     Streams for distinct replications are statistically independent and
-    do not depend on the order they are created in.
+    do not depend on the order they are created in.  This is the
+    reference implementation of the stream contract; ``_sample_block``
+    must reproduce it bit for bit.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence hash constants (uint32 arithmetic, pool of 4 words)
+# and PCG64's 128-bit LCG multiplier (O'Neill 2014).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(
+    values: np.ndarray, hash_const: int, mult: int
+) -> tuple[np.ndarray, int]:
+    # SeedSequence's word hash over an array, with the running hash
+    # constant threaded through as a Python int.
+    values = values ^ np.uint32(hash_const)
+    hash_const = (hash_const * mult) & _MASK32
+    values = values * np.uint32(hash_const)
+    return values ^ (values >> np.uint32(16)), hash_const
+
+
+def _sample_block(
+    state: State | TwoSampleState,
+    n: int,
+    m: int | None,
+    seed: int,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draws of replications start..stop-1 as rows: row i holds exactly
+    the values of ``sample(state, n, m, rng=stream(seed, start + i))``.
+
+    Instead of building a SeedSequence and a PCG64 per replication, the
+    spawn key is mixed into the seed's pool for the whole block with
+    numpy uint32 arithmetic, the four state words are generated the same
+    way, PCG64's two-step seeding runs on Python ints, and one reused
+    generator is re-seeded through its public state setter per row.
+    Returns (first block, second block or None), shapes (rows, n), (rows, m).
+    """
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(
+            f"bulk stream derivation covers replications 0 to 2**32 - 1, "
+            f"got {start} to {stop - 1}"
+        )
+    seed = operator.index(seed)
+    pool = [int(w) for w in np.random.SeedSequence(seed).pool]
+    # The pool took 4 hash calls per seed word beyond the first four, on
+    # top of the 16 it always takes; the spawn key's calls come next.
+    words = max(1, -(-seed.bit_length() // 32))
+    calls = 16 + 4 * max(0, words - 4)
+    hash_const = (_INIT_A * pow(_MULT_A, calls, 1 << 32)) & _MASK32
+    key = np.arange(start, stop, dtype=np.uint32)
+    mixed = []
+    for word in pool:
+        hashed, hash_const = _hashmix(key, hash_const, _MULT_A)
+        mixed_word = np.uint32((_MIX_MULT_L * word) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        mixed.append(mixed_word ^ (mixed_word >> np.uint32(16)))
+    # generate_state(4, uint64): 8 words cycling over the pool, paired
+    # low word first into 4 uint64 values.
+    hash_const = _INIT_B
+    halves = []
+    for k in range(8):
+        value, hash_const = _hashmix(mixed[k % 4], hash_const, _MULT_B)
+        halves.append(value.astype(np.uint64))
+    seeds = np.stack(
+        [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1
+    )
+
+    two = isinstance(state, TwoSampleState)
+    first = state.first if two else state
+    xs = np.empty((stop - start, n))
+    ys = np.empty((stop - start, m)) if two else None
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(seeds.tolist()):
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bit_generator.state = full
+        xs[i] = gen.normal(first.mu, first.sigma, n)
+        if two:
+            ys[i] = gen.normal(state.second.mu, state.second.sigma, m)
+    return xs, ys
 
 
 def sample(

@@ -1,10 +1,30 @@
 """Monte Carlo verification of coverage and size.
 
-Each replication j draws its sample from a stream derived from
-(seed, j), so reports are reproducible and independent of how the
-replications are partitioned across workers.  Gates use 4-sigma
-binomial bands around the nominal level, which keeps the false-alarm
-probability of a passing implementation below 1e-4.
+Stream contract (unchanged): replication j draws exactly
+``sample(truth, n, m, rng=stream(seed, j))``, so reports are
+reproducible and independent of how the replications are partitioned
+across workers.  Gates use 4-sigma binomial bands around the nominal
+level, which keeps the false-alarm probability of a passing
+implementation below 1e-4.
+
+Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
+rows, so memory stays bounded at any J.  ``measurement._sample_block``
+derives the block's streams in bulk and fills a (rows, n) array (plus
+(rows, m) for two-sample problems); the estimates and the semi-distance
+|clamp(g(E(x))) - clamp(g(anchor))| / s are then evaluated for the whole
+block with numpy, reading g (log or identity), the half-line clamp and
+the studentized scale s from the problem's ``SemiDistanceKind``.
+
+Guard band: numpy sums round differently from ``math.fsum``, and
+``np.log`` from ``math.log``, so a batched statistic can sit a few ulps
+from the scalar one.  Each row carries a bound on that gap, derived from
+the summation error (about n * u * sum|x_i| on a mean) and carried
+through the estimator and the distance.  Rows whose statistic lies
+within that band of eta, and rows that are degenerate or non-finite, are
+decided by the framework's scalar ``ConfidenceRegion.contains`` /
+``Region.contains`` on the same values, which also raises exactly where
+it always has.  Hits therefore equal the scalar path's, replication for
+replication.
 """
 
 from __future__ import annotations
@@ -12,16 +32,20 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .framework import (
+    EstimatorKind,
     Hypothesis,
     TestProblem,
     confidence_region,
+    eta_gamma,
     quantity_value,
     rejection_region,
 )
-from .measurement import Sample, State, TwoSampleState, sample, stream
+from .measurement import Sample, State, TwoSampleState, _sample_block
 
 __all__ = [
     "ExperimentPlan",
@@ -69,43 +93,140 @@ def _binomial_band(p: float, j: int) -> tuple[float, float]:
     return p - half, p + half
 
 
-def _draw(plan: ExperimentPlan, j: int) -> Sample:
-    return sample(
-        plan.truth,
-        plan.problem.n,
-        plan.problem.m,
-        rng=stream(plan.seed, j),
-    )
+# Values drawn per block; a block holds _BLOCK_VALUES // (n + m) rows, so
+# the kernel's memory stays bounded whatever the replication count.
+_BLOCK_VALUES = 1 << 16
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 
-def _coverage_hits(plan: ExperimentPlan, start: int, stop: int) -> int:
-    target = quantity_value(plan.problem, plan.truth)
+def _moments(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Row means and sums of squared deviations, each with a bound on its
+    # distance from the scalar mu_bar / ss_bar of the row.  Any summation
+    # order errs by at most (k - 1) u sum|term|; fsum adds one rounding,
+    # and the two paths' centres differ by at most the mean's bound.
+    k = v.shape[1]
+    mean = v.sum(axis=1) / k
+    mean_err = (k + 4) * _U * np.abs(v).sum(axis=1) / k
+    dev = v - mean[:, None]
+    ss = np.einsum("ij,ij->i", dev, dev)
+    ss_err = (k + 8) * _U * ss + 2.0 * mean_err * np.sqrt(k * ss) + k * mean_err**2
+    # Relative bound of ss, inf where ss may be 0 on the scalar path.
+    ss_rel = np.where(ss > 2.0 * ss_err, ss_err / ss, np.inf)
+    return mean, mean_err, ss, ss_rel
+
+
+def _statistic(
+    problem: TestProblem, anchor: float, xs: np.ndarray, ys: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row semi-distances |clamp(g(E(x))) - clamp(g(anchor))| / s with a
+    first-order bound on each row's distance from the scalar path's value
+    (inf for rows that are degenerate or non-finite there)."""
+    n, m = problem.n, problem.m
+    mean, err, ss, ss_rel = _moments(xs)
+    estimator = problem.estimator
+    if estimator is EstimatorKind.DIFF_MU_BAR:
+        mean_y, err_y, _, _ = _moments(ys)
+        e = mean - mean_y
+        err = err + err_y + 2.0 * _U * np.abs(e)
+    elif estimator is EstimatorKind.SIGMA_BAR:
+        e = np.sqrt(ss / n)
+        err = e * (ss_rel + 4.0 * _U)
+    elif estimator is EstimatorKind.SIGMA_PRIME_RATIO:
+        _, _, ss_y, ss_rel_y = _moments(ys)
+        e = np.sqrt(ss / (n - 1)) / np.sqrt(ss_y / (m - 1))
+        err = e * (ss_rel + ss_rel_y + 12.0 * _U)
+    else:
+        e = mean
+    kind = problem.distance_kind
+    if kind.half_line:
+        e = np.maximum(e, anchor)
+    if kind.log_scale:
+        err = np.where(e > 2.0 * err, err / (e - err), np.inf)
+        e, anchor = np.log(e), math.log(anchor)
+        err = err + 8.0 * _U * np.abs(e)
+    d = np.abs(e - anchor)
+    err = err + 2.0 * _U * d
+    if kind.studentized:
+        s = np.sqrt(ss / (n - 1)) / math.sqrt(n)
+        d = d / s
+        err = err / s + d * (ss_rel + 10.0 * _U)
+    return d, err
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How a plan decides a block of replications: the semi-distance from
+    the anchor against eta, with ``scalar`` (the framework's own
+    ``contains``) settling every row inside the guard band."""
+
+    problem: TestProblem
+    anchor: float
+    eta: float
+    coverage: bool
+    scalar: Callable[[Sample], bool]
+
+    @staticmethod
+    def of(plan: ExperimentPlan) -> "_Rule":
+        problem = plan.problem
+        if plan.hypothesis is None:
+            target = quantity_value(problem, plan.truth)
+
+            def covers(x: Sample) -> bool:
+                return confidence_region(problem, x, plan.level).contains(target)
+
+            return _Rule(problem, target, eta_gamma(problem, None, plan.level), True, covers)
+        region = rejection_region(problem, plan.hypothesis, plan.level)
+        return _Rule(problem, plan.hypothesis.value, region.eta, False, region.contains)
+
+    def hits(self, xs: np.ndarray, ys: np.ndarray | None) -> int:
+        with np.errstate(all="ignore"):
+            d, err = _statistic(self.problem, self.anchor, xs, ys)
+            # Doubling covers the bound's second-order terms; NaN rows
+            # compare false and so take the scalar path too.
+            unsure = ~(np.abs(d - self.eta) > 2.0 * err)
+            hit = d < self.eta if self.coverage else d >= self.eta
+        hits = int(np.count_nonzero(hit & ~unsure))
+        for i in np.flatnonzero(unsure):
+            second = None if ys is None else tuple(ys[i].tolist())
+            hits += self.scalar(Sample(tuple(xs[i].tolist()), second))
+        return hits
+
+
+def _hits(plan: ExperimentPlan, start: int, stop: int) -> int:
+    """Hits among replications start..stop-1: covering regions for a
+    coverage plan, rejections for a size or power plan."""
+    rule = _Rule.of(plan)
+    problem = plan.problem
+    rows = max(1, _BLOCK_VALUES // (problem.n + (problem.m or 0)))
     hits = 0
-    for j in range(start, stop):
-        region = confidence_region(plan.problem, _draw(plan, j), plan.level)
-        hits += region.contains(target)
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        hits += rule.hits(*_sample_block(plan.truth, problem.n, problem.m, plan.seed, lo, hi))
     return hits
 
 
-def _rejection_hits(plan: ExperimentPlan, start: int, stop: int) -> int:
-    region = rejection_region(plan.problem, plan.hypothesis, plan.level)
-    hits = 0
-    for j in range(start, stop):
-        hits += region.contains(_draw(plan, j))
-    return hits
+def _chunks(replications: int, workers: int) -> list[tuple[int, int]]:
+    if replications < 2 * workers:
+        return [(0, replications)]
+    bounds = [round(k * replications / workers) for k in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _run_chunked(plan: ExperimentPlan, counter, workers: int) -> int:
-    j = plan.replications
-    if workers <= 1 or j < 2 * workers:
-        return counter(plan, 0, j)
-    bounds = [round(k * j / workers) for k in range(workers + 1)]
+def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
+    """Hits of each plan; when the replications are split, one pool runs
+    every plan's chunks and is closed before returning."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    chunks = [_chunks(plan.replications, workers) for plan in plans]
+    if all(len(c) == 1 for c in chunks):
+        return [_hits(plan, 0, plan.replications) for plan in plans]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(counter, plan, bounds[k], bounds[k + 1])
-            for k in range(workers)
+            [pool.submit(_hits, plan, a, b) for a, b in spans]
+            for plan, spans in zip(plans, chunks)
         ]
-        return sum(f.result() for f in futures)
+        return [sum(f.result() for f in row) for row in futures]
 
 
 def coverage_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:
@@ -115,7 +236,7 @@ def coverage_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentRep
     """
     if plan.hypothesis is not None:
         raise ValueError("coverage plans take no hypothesis")
-    hits = _run_chunked(plan, _coverage_hits, workers)
+    (hits,) = _hit_counts([plan], workers)
     rate = hits / plan.replications
     band = _binomial_band(plan.level, plan.replications)
     return ExperimentReport(
@@ -133,7 +254,7 @@ def size_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:
         raise ValueError(
             f"truth has quantity value {truth_value!r}, outside the null"
         )
-    hits = _run_chunked(plan, _rejection_hits, workers)
+    (hits,) = _hit_counts([plan], workers)
     rate = hits / plan.replications
     band = _binomial_band(plan.level, plan.replications)
     return ExperimentReport(
@@ -154,10 +275,9 @@ def power_curve(
         raise ValueError("power plans need a hypothesis")
     if not truth_grid:
         raise ValueError("empty truth grid")
+    points = [replace(plan, truth=truth) for truth in truth_grid]
     reports = []
-    for truth in truth_grid:
-        point = replace(plan, truth=truth)
-        hits = _run_chunked(point, _rejection_hits, workers)
+    for point, hits in zip(points, _hit_counts(points, workers)):
         rate = hits / point.replications
         band = _binomial_band(rate, point.replications) if 0.0 < rate < 1.0 else (rate, rate)
         reports.append(

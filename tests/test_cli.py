@@ -189,6 +189,14 @@ class TestExperimentCommand:
         cli.main(base + ["--workers", "3"])
         assert capsys.readouterr().out == one
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_refused(self, capsys, workers):
+        argv = ["experiment", "coverage", "--test", "mean-t", "--reps", "10",
+                "--workers", workers]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"got {workers}" in err
+
     def test_env_var_seed_default(self, capsys, monkeypatch):
         argv = ["experiment", "coverage", "--test", "mean-t", "--n", "5",
                 "--reps", "200", "--json"]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from semidist.measurement import (
     Sample,
     State,
     TwoSampleState,
+    _sample_block,
     image_prob_mean,
     image_prob_ss,
     mu_bar,
@@ -209,3 +211,49 @@ class TestSampling:
             hits += interval[0] < m <= interval[1]
         band = 4.0 * math.sqrt(p * (1 - p) / reps)
         assert abs(hits / reps - p) < band
+
+
+class TestBulkStreams:
+    """``_sample_block`` reproduces ``sample(..., rng=stream(seed, j))``
+    bit for bit; ``stream`` is the reference."""
+
+    SEEDS = (0, 1, 11, 2**31 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 99)
+
+    @staticmethod
+    def _reference(state, n, m, seed, start, stop):
+        draws = [sample(state, n, m, rng=stream(seed, j)) for j in range(start, stop)]
+        xs = np.array([d.values for d in draws])
+        ys = None if m is None else np.array([d.second for d in draws])
+        return xs, ys
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_sample_rows_match_stream(self, seed):
+        state = State(0.3, 1.7)
+        for start, stop in ((0, 1234), (1234, 5000)):
+            xs, ys = _sample_block(state, 3, None, seed, start, stop)
+            ref, _ = self._reference(state, 3, None, seed, start, stop)
+            assert ys is None
+            assert xs.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_sample_rows_match_stream(self, seed):
+        state = TwoSampleState(State(-1.0, 0.5), State(2.0, 3.0))
+        for start, stop in ((0, 1234), (1234, 5000)):
+            xs, ys = _sample_block(state, 2, 3, seed, start, stop)
+            ref_x, ref_y = self._reference(state, 2, 3, seed, start, stop)
+            assert xs.tobytes() == ref_x.tobytes()
+            assert ys.tobytes() == ref_y.tobytes()
+
+    def test_last_one_word_spawn_key(self):
+        j = 2**32 - 1
+        xs, _ = _sample_block(State(0.0, 1.0), 4, None, 11, j, j + 1)
+        ref, _ = self._reference(State(0.0, 1.0), 4, None, 11, j, j + 1)
+        assert xs.tobytes() == ref.tobytes()
+
+    def test_two_word_spawn_keys_are_refused(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _sample_block(State(0.0, 1.0), 4, None, 11, 2**32, 2**32 + 1)
+
+    def test_empty_block(self):
+        xs, ys = _sample_block(State(0.0, 1.0), 4, None, 11, 7, 7)
+        assert xs.shape == (0, 4) and ys is None

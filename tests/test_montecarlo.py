@@ -3,18 +3,32 @@ size sanity at modest replication counts (the full-size runs live in
 test_acceptance.py)."""
 
 import math
+import re
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from semidist import montecarlo as mc
 from semidist.framework import (
     Hypothesis,
+    Region,
+    confidence_region,
     mean_diff_z,
+    mean_diff_z_upper,
     mean_t,
+    mean_t_upper,
     mean_z,
     mean_z_upper,
+    quantity_value,
+    rejection_region,
     variance,
+    variance_ratio,
+    variance_ratio_upper,
+    variance_upper,
 )
-from semidist.measurement import State, TwoSampleState
+from semidist.measurement import Sample, State, TwoSampleState, _sample_block, sample, stream
 from semidist.montecarlo import (
     ExperimentPlan,
     coverage_experiment,
@@ -161,3 +175,208 @@ class TestPower:
         )
         with pytest.raises(ValueError):
             power_curve(base, [])
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        size_plan = ExperimentPlan(
+            mean_t(10), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
+        )
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            coverage_experiment(_coverage_plan(reps=100), workers=workers)
+        with pytest.raises(ValueError, match=message):
+            size_experiment(size_plan, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            power_curve(size_plan, [State(0.0, 1.0)], workers=workers)
+
+    def test_power_curve_opens_one_pool(self, monkeypatch):
+        opened = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", Counting)
+        base = ExperimentPlan(
+            mean_z(10, 1.0), State(0.0, 1.0), 0.05, 400, 31, Hypothesis.point(0.0)
+        )
+        grid = [State(0.1 * k, 1.0) for k in range(4)]
+        two = power_curve(base, grid, workers=2)
+        assert len(opened) == 1
+        assert [r.hits for r in two] == [r.hits for r in power_curve(base, grid)]
+
+
+# Every catalog entry, with the null on the truth's quantity value.
+_ENTRIES = [
+    (mean_z(10, 1.5), False),
+    (mean_z_upper(10, 1.5), False),
+    (variance(10), False),
+    (variance_upper(10), False),
+    (mean_diff_z(10, 7, 1.5, 0.5), True),
+    (mean_diff_z_upper(10, 7, 1.5, 0.5), True),
+    (variance_ratio(10, 7), True),
+    (variance_ratio_upper(10, 7), True),
+    (mean_t(10), False),
+    (mean_t_upper(10), False),
+]
+
+
+def _truth(two_sample):
+    one = State(0.25, 1.5)
+    return TwoSampleState(one, State(0.0, 0.5)) if two_sample else one
+
+
+def _hypothesis(problem, truth):
+    value = quantity_value(problem, truth)
+    if problem.distance_kind.half_line:
+        return Hypothesis.lower_half_line(value)
+    return Hypothesis.point(value)
+
+
+def _ids(entries):
+    return [
+        f"{p.estimator.value}-{p.distance_kind.value}" for p, _ in entries
+    ]
+
+
+class TestBatchedDecisions:
+    """The block kernel's hits equal the scalar ``ConfidenceRegion.contains``
+    / ``Region.contains`` counts on the same stream draws."""
+
+    @pytest.mark.parametrize("level", [0.95, 0.75])
+    @pytest.mark.parametrize("problem,two", _ENTRIES, ids=_ids(_ENTRIES))
+    def test_coverage_matches_scalar(self, problem, two, level):
+        truth, reps, seed = _truth(two), 400, 43
+        target = quantity_value(problem, truth)
+        scalar = sum(
+            confidence_region(
+                problem, sample(truth, problem.n, problem.m, rng=stream(seed, j)), level
+            ).contains(target)
+            for j in range(reps)
+        )
+        plan = ExperimentPlan(problem, truth, level, reps, seed)
+        assert coverage_experiment(plan).hits == scalar
+
+    @pytest.mark.parametrize("level", [0.05, 0.25])
+    @pytest.mark.parametrize("problem,two", _ENTRIES, ids=_ids(_ENTRIES))
+    def test_size_matches_scalar(self, problem, two, level):
+        truth, reps, seed = _truth(two), 400, 47
+        hypothesis = _hypothesis(problem, truth)
+        region = rejection_region(problem, hypothesis, level)
+        scalar = sum(
+            region.contains(sample(truth, problem.n, problem.m, rng=stream(seed, j)))
+            for j in range(reps)
+        )
+        plan = ExperimentPlan(problem, truth, level, reps, seed, hypothesis)
+        assert size_experiment(plan).hits == scalar
+
+    def test_hits_do_not_depend_on_the_block_size(self, monkeypatch):
+        plan = ExperimentPlan(
+            variance_ratio(10, 7), _truth(True), 0.95, 500, 5
+        )
+        whole = coverage_experiment(plan)
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", 37)
+        assert coverage_experiment(plan) == whole
+
+    def test_hits_is_a_python_int(self):
+        assert type(coverage_experiment(_coverage_plan(reps=50)).hits) is int
+
+
+def _spied(rule):
+    """The rule with its scalar path recording the rows it settles."""
+    seen = []
+
+    def scalar(x):
+        seen.append(x)
+        return rule.scalar(x)
+
+    return replace(rule, scalar=scalar), seen
+
+
+def _row(xs, ys, i):
+    return Sample(tuple(xs[i].tolist()), None if ys is None else tuple(ys[i].tolist()))
+
+
+class TestGuardBand:
+    @pytest.mark.parametrize("problem,two", _ENTRIES, ids=_ids(_ENTRIES))
+    def test_rows_within_ulps_of_eta_take_the_scalar_path(self, problem, two):
+        truth = _truth(two)
+        hypothesis = _hypothesis(problem, truth)
+        xs, ys = _sample_block(truth, problem.n, problem.m, 3, 0, 60)
+        rows = [_row(xs, ys, i) for i in range(60)]
+        base = rejection_region(problem, hypothesis, 0.05)
+        at = base.statistic(rows[0])
+        for eta in (at, *(float(v) for v in (
+            np.nextafter(np.nextafter(at, math.inf), math.inf),
+            np.nextafter(np.nextafter(at, 0.0), 0.0),
+        ))):
+            region = Region(problem, hypothesis, 0.05, eta)
+            rule = mc._Rule(problem, hypothesis.value, eta, False, region.contains)
+            rule, seen = _spied(rule)
+            assert rule.hits(xs, ys) == sum(region.contains(x) for x in rows)
+            assert rows[0] in seen
+            assert len(seen) < len(rows)
+
+    def test_boundary_rows_of_a_constant_sample(self):
+        # Constant rows c put the mean-z statistic exactly at c, so rows
+        # a few ulps either side of eta sit inside the guard band.
+        plan = ExperimentPlan(
+            mean_z(4, 1.0), State(0.0, 1.0), 0.05, 1, 1, Hypothesis.point(0.0)
+        )
+        rule, seen = _spied(mc._Rule.of(plan))
+        values = [rule.eta]
+        for _ in range(3):
+            values = [float(np.nextafter(values[0], 0.0))] + values
+            values.append(float(np.nextafter(values[-1], math.inf)))
+        far = [rule.eta * 0.5, rule.eta * 2.0]
+        xs = np.repeat(np.array(values + far)[:, None], 4, axis=1)
+        assert rule.hits(xs, None) == 4 + 1  # rows at or beyond eta, and 2 * eta
+        assert sorted(x.values[0] for x in seen) == values
+
+    @pytest.mark.parametrize(
+        "problem,coverage",
+        [
+            (mean_t(10), True),
+            (mean_t(10), False),
+            (mean_t_upper(10), False),
+            (variance(10), True),
+            (variance_upper(10), True),
+            (variance_ratio(10, 10), True),
+            (variance_ratio_upper(10, 10), False),
+        ],
+    )
+    def test_degenerate_rows_raise_as_the_scalar_path_does(self, problem, coverage):
+        two = problem.two_sample
+        truth = _truth(two)
+        hypothesis = None if coverage else _hypothesis(problem, truth)
+        plan = ExperimentPlan(problem, truth, 0.9, 1, 1, hypothesis)
+        scalar_rule = mc._Rule.of(plan)
+        rule, seen = _spied(scalar_rule)
+        xs, ys = _sample_block(truth, problem.n, problem.m, 9, 0, 5)
+        # 0.1 is inexact, so numpy's mean of the constant row is not 0.1.
+        xs[3] = 0.1
+        if two:
+            ys[3] = -7.0
+        with pytest.raises(ValueError) as scalar_error:
+            scalar_rule.scalar(_row(xs, ys, 3))
+        with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
+            rule.hits(xs, ys)
+        assert len(seen) == 1 and seen[0].values == (0.1,) * problem.n
+
+    def test_degenerate_rows_that_decide_take_the_scalar_path(self):
+        # A constant row gives the variance estimate 0: infinitely far in
+        # log scale, so the size path rejects it without raising.
+        problem = variance(10)
+        plan = ExperimentPlan(
+            problem, State(0.0, 1.0), 0.05, 1, 1, Hypothesis.point(1.0)
+        )
+        scalar_rule = mc._Rule.of(plan)
+        rule, seen = _spied(scalar_rule)
+        xs, _ = _sample_block(State(0.0, 1.0), 10, None, 9, 0, 5)
+        xs[2] = 0.1
+        scalar = sum(scalar_rule.scalar(_row(xs, None, i)) for i in range(5))
+        assert rule.hits(xs, None) == scalar
+        assert [x.values for x in seen] == [(0.1,) * 10]
