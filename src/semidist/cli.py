@@ -73,9 +73,8 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
         line = raw.strip()
         if not line:
             continue
-        parts = line.replace(",", " ").split()
         try:
-            values = [float(p) for p in parts]
+            values = _row_values(line)
         except ValueError:
             if allow_header:
                 allow_header = False
@@ -89,7 +88,21 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
             col2.append(values[1])
     if not col1:
         raise CliError(f"no data rows in {path!r}")
+    # A finite sum proves every value finite; only a non-finite value (or
+    # an overflowing sum) pays for the search for its line.
+    if not math.isfinite(sum(col1) + sum(col2)):
+        for number, raw in enumerate(lines, 1):
+            try:
+                values = _row_values(raw)
+            except ValueError:
+                continue
+            if not all(map(math.isfinite, values)):
+                raise CliError(f"non-finite value on line {number} of {path!r}: {raw.strip()!r}")
     return col1, col2
+
+
+def _row_values(line: str) -> list[float]:
+    return [float(p) for p in line.replace(",", " ").split()]
 
 
 def _build_problem(name: str, n: int, m: int | None, args: argparse.Namespace) -> TestProblem:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from scipy.optimize import minimize
-
 from .distributions import cdf, normal
 from .framework import Hypothesis, HypothesisKind
 from .measurement import State, mu_bar, sigma_bar
@@ -182,6 +180,9 @@ def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
     feasible = [item for item in feasible if item[0] < 1e299]
     if not feasible:
         raise ValueError("no admissible state found in the custom region")
+    # Imported here: scipy.optimize triples the cost of importing semidist.
+    from scipy.optimize import minimize
+
     best = None
     for _, seed in sorted(feasible)[:3]:
         res = minimize(

@@ -8,13 +8,21 @@ standard-deviation scalings) and the pushforward probabilities of the
 mean and SS statistics live here.
 
 Sampling is stream-based: each (seed, replication) pair deterministically
-derives an independent generator, so any partition of replications over
-workers reproduces the sequential results exactly.  ``stream`` is the
-reference implementation of that contract.  ``_sample_block`` draws a
-block of replications at once for the Monte Carlo kernel: it re-derives
-numpy's SeedSequence -> PCG64 seeding for every replication of the block
-with array arithmetic and re-seeds one generator per row, and its rows
-equal ``sample(..., rng=stream(seed, j))`` bit for bit.
+derives an independent PCG64 stream (O'Neill 2014), so any partition of
+replications over workers reproduces the sequential results exactly.
+``stream`` is the reference for the stream and ``sample`` for the draws.
+
+Stream contract 2 (``STREAM_CONTRACT``): replication j's stream is
+``PCG64(SeedSequence(seed, spawn_key=(j,)))``, and each value takes
+exactly one raw 64-bit word w of it, x = mu + sigma * Phi^-1(u) with
+u = (2 (w >> 12) + 1) 2^-53; the first n words give the first block and
+the next m the second.  (Contract 1 drew with numpy's ziggurat, whose
+word count per value varies.)  Because every value costs one word,
+``_sample_block`` computes a whole block of replications with numpy
+uint64 arithmetic: bulk SeedSequence derivation, PCG64 seeding, the
+128-bit LCG by jump-ahead doubling and the XSL-RR output, then the same
+word -> normal map as ``sample``.  Its rows equal
+``sample(..., rng=stream(seed, j))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .distributions import chi_squared, cdf, normal
 
@@ -32,6 +41,7 @@ __all__ = [
     "State",
     "TwoSampleState",
     "Sample",
+    "STREAM_CONTRACT",
     "stream",
     "sample",
     "mu_bar",
@@ -44,6 +54,10 @@ __all__ = [
 ]
 
 Interval = tuple[float, float]
+
+# Version of the mapping from (seed, replication) to draws; see the module
+# docstring.  Any change to it changes every seeded result.
+STREAM_CONTRACT = 2
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,13 @@ class Sample:
             raise ValueError("sample must contain at least one value")
         if self.second is not None and len(self.second) < 1:
             raise ValueError("second block must contain at least one value")
+        for name, block in (("sample", self.values), ("second block", self.second)):
+            # A finite sum proves every value finite; only a non-finite
+            # value (or an overflowing sum) pays for the search.
+            if block is not None and not math.isfinite(sum(block)):
+                for i, v in enumerate(block):
+                    if not math.isfinite(v):
+                        raise ValueError(f"{name} value {i} is not finite: {v!r}")
 
     @property
     def n(self) -> int:
@@ -95,9 +116,9 @@ def stream(seed: int, replication: int = 0) -> np.random.Generator:
     """Reproducible generator for one replication, derived from (seed, j).
 
     Streams for distinct replications are statistically independent and
-    do not depend on the order they are created in.  This is the
-    reference implementation of the stream contract; ``_sample_block``
-    must reproduce it bit for bit.
+    do not depend on the order they are created in.  With ``sample`` it
+    is the reference implementation of the stream contract, which
+    ``_sample_block`` reproduces bit for bit.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return np.random.Generator(np.random.PCG64(ss))
@@ -109,7 +130,97 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_LOW32 = np.uint64(_MASK32)
+_SHIFT12, _ONE_BITS = np.uint64(12), np.uint64(0x3FF0000000000000)
+# Values whose words are built at once: small enough that a tile's uint64
+# temporaries stay in cache.
+_TILE_VALUES = 1 << 14
+
+
+def _std_normal(words: np.ndarray) -> np.ndarray:
+    """Phi^-1(u) for u = (2 (w >> 12) + 1) 2^-53, one raw 64-bit word w per
+    value: u is exact, symmetric about 1/2 and never 0 or 1, so the extreme
+    words give finite values near +-8.2.  u is formed exactly as
+    1 + (w >> 12) 2^-52 (by its bits) minus 1 - 2^-53."""
+    bits = words >> _SHIFT12
+    bits |= _ONE_BITS
+    u = bits.view(np.float64)
+    u -= 1.0 - 2.0**-53
+    return ndtri(u, out=u)
+
+
+def _mul128(
+    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2**128 on uint64 (high, low) halves, broadcasting."""
+    shift = np.uint64(32)
+    a0, a1 = a_lo & _LOW32, a_lo >> shift
+    b0, b1 = b_lo & _LOW32, b_lo >> shift
+    p01, p10 = a0 * b1, a1 * b0
+    # High word of a_lo * b_lo from its four 32-bit partial products.
+    mid = ((a0 * b0) >> shift) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * b1 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
+    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(
+    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b) mod 2**128 on uint64 (high, low) halves, broadcasting."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    # 128-bit Python ints as uint64 (high, low) column vectors.
+    hi = np.array([v >> 64 for v in values], np.uint64)[:, None]
+    lo = np.array([v & _MASK64 for v in values], np.uint64)[:, None]
+    return hi, lo
+
+
+def _jumps(count: int) -> tuple[list[int], list[int]]:
+    """A_h = M^h and C_h = M^(h-1) + ... + 1 (mod 2**128) for h = 1, 2, 4,
+    ... below ``count``: h LCG steps map a state s to A_h s + C_h inc."""
+    a, c = [], []
+    jump, offset, h = _PCG_MULT, 1, 1
+    while h < count:
+        a.append(jump)
+        c.append(offset)
+        offset = (offset * (jump + 1)) & _MASK128
+        jump = (jump * jump) & _MASK128
+        h *= 2
+    return a, c
+
+
+def _pcg_words(
+    hi: np.ndarray,
+    lo: np.ndarray,
+    jumps: tuple[np.ndarray, np.ndarray],
+    offsets: tuple[np.ndarray, np.ndarray],
+    count: int,
+) -> np.ndarray:
+    """PCG64 outputs of ``count`` successive states per stream, as a
+    (count, rows) array: column r is ``random_raw(count)`` of stream r.
+
+    (hi, lo) holds each stream's first stepped state; row k of ``jumps``
+    holds A_h for h = 2^k and row k of ``offsets`` holds C_h * inc per
+    stream, so doubling h fills the rows in log2(count) steps.
+    """
+    s_hi = np.empty((count, hi.size), np.uint64)
+    s_lo = np.empty_like(s_hi)
+    s_hi[0], s_lo[0] = hi, lo
+    h = 1
+    for a_hi, a_lo, c_hi, c_lo in zip(*jumps, *offsets):
+        k = min(h, count - h)
+        s_hi[h : h + k], s_lo[h : h + k] = _add128(
+            *_mul128(s_hi[:k], s_lo[:k], a_hi, a_lo), c_hi, c_lo
+        )
+        h *= 2
+    # XSL-RR output: the xor of the halves, rotated right by the top 6 bits.
+    rot = s_hi >> np.uint64(58)
+    x = s_hi ^ s_lo
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
 def _hashmix(
@@ -123,23 +234,13 @@ def _hashmix(
     return values ^ (values >> np.uint32(16)), hash_const
 
 
-def _sample_block(
-    state: State | TwoSampleState,
-    n: int,
-    m: int | None,
-    seed: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draws of replications start..stop-1 as rows: row i holds exactly
-    the values of ``sample(state, n, m, rng=stream(seed, start + i))``.
+def _block_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(j,)).generate_state(4, uint64)`` for
+    j in start..stop-1, as a (rows, 4) array.
 
-    Instead of building a SeedSequence and a PCG64 per replication, the
-    spawn key is mixed into the seed's pool for the whole block with
-    numpy uint32 arithmetic, the four state words are generated the same
-    way, PCG64's two-step seeding runs on Python ints, and one reused
-    generator is re-seeded through its public state setter per row.
-    Returns (first block, second block or None), shapes (rows, n), (rows, m).
+    The spawn key is mixed into the seed's pool for the whole block with
+    numpy uint32 arithmetic, and the four state words are generated the
+    same way.
     """
     if not 0 <= start <= stop <= 1 << 32:
         raise ValueError(
@@ -166,26 +267,55 @@ def _sample_block(
     for k in range(8):
         value, hash_const = _hashmix(mixed[k % 4], hash_const, _MULT_B)
         halves.append(value.astype(np.uint64))
-    seeds = np.stack(
+    return np.stack(
         [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1
     )
 
+
+def _sample_block(
+    state: State | TwoSampleState,
+    n: int,
+    m: int | None,
+    seed: int,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draws of replications start..stop-1 as rows: row i holds exactly
+    the values of ``sample(state, n, m, rng=stream(seed, start + i))``.
+
+    No generator is built: the block's SeedSequence states are derived in
+    bulk, PCG64's seeding and its 128-bit LCG run on uint64 (high, low)
+    halves, and the raw words go through ``sample``'s own word -> normal
+    map, tile by tile.
+    Returns (first block, second block or None), shapes (rows, n), (rows, m).
+    """
+    s_hi, s_lo, q_hi, q_lo = _block_seeds(seed, start, stop).T
     two = isinstance(state, TwoSampleState)
     first = state.first if two else state
-    xs = np.empty((stop - start, n))
-    ys = np.empty((stop - start, m)) if two else None
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(seeds.tolist()):
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        bit_generator.state = full
-        xs[i] = gen.normal(first.mu, first.sigma, n)
+    count = n + (m if two else 0)
+    # PCG64 seeding: inc = 2q + 1, state = (inc + s) * M + inc; one more
+    # step gives the state of the first output.
+    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
+    m_hi, m_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
+    for _ in range(2):
+        hi, lo = _add128(*_mul128(hi, lo, m_hi, m_lo), inc_hi, inc_lo)
+    a, c = _jumps(count)
+    jumps = _halves(a)
+    offsets = _mul128(inc_hi, inc_lo, *_halves(c))
+
+    rows_total = stop - start
+    xs = np.empty((rows_total, n))
+    ys = np.empty((rows_total, m)) if two else None
+    tiles = -(-rows_total * count // _TILE_VALUES)
+    for t in range(tiles):
+        rows = slice(t * rows_total // tiles, (t + 1) * rows_total // tiles)
+        tile_offsets = (offsets[0][:, rows], offsets[1][:, rows])
+        z = _std_normal(_pcg_words(hi[rows], lo[rows], jumps, tile_offsets, count))
+        xs[rows] = _scale(z[:n], first).T
         if two:
-            ys[i] = gen.normal(state.second.mu, state.second.sigma, m)
+            ys[rows] = _scale(z[n:], state.second).T
     return xs, ys
 
 
@@ -201,6 +331,10 @@ def sample(
     independent block of m draws from the second state for two-sample
     problems).  Deterministic given ``seed``; pass ``rng`` instead to use
     an externally derived stream.
+
+    Each value takes one raw 64-bit word of the stream (the first n words
+    give the first block, the next m the second) through the inverse
+    normal CDF; see ``STREAM_CONTRACT``.
     """
     if (seed is None) == (rng is None):
         raise ValueError("exactly one of seed and rng must be given")
@@ -211,13 +345,20 @@ def sample(
     if isinstance(state, TwoSampleState):
         if m is None or m < 1:
             raise ValueError(f"two-sample draw needs m >= 1, got {m}")
-        x = rng.normal(state.first.mu, state.first.sigma, n)
-        y = rng.normal(state.second.mu, state.second.sigma, m)
+        z = _std_normal(rng.bit_generator.random_raw(n + m))
+        x, y = _scale(z[:n], state.first), _scale(z[n:], state.second)
         return Sample(tuple(x.tolist()), tuple(y.tolist()))
     if m is not None:
         raise ValueError("m is only meaningful for a TwoSampleState")
-    x = rng.normal(state.mu, state.sigma, n)
+    x = _scale(_std_normal(rng.bit_generator.random_raw(n)), state)
     return Sample(tuple(x.tolist()))
+
+
+def _scale(z: np.ndarray, state: State) -> np.ndarray:
+    # mu + sigma * z, in place.
+    z *= state.sigma
+    z += state.mu
+    return z
 
 
 # ---------------------------------------------------------------------------

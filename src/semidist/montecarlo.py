@@ -1,19 +1,21 @@
 """Monte Carlo verification of coverage and size.
 
-Stream contract (unchanged): replication j draws exactly
-``sample(truth, n, m, rng=stream(seed, j))``, so reports are
-reproducible and independent of how the replications are partitioned
-across workers.  Gates use 4-sigma binomial bands around the nominal
-level, which keeps the false-alarm probability of a passing
-implementation below 1e-4.
+Stream contract 2 (``measurement.STREAM_CONTRACT``, carried by every
+``ExperimentReport``): replication j draws exactly
+``sample(truth, n, m, rng=stream(seed, j))``, one PCG64 word per value,
+so reports are reproducible and independent of how the replications are
+partitioned across workers.  Gates use 4-sigma binomial bands around the
+nominal level, clamped to [0, 1], which keeps the false-alarm
+probability of a passing implementation below 1e-4.
 
 Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
 rows, so memory stays bounded at any J.  ``measurement._sample_block``
-derives the block's streams in bulk and fills a (rows, n) array (plus
-(rows, m) for two-sample problems); the estimates and the semi-distance
-|clamp(g(E(x))) - clamp(g(anchor))| / s are then evaluated for the whole
-block with numpy, reading g (log or identity), the half-line clamp and
-the studentized scale s from the problem's ``SemiDistanceKind``.
+computes the block's stream words with array arithmetic and fills a
+(rows, n) array (plus (rows, m) for two-sample problems); the estimates
+and the semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are then
+evaluated for the whole block with numpy, reading g (log or identity),
+the half-line clamp and the studentized scale s from the problem's
+``SemiDistanceKind``.
 
 Guard band: numpy sums round differently from ``math.fsum``, and
 ``np.log`` from ``math.log``, so a batched statistic can sit a few ulps
@@ -23,8 +25,8 @@ through the estimator and the distance.  Rows whose statistic lies
 within that band of eta, and rows that are degenerate or non-finite, are
 decided by the framework's scalar ``ConfidenceRegion.contains`` /
 ``Region.contains`` on the same values, which also raises exactly where
-it always has.  Hits therefore equal the scalar path's, replication for
-replication.
+it always has (a non-finite row raises in ``Sample``).  Hits therefore
+equal the scalar path's, replication for replication.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .framework import (
     quantity_value,
     rejection_region,
 )
-from .measurement import Sample, State, TwoSampleState, _sample_block
+from .measurement import STREAM_CONTRACT, Sample, State, TwoSampleState, _sample_block
 
 __all__ = [
     "ExperimentPlan",
@@ -86,11 +88,13 @@ class ExperimentReport:
     band: tuple[float, float]
     passed: bool
     seed: int
+    stream_contract: int = STREAM_CONTRACT
 
 
 def _binomial_band(p: float, j: int) -> tuple[float, float]:
+    # A rate lies in [0, 1], so clamping decides nothing differently.
     half = 4.0 * math.sqrt(p * (1.0 - p) / j)
-    return p - half, p + half
+    return max(0.0, p - half), min(1.0, p + half)
 
 
 # Values drawn per block; a block holds _BLOCK_VALUES // (n + m) rows, so

@@ -63,6 +63,28 @@ class TestParsing:
         assert cli.main(["test", "mean-t", str(path), "--null", "0"]) == 2
         assert "unparseable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("command", [["test", "mean-t"], ["ci", "var"]])
+    def test_non_finite_value_names_the_line(self, tmp_path, capsys, bad, command):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"x\n1.0\n\n2.5\n{bad}\n3.0\n", encoding="utf-8")
+        argv = [*command, str(path)] + (["--null", "0"] if command[0] == "test" else [])
+        assert cli.main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"non-finite value on line 5 of {str(path)!r}: {bad!r}" in captured.err
+
+    def test_non_finite_second_column(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,inf\n4,5\n", encoding="utf-8")
+        assert cli.main(["ci", "var-ratio", str(path)]) == 2
+        assert "non-finite value on line 2" in capsys.readouterr().err
+
+    def test_finite_values_with_an_overflowing_sum(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("1e308\n1.5e308\n-3e307\n", encoding="utf-8")
+        assert cli.read_columns(str(path)) == ([1e308, 1.5e308, -3e307], [])
+
     def test_missing_file(self, capsys):
         assert cli.main(["test", "mean-t", "/nonexistent/nope.txt", "--null", "0"]) == 2
         assert "data file" in capsys.readouterr().err

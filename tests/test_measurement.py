@@ -1,16 +1,24 @@
 """States, estimator maps, image probabilities and stream sampling."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
+from semidist import measurement
 from semidist.measurement import (
+    STREAM_CONTRACT,
     Sample,
     State,
     TwoSampleState,
+    _add128,
+    _mul128,
     _sample_block,
+    _std_normal,
     image_prob_mean,
     image_prob_ss,
     mu_bar,
@@ -38,6 +46,16 @@ class TestStates:
     def test_sample_needs_values(self):
         with pytest.raises(ValueError):
             Sample(())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sample_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"sample value 2 is not finite: {bad!r}"):
+            Sample((1.0, 2.0, bad, 3.0))
+        with pytest.raises(ValueError, match=f"second block value 0 is not finite: {bad!r}"):
+            Sample((1.0, 2.0), (bad, 1.0))
+
+    def test_overflowing_sums_of_finite_values_are_accepted(self):
+        assert Sample((1e308, 1e308), (-1e308, -1e308, 2.0)).n == 2
 
 
 class TestEstimators:
@@ -257,3 +275,118 @@ class TestBulkStreams:
     def test_empty_block(self):
         xs, ys = _sample_block(State(0.0, 1.0), 4, None, 11, 7, 7)
         assert xs.shape == (0, 4) and ys is None
+
+
+_MASK64 = (1 << 64) - 1
+_EDGES = [0, 1, _MASK64, 1 << 63, (1 << 32) - 1, 1 << 32, 0xFFFFFFFF00000000]
+
+
+def _halves(value):
+    return np.array([value >> 64], np.uint64), np.array([value & _MASK64], np.uint64)
+
+
+def _join(hi, lo):
+    return (int(hi[0]) << 64) | int(lo[0])
+
+
+class TestKernelArithmetic:
+    """The uint64 (high, low) 128-bit helpers against Python ints."""
+
+    @staticmethod
+    def _values():
+        rng = np.random.default_rng(5)
+        random = [int(v) for v in rng.integers(0, 1 << 63, 40, dtype=np.uint64)]
+        return [(h << 64) | lo for h in _EDGES for lo in _EDGES] + [
+            (a << 64) | b for a, b in zip(random[::2], random[1::2])
+        ]
+
+    def test_mul_and_add_match_python_ints(self):
+        values = self._values()
+        a_hi = np.array([v >> 64 for v in values], np.uint64)
+        a_lo = np.array([v & _MASK64 for v in values], np.uint64)
+        mask = (1 << 128) - 1
+        for b in values:
+            b_hi, b_lo = np.uint64(b >> 64), np.uint64(b & _MASK64)
+            hi, lo = _mul128(a_hi, a_lo, b_hi, b_lo)
+            got = [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
+            assert got == [(v * b) & mask for v in values]
+            hi, lo = _add128(a_hi, a_lo, b_hi, b_lo)
+            got = [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
+            assert got == [(v + b) & mask for v in values]
+
+    def test_all_ones_carries(self):
+        ones = (1 << 128) - 1
+        assert _join(*_mul128(*_halves(ones), *_halves(ones))) == 1
+        assert _join(*_add128(*_halves(ones), *_halves(1))) == 0
+        assert _join(*_add128(*_halves(_MASK64), *_halves(1))) == 1 << 64
+        assert _join(*_mul128(*_halves(_MASK64), *_halves(_MASK64))) == _MASK64**2
+
+    def test_extreme_words_give_finite_tails(self):
+        z = _std_normal(np.array([0, _MASK64], np.uint64))
+        assert np.all(np.isfinite(z))
+        assert z[0] == -z[1]
+        assert -8.3 < z[0] < -8.1
+
+    def test_middle_words_are_symmetric(self):
+        words = np.array([1 << 63, (1 << 63) - 1, 12345 << 12], np.uint64)
+        z = _std_normal(words)
+        assert z[0] == -z[1] > 0.0
+        assert z[2] == -_std_normal(np.array([_MASK64 - (12345 << 12)], np.uint64))[0]
+
+
+class TestBlockKernel:
+    """Stream contract 2: one raw PCG64 word per value, drawn in bulk."""
+
+    def test_contract_version(self):
+        assert STREAM_CONTRACT == 2
+
+    @pytest.mark.parametrize("seed", [3, 2**128, 2**128 + 7, 2**200 + 1])
+    def test_hundred_values_per_row(self, seed):
+        state = TwoSampleState(State(0.5, 2.0), State(-3.0, 0.25))
+        xs, ys = _sample_block(state, 60, 40, seed, 17, 240)
+        ref = TestBulkStreams._reference(state, 60, 40, seed, 17, 240)
+        assert xs.tobytes() == ref[0].tobytes()
+        assert ys.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 5000])
+    def test_block_spanning_several_tiles(self, monkeypatch, n):
+        monkeypatch.setattr(measurement, "_TILE_VALUES", 1000)
+        rows = 3 * 1000 // n + 5
+        state = State(1.0, 3.0)
+        xs, _ = _sample_block(state, n, None, 2**128 + 3, 9, 9 + rows)
+        ref, _ = TestBulkStreams._reference(state, n, None, 2**128 + 3, 9, 9 + rows)
+        assert xs.tobytes() == ref.tobytes()
+
+    def test_no_generator_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the block kernel built a generator")
+
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        monkeypatch.setattr(np.random, "PCG64", refuse)
+        xs, _ = _sample_block(State(0.0, 1.0), 10, None, 4, 0, 3000)
+        assert xs.shape == (3000, 10)
+
+    def test_draws_fit_the_standard_normal(self):
+        # 10^5 values of one block; a passing kernel fails each check with
+        # probability below 1e-4.
+        xs, _ = _sample_block(State(0.0, 1.0), 10, None, 2024, 0, 10_000)
+        z = xs.ravel()
+        assert stats.kstest(z, "norm").pvalue > 1e-4
+        edges = stats.norm.ppf(np.linspace(0.0, 1.0, 21))
+        counts, _ = np.histogram(z, edges)
+        assert stats.chisquare(counts).pvalue > 1e-4
+        tail = np.count_nonzero(np.abs(z) > 3.0)
+        p = 2.0 * stats.norm.sf(3.0)
+        assert abs(tail - z.size * p) < 4.0 * math.sqrt(z.size * p * (1.0 - p))
+        # Neighbouring values within a row are uncorrelated.
+        r = np.corrcoef(xs[:, :-1].ravel(), xs[:, 1:].ravel())[0, 1]
+        assert abs(r) < 4.0 / math.sqrt(xs[:, 1:].size)
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, semidist; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": ":".join(sys.path)},
+    ).stdout
+    assert out.strip() == "False"

@@ -28,7 +28,15 @@ from semidist.framework import (
     variance_ratio_upper,
     variance_upper,
 )
-from semidist.measurement import Sample, State, TwoSampleState, _sample_block, sample, stream
+from semidist.measurement import (
+    STREAM_CONTRACT,
+    Sample,
+    State,
+    TwoSampleState,
+    _sample_block,
+    sample,
+    stream,
+)
 from semidist.montecarlo import (
     ExperimentPlan,
     coverage_experiment,
@@ -74,6 +82,28 @@ class TestReports:
     def test_rate_is_hits_over_j(self):
         report = coverage_experiment(_coverage_plan())
         assert report.rate == report.hits / report.replications
+
+    def test_report_names_its_stream_contract(self):
+        report = coverage_experiment(_coverage_plan(reps=20))
+        assert report.stream_contract == STREAM_CONTRACT == 2
+
+
+class TestBands:
+    @pytest.mark.parametrize("p", [0.95, 0.05, 0.5])
+    def test_bands_stay_inside_the_unit_interval(self, p):
+        for j in (1, 2, 10, 100):
+            lo, hi = mc._binomial_band(p, j)
+            assert 0.0 <= lo <= p <= hi <= 1.0
+
+    def test_single_replication_bands(self):
+        half = 4.0 * math.sqrt(0.95 * (1.0 - 0.95))
+        assert mc._binomial_band(0.95, 1) == (0.95 - half, 1.0)
+        assert mc._binomial_band(0.05, 1) == (0.0, 0.05 + 4.0 * math.sqrt(0.05 * 0.95))
+
+    def test_large_j_bands_are_unclamped(self):
+        for p, j in ((0.95, 10_000), (0.05, 10_000), (0.5, 20_000)):
+            half = 4.0 * math.sqrt(p * (1.0 - p) / j)
+            assert mc._binomial_band(p, j) == (p - half, p + half)
 
 
 class TestCoverage:
