@@ -18,11 +18,16 @@ exactly one raw 64-bit word w of it, x = mu + sigma * Phi^-1(u) with
 u = (2 (w >> 12) + 1) 2^-53; the first n words give the first block and
 the next m the second.  (Contract 1 drew with numpy's ziggurat, whose
 word count per value varies.)  Because every value costs one word,
-``_sample_block`` computes a whole block of replications with numpy
-uint64 arithmetic: bulk SeedSequence derivation, PCG64 seeding, the
-128-bit LCG by jump-ahead doubling and the XSL-RR output, then the same
-word -> normal map as ``sample``.  Its rows equal
+``_std_block`` computes the standard normals of a whole block of
+replications with numpy uint64 arithmetic: bulk SeedSequence
+derivation, PCG64 seeding, the 128-bit LCG by jump-ahead doubling and
+the XSL-RR output, then the same word -> normal map as ``sample``.
+``_scale_rows`` turns them into one state's draws with ``sample``'s own
+two roundings, so a block drawn once serves every state with the same
+seed, and ``_sample_block`` (draw, then scale) gives rows equal to
 ``sample(..., rng=stream(seed, j))`` bit for bit.
+
+``scipy.special`` is imported on the first draw, not with the module.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import chi_squared, cdf, normal
 
@@ -138,6 +142,23 @@ _SHIFT12, _ONE_BITS = np.uint64(12), np.uint64(0x3FF0000000000000)
 _TILE_VALUES = 1 << 14
 
 
+# scipy.special.ndtri, bound by ``_load_ndtri`` on the first draw: the
+# package init of scipy.special costs more than the rest of
+# ``import semidist``, and most commands never draw.
+_ndtri = None
+
+
+def _load_ndtri():
+    """Import and bind ``ndtri`` once.  A parent process calls this before
+    forking pool workers, so that they share its import."""
+    global _ndtri
+    if _ndtri is None:
+        from scipy.special import ndtri
+
+        _ndtri = ndtri
+    return _ndtri
+
+
 def _std_normal(words: np.ndarray) -> np.ndarray:
     """Phi^-1(u) for u = (2 (w >> 12) + 1) 2^-53, one raw 64-bit word w per
     value: u is exact, symmetric about 1/2 and never 0 or 1, so the extreme
@@ -147,7 +168,7 @@ def _std_normal(words: np.ndarray) -> np.ndarray:
     bits |= _ONE_BITS
     u = bits.view(np.float64)
     u -= 1.0 - 2.0**-53
-    return ndtri(u, out=u)
+    return (_ndtri or _load_ndtri())(u, out=u)
 
 
 def _mul128(
@@ -272,27 +293,17 @@ def _block_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     )
 
 
-def _sample_block(
-    state: State | TwoSampleState,
-    n: int,
-    m: int | None,
-    seed: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draws of replications start..stop-1 as rows: row i holds exactly
-    the values of ``sample(state, n, m, rng=stream(seed, start + i))``.
+def _std_block(seed: int, count: int, start: int, stop: int) -> np.ndarray:
+    """Standard normals of replications start..stop-1 as a (rows, count)
+    array: row i holds the ``count`` values that ``sample`` scales for
+    replication ``start + i``.
 
     No generator is built: the block's SeedSequence states are derived in
     bulk, PCG64's seeding and its 128-bit LCG run on uint64 (high, low)
     halves, and the raw words go through ``sample``'s own word -> normal
     map, tile by tile.
-    Returns (first block, second block or None), shapes (rows, n), (rows, m).
     """
     s_hi, s_lo, q_hi, q_lo = _block_seeds(seed, start, stop).T
-    two = isinstance(state, TwoSampleState)
-    first = state.first if two else state
-    count = n + (m if two else 0)
     # PCG64 seeding: inc = 2q + 1, state = (inc + s) * M + inc; one more
     # step gives the state of the first output.
     inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
@@ -306,17 +317,40 @@ def _sample_block(
     offsets = _mul128(inc_hi, inc_lo, *_halves(c))
 
     rows_total = stop - start
-    xs = np.empty((rows_total, n))
-    ys = np.empty((rows_total, m)) if two else None
+    z = np.empty((rows_total, count))
     tiles = -(-rows_total * count // _TILE_VALUES)
     for t in range(tiles):
         rows = slice(t * rows_total // tiles, (t + 1) * rows_total // tiles)
         tile_offsets = (offsets[0][:, rows], offsets[1][:, rows])
-        z = _std_normal(_pcg_words(hi[rows], lo[rows], jumps, tile_offsets, count))
-        xs[rows] = _scale(z[:n], first).T
-        if two:
-            ys[rows] = _scale(z[n:], state.second).T
-    return xs, ys
+        z[rows] = _std_normal(_pcg_words(hi[rows], lo[rows], jumps, tile_offsets, count)).T
+    return z
+
+
+def _scale_rows(
+    z: np.ndarray, state: State | TwoSampleState, n: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows of standard normals as draws of ``state``: the first n columns
+    scaled by its first state, the rest (two-sample only) by the second.
+    ``z`` is left as it is, so one block can serve several states."""
+    if isinstance(state, TwoSampleState):
+        return _scale(z[:, :n], state.first), _scale(z[:, n:], state.second)
+    return _scale(z, state), None
+
+
+def _sample_block(
+    state: State | TwoSampleState,
+    n: int,
+    m: int | None,
+    seed: int,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draws of replications start..stop-1 as rows: row i holds exactly
+    the values of ``sample(state, n, m, rng=stream(seed, start + i))``.
+    Returns (first block, second block or None), shapes (rows, n), (rows, m).
+    """
+    count = n + (m if isinstance(state, TwoSampleState) else 0)
+    return _scale_rows(_std_block(seed, count, start, stop), state, n)
 
 
 def sample(
@@ -355,10 +389,11 @@ def sample(
 
 
 def _scale(z: np.ndarray, state: State) -> np.ndarray:
-    # mu + sigma * z, in place.
-    z *= state.sigma
-    z += state.mu
-    return z
+    # mu + sigma * z as a new array, rounded twice (product, then sum) on
+    # every path, so block rows equal ``sample``'s values bit for bit.
+    out = z * state.sigma
+    out += state.mu
+    return out
 
 
 # ---------------------------------------------------------------------------

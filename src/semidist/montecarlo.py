@@ -9,9 +9,10 @@ nominal level, clamped to [0, 1], which keeps the false-alarm
 probability of a passing implementation below 1e-4.
 
 Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
-rows, so memory stays bounded at any J.  ``measurement._sample_block``
-computes the block's stream words with array arithmetic and fills a
-(rows, n) array (plus (rows, m) for two-sample problems); the estimates
+rows, so memory stays bounded at any J.  ``measurement._std_block``
+computes the block's standard normals with array arithmetic, and
+``measurement._scale_rows`` scales them into a (rows, n) array (plus
+(rows, m) for two-sample problems) for each plan; the estimates
 and the semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are then
 evaluated for the whole block with numpy, reading g (log or identity),
 the half-line clamp and the studentized scale s from the problem's
@@ -27,6 +28,12 @@ decided by the framework's scalar ``ConfidenceRegion.contains`` /
 ``Region.contains`` on the same values, which also raises exactly where
 it always has (a non-finite row raises in ``Sample``).  Hits therefore
 equal the scalar path's, replication for replication.
+
+Shared draws: the points of a power curve share the plan's seed, so
+replication j of every point scales the same standard normals (common
+random numbers, which make the points' rates positively correlated).
+Each block is therefore drawn once and scaled for every point, and a
+pool runs one task per chunk of replications, covering every point.
 """
 
 from __future__ import annotations
@@ -47,7 +54,15 @@ from .framework import (
     quantity_value,
     rejection_region,
 )
-from .measurement import STREAM_CONTRACT, Sample, State, TwoSampleState, _sample_block
+from .measurement import (
+    STREAM_CONTRACT,
+    Sample,
+    State,
+    TwoSampleState,
+    _load_ndtri,
+    _scale_rows,
+    _std_block,
+)
 
 __all__ = [
     "ExperimentPlan",
@@ -197,16 +212,25 @@ class _Rule:
         return hits
 
 
-def _hits(plan: ExperimentPlan, start: int, stop: int) -> int:
-    """Hits among replications start..stop-1: covering regions for a
-    coverage plan, rejections for a size or power plan."""
-    rule = _Rule.of(plan)
-    problem = plan.problem
-    rows = max(1, _BLOCK_VALUES // (problem.n + (problem.m or 0)))
-    hits = 0
+def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
+    """Hits of each plan among replications start..stop-1: covering
+    regions for a coverage plan, rejections for a size or power plan.
+
+    The plans share their seed, so replication j has the same standard
+    normals in all of them: each block is drawn once and scaled for each
+    plan's truth.
+    """
+    if len({(p.seed, p.problem.n, p.problem.m, p.replications) for p in plans}) > 1:
+        raise ValueError("plans that share draws must have the same seed, n, m and replications")
+    first = plans[0]
+    n, m = first.problem.n, first.problem.m or 0
+    rules = [_Rule.of(plan) for plan in plans]
+    rows = max(1, _BLOCK_VALUES // (n + m))
+    hits = [0] * len(plans)
     for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
-        hits += rule.hits(*_sample_block(plan.truth, problem.n, problem.m, plan.seed, lo, hi))
+        z = _std_block(first.seed, n + m, lo, min(lo + rows, stop))
+        for k, (plan, rule) in enumerate(zip(plans, rules)):
+            hits[k] += rule.hits(*_scale_rows(z, plan.truth, n))
     return hits
 
 
@@ -218,19 +242,20 @@ def _chunks(replications: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
-    """Hits of each plan; when the replications are split, one pool runs
-    every plan's chunks and is closed before returning."""
+    """Hits of each plan (plans as ``_hits`` takes them); when the
+    replications are split, one pool runs one task per chunk, each for
+    every plan, and is closed before returning."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    chunks = [_chunks(plan.replications, workers) for plan in plans]
-    if all(len(c) == 1 for c in chunks):
-        return [_hits(plan, 0, plan.replications) for plan in plans]
+    replications = plans[0].replications
+    spans = _chunks(replications, workers)
+    if len(spans) == 1:
+        return _hits(plans, 0, replications)
+    # Forked workers inherit the import instead of each paying for it.
+    _load_ndtri()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            [pool.submit(_hits, plan, a, b) for a, b in spans]
-            for plan, spans in zip(plans, chunks)
-        ]
-        return [sum(f.result() for f in row) for row in futures]
+        futures = [pool.submit(_hits, plans, a, b) for a, b in spans]
+        return [sum(column) for column in zip(*(f.result() for f in futures))]
 
 
 def coverage_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:
@@ -274,6 +299,11 @@ def power_curve(
     """Rejection rate across a grid of true states (null or not); the
     band is descriptive (4 sigmas around the observed rate) and every
     report passes by construction.
+
+    Every point uses the plan's seed, so the points are common random
+    numbers: replication j draws the same standard normals at each point,
+    only scaled by that point's truth, and the rates are positively
+    correlated.  Each block of normals is drawn once for the whole curve.
     """
     if plan.hypothesis is None:
         raise ValueError("power plans need a hypothesis")

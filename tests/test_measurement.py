@@ -390,3 +390,52 @@ def test_import_leaves_scipy_optimize_out():
         env={"PYTHONPATH": ":".join(sys.path)},
     ).stdout
     assert out.strip() == "False"
+
+
+def _fresh_interpreter(code, *args):
+    """Last line printed by ``code`` run in a new interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": ":".join(sys.path)},
+    ).stdout
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_special_out():
+    code = "import sys, semidist; print('scipy.special' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_cli_test_and_ci_leave_scipy_special_out(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("1.5\n2.0\n0.25\n3.0\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from semidist import cli\n"
+        "assert cli.main(['test', 'mean-t', sys.argv[1], '--null', '0', '--json']) == 0\n"
+        "assert cli.main(['ci', 'var', sys.argv[1], '--json']) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, str(path)) == "False"
+
+
+def test_pool_workers_inherit_scipy_special():
+    # The parent imports it before forking, so no worker pays for it.
+    code = (
+        "import sys\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from semidist import montecarlo as mc\n"
+        "from semidist.framework import Hypothesis, mean_z\n"
+        "from semidist.measurement import State\n"
+        "seen = []\n"
+        "class Counting(ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append('scipy.special' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "mc.ProcessPoolExecutor = Counting\n"
+        "plan = mc.ExperimentPlan(mean_z(10, 1.0), State(0.0, 1.0), 0.05, 40, 3,\n"
+        "                         Hypothesis.point(0.0))\n"
+        "mc.power_curve(plan, [State(0.0, 1.0), State(0.5, 1.0)], workers=2)\n"
+        "print(seen)\n"
+    )
+    assert _fresh_interpreter(code) == "[True]"

@@ -410,3 +410,73 @@ class TestGuardBand:
         scalar = sum(scalar_rule.scalar(_row(xs, None, i)) for i in range(5))
         assert rule.hits(xs, None) == scalar
         assert [x.values for x in seen] == [(0.1,) * 10]
+
+
+# Power grids that move each kind of parameter: mu, sigma, and in the
+# two-sample case sigma_1, sigma_2 and mu_2.
+_GRIDS = {
+    "mean-z-mu": (
+        mean_z(10, 1.5),
+        Hypothesis.point(0.0),
+        [State(mu, 1.5) for mu in (-0.9, -0.3, 0.0, 0.45, 1.2)],
+    ),
+    "variance-sigma": (
+        variance(10),
+        Hypothesis.point(1.0),
+        [State(0.2, sigma) for sigma in (0.6, 1.0, 1.4, 2.0)],
+    ),
+    "var-ratio-both": (
+        variance_ratio(10, 7),
+        Hypothesis.point(1.0),
+        [
+            TwoSampleState(State(0.0, s1), State(mu2, s2))
+            for s1, mu2, s2 in ((1.0, 0.0, 1.0), (1.5, -2.0, 1.0), (0.7, 3.0, 2.5), (2.0, 0.5, 0.8))
+        ],
+    ),
+}
+
+
+class TestSharedDraws:
+    """A power curve draws each block once and scales it for every grid
+    point; its hits equal a scalar loop over each point's own draws."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid", sorted(_GRIDS))
+    def test_curve_matches_scalar_loop(self, grid, workers):
+        problem, hypothesis, truths = _GRIDS[grid]
+        reps, seed, level = 301, 53, 0.25
+        region = rejection_region(problem, hypothesis, level)
+        scalar = [
+            sum(
+                region.contains(sample(truth, problem.n, problem.m, rng=stream(seed, j)))
+                for j in range(reps)
+            )
+            for truth in truths
+        ]
+        base = ExperimentPlan(problem, truths[0], level, reps, seed, hypothesis)
+        reports = power_curve(base, truths, workers=workers)
+        assert [r.hits for r in reports] == scalar
+
+    def test_each_block_is_drawn_once_per_curve(self, monkeypatch):
+        blocks, draw = [], mc._std_block
+
+        def spy(seed, count, start, stop):
+            blocks.append((start, stop))
+            return draw(seed, count, start, stop)
+
+        base = ExperimentPlan(
+            mean_z(10, 1.0), State(0.0, 1.0), 0.05, 301, 31, Hypothesis.point(0.0)
+        )
+        grid = [State(0.1 * k, 1.0) for k in range(8)]
+        whole = [r.hits for r in power_curve(base, grid)]
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", 1000)
+        monkeypatch.setattr(mc, "_std_block", spy)
+        assert [r.hits for r in power_curve(base, grid)] == whole
+        assert blocks == [(0, 100), (100, 200), (200, 300), (300, 301)]
+
+    def test_plans_with_different_seeds_are_refused(self):
+        plan = ExperimentPlan(
+            mean_z(10, 1.0), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
+        )
+        with pytest.raises(ValueError, match="same seed"):
+            mc._hits([plan, replace(plan, seed=2)], 0, 100)
