@@ -60,7 +60,9 @@ def _emit_json(payload: dict) -> None:
 
 def read_columns(path: str) -> tuple[list[float], list[float]]:
     """Parse a one- or two-column data file (comma- or whitespace-separated,
-    optional header line)."""
+    optional header line).  A line with an empty comma-separated field, a
+    line that does not parse (after the header) and a non-finite value each
+    raise a ``CliError`` naming the line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -69,17 +71,18 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     col1: list[float] = []
     col2: list[float] = []
     allow_header = True
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
+    for number, raw in enumerate(lines, 1):
         try:
-            values = _row_values(line)
+            values = _row_values(raw)
         except ValueError:
+            if "," in raw and not all(field.strip() for field in raw.split(",")):
+                raise CliError(f"empty field on line {number} of {path!r}: {raw!r}") from None
             if allow_header:
                 allow_header = False
                 continue
-            raise CliError(f"unparseable line in {path!r}: {raw!r}") from None
+            raise CliError(f"unparseable line {number} of {path!r}: {raw!r}") from None
+        if not values:
+            continue
         allow_header = False
         if len(values) > 2:
             raise CliError(f"expected one or two columns in {path!r}, got {len(values)}")
@@ -102,7 +105,9 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
 
 
 def _row_values(line: str) -> list[float]:
-    return [float(p) for p in line.replace(",", " ").split()]
+    """The numbers on a line: its comma-separated fields if it has a comma,
+    else its whitespace-separated ones; an empty field raises ValueError."""
+    return [float(p) for p in (line.split(",") if "," in line else line.split())]
 
 
 def _build_problem(name: str, n: int, m: int | None, args: argparse.Namespace) -> TestProblem:

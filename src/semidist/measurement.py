@@ -149,8 +149,9 @@ _ndtri = None
 
 
 def _load_ndtri():
-    """Import and bind ``ndtri`` once.  A parent process calls this before
-    forking pool workers, so that they share its import."""
+    """Import and bind ``ndtri`` once.  ``montecarlo`` calls this just
+    before it opens its worker pool, which then lives for the rest of the
+    process, so that the forked workers inherit the import."""
     global _ndtri
     if _ndtri is None:
         from scipy.special import ndtri

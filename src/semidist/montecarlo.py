@@ -34,13 +34,29 @@ replication j of every point scales the same standard normals (common
 random numbers, which make the points' rates positively correlated).
 Each block is therefore drawn once and scaled for every point, and a
 pool runs one task per chunk of replications, covering every point.
+
+Worker pool: a call with ``workers`` > 1 runs its chunks on one
+``ProcessPoolExecutor`` per process, opened by the first such call and
+reused by every later call with the same worker count, so a curve pays
+no fork or shutdown.  A call with another count shuts the pool down and
+opens a new one; a forked child leaves its parent's pool alone and opens
+its own; a pool broken by a dead worker is dropped, after its error has
+reached the caller, and the next call opens a fresh one.  Idle workers
+live until the process exits, when ``concurrent.futures`` joins them (a
+multiprocessing child process shuts its pool down in an exit finalizer);
+a worker whose process was killed ends itself within a second.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.util import Finalize
 from typing import Callable, Sequence
 
 import numpy as np
@@ -241,21 +257,70 @@ def _chunks(replications: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+# This process's worker pool: the executor, its worker count, the pid of
+# the process that opened it and the finalizer that shuts it down.  See
+# "Worker pool" in the module docstring.  Calls from several threads take
+# turns on it, so none can shut it down under another.
+_pool: tuple[ProcessPoolExecutor, int, int, Finalize] | None = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool, shutting it down unless it is a forked parent's."""
+    global _pool
+    if _pool is not None and _pool[2] == os.getpid():
+        _pool[3]()
+    _pool = None
+
+
+def _exit_with(parent: int) -> None:
+    """Pool worker initializer: end the worker once ``parent`` has died, so
+    a killed process leaves no idle worker behind."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    global _pool
+    if _pool is not None and _pool[1:3] != (workers, os.getpid()):
+        _drop_pool()
+    if _pool is None:
+        # Forked workers inherit the import instead of each paying for it.
+        _load_ndtri()
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with, initargs=(os.getpid(),)
+        )
+        # A multiprocessing child process joins its children before the
+        # concurrent.futures exit hook would stop these workers, but runs
+        # finalizers first; priority 100 runs before the pool's own queue
+        # finalizers (10), which must still carry the workers' stop signal.
+        _pool = (pool, workers, os.getpid(), Finalize(None, pool.shutdown, exitpriority=100))
+    return _pool[0]
+
+
 def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
     """Hits of each plan (plans as ``_hits`` takes them); when the
-    replications are split, one pool runs one task per chunk, each for
-    every plan, and is closed before returning."""
+    replications are split, the process's worker pool runs one task per
+    chunk, each for every plan, and stays open for the next call."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     replications = plans[0].replications
     spans = _chunks(replications, workers)
     if len(spans) == 1:
         return _hits(plans, 0, replications)
-    # Forked workers inherit the import instead of each paying for it.
-    _load_ndtri()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_hits, plans, a, b) for a, b in spans]
-        return [sum(column) for column in zip(*(f.result() for f in futures))]
+    with _pool_lock:
+        pool = _worker_pool(workers)
+        try:
+            futures = [pool.submit(_hits, plans, a, b) for a, b in spans]
+            return [sum(column) for column in zip(*(f.result() for f in futures))]
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
 
 
 def coverage_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:

@@ -63,6 +63,41 @@ class TestParsing:
         assert cli.main(["test", "mean-t", str(path), "--null", "0"]) == 2
         assert "unparseable" in capsys.readouterr().err
 
+    def test_unparseable_line_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("header\n1.0\nnot-a-number\n", encoding="utf-8")
+        assert cli.main(["test", "mean-t", str(path), "--null", "0"]) == 2
+        expected = f"unparseable line 3 of {str(path)!r}: 'not-a-number'"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [",", " , ", ",,"])
+    def test_separator_only_row_is_refused(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n1,2\n{row}\n3,4\n", encoding="utf-8")
+        assert cli.main(["ci", "var-ratio", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"empty field on line 3 of {str(path)!r}: {row!r}" in captured.err
+
+    @pytest.mark.parametrize("row", [",5", "5,", " ,5"])
+    def test_row_with_an_empty_field_is_refused(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n1,2\n{row}\n3,4\n", encoding="utf-8")
+        with pytest.raises(cli.CliError, match=f"empty field on line 3 of .*: {row!r}"):
+            cli.read_columns(str(path))
+
+    @pytest.mark.parametrize("first", [",5", ",y"])
+    def test_first_line_with_an_empty_field_is_no_header(self, tmp_path, first):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{first}\n1,2\n3,4\n", encoding="utf-8")
+        with pytest.raises(cli.CliError, match="empty field on line 1"):
+            cli.read_columns(str(path))
+
+    def test_spaces_around_commas_are_separators(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("x, y\n1 , 2\n3,4 \n", encoding="utf-8")
+        assert cli.read_columns(str(path)) == ([1.0, 3.0], [2.0, 4.0])
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
     @pytest.mark.parametrize("command", [["test", "mean-t"], ["ci", "var"]])
     def test_non_finite_value_names_the_line(self, tmp_path, capsys, bad, command):

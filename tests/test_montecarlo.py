@@ -3,8 +3,16 @@ size sanity at modest replication counts (the full-size runs live in
 test_acceptance.py)."""
 
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -221,7 +229,7 @@ class TestWorkers:
         with pytest.raises(ValueError, match=message):
             power_curve(size_plan, [State(0.0, 1.0)], workers=workers)
 
-    def test_power_curve_opens_one_pool(self, monkeypatch):
+    def test_power_curve_opens_one_pool(self, monkeypatch, no_pool):
         opened = []
 
         class Counting(ProcessPoolExecutor):
@@ -230,13 +238,184 @@ class TestWorkers:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", Counting)
-        base = ExperimentPlan(
-            mean_z(10, 1.0), State(0.0, 1.0), 0.05, 400, 31, Hypothesis.point(0.0)
-        )
-        grid = [State(0.1 * k, 1.0) for k in range(4)]
-        two = power_curve(base, grid, workers=2)
+        base, grid = _small_curve()
+        one = _curve_hits(base, grid, 1)
+        assert _curve_hits(base, grid, 2) == one
+        assert _curve_hits(base, grid, 2) == one
         assert len(opened) == 1
-        assert [r.hits for r in two] == [r.hits for r in power_curve(base, grid)]
+
+
+@pytest.fixture()
+def no_pool():
+    """No worker pool before or after the test."""
+    mc._drop_pool()
+    yield
+    mc._drop_pool()
+
+
+def _small_curve():
+    base = ExperimentPlan(
+        mean_z(10, 1.0), State(0.0, 1.0), 0.05, 400, 31, Hypothesis.point(0.0)
+    )
+    return base, [State(0.1 * k, 1.0) for k in range(4)]
+
+
+def _curve_hits(base, grid, workers):
+    return [r.hits for r in power_curve(base, grid, workers=workers)]
+
+
+def _child_curve(conn, base, grid):
+    inherited = mc._pool[0]
+    hits = _curve_hits(base, grid, 2)
+    own = mc._pool[0]
+    children = {p.pid for p in multiprocessing.active_children()}
+    conn.send((hits, own is not inherited, set(own._processes), children))
+
+
+class TestPoolLifecycle:
+    """One pool per process, reused across calls; it follows the worker
+    count, survives a failing task, is replaced after a worker dies and
+    is never shared with a forked child."""
+
+    def test_changing_the_worker_count_keeps_one_pool(self, no_pool):
+        base, grid = _small_curve()
+        one = _curve_hits(base, grid, 1)
+        for workers in (2, 3, 2):
+            assert _curve_hits(base, grid, workers) == one
+        workers = {p.pid for p in multiprocessing.active_children()}
+        assert workers == set(mc._pool[0]._processes) and len(workers) == 2
+
+    def test_a_dead_worker_fails_one_call_only(self, no_pool):
+        base, grid = _small_curve()
+        one = _curve_hits(base, grid, 1)
+        assert _curve_hits(base, grid, 2) == one
+        pool = mc._pool[0]
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            _curve_hits(base, grid, 2)
+        assert mc._pool is None
+        assert _curve_hits(base, grid, 2) == one
+        assert mc._pool[0] is not pool
+
+    def test_a_failing_task_leaves_the_pool_usable(self, no_pool):
+        base, grid = _small_curve()
+        one = _curve_hits(base, grid, 1)
+        assert _curve_hits(base, grid, 2) == one
+        pool = mc._pool[0]
+        # At sigma = 1e-300 every sum of squared deviations underflows to
+        # 0, and the scalar path refuses the sample as degenerate.
+        degenerate = replace(base, problem=mean_t(10))
+        constant = [State(0.0, 1e-300)]
+        with pytest.raises(ValueError) as serial:
+            _curve_hits(degenerate, constant, 1)
+        with pytest.raises(ValueError, match=re.escape(str(serial.value))):
+            _curve_hits(degenerate, constant, 2)
+        assert _curve_hits(base, grid, 2) == one
+        assert mc._pool[0] is pool
+
+    def test_threads_switching_worker_counts_share_the_pool(self, no_pool):
+        base, grid = _small_curve()
+        one = _curve_hits(base, grid, 1)
+        results, errors = [], []
+
+        def run(workers):
+            try:
+                for _ in range(4):
+                    results.append(_curve_hits(base, grid, workers))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(2 + k % 2,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and results == [one] * 16
+        workers = {p.pid for p in multiprocessing.active_children()}
+        assert workers == set(mc._pool[0]._processes)
+
+    def test_a_forked_child_opens_its_own_pool(self, no_pool):
+        base, grid = _small_curve()
+        parent_hits = _curve_hits(base, grid, 2)
+        pool = mc._pool[0]
+        parent_workers = set(pool._processes)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_child_curve, args=(writer, base, grid))
+        child.start()
+        writer.close()
+        with reader:
+            try:
+                assert reader.poll(60)
+                hits, fresh, child_workers, grandchildren = reader.recv()
+                child.join(60)
+            finally:
+                if child.is_alive():
+                    child.kill()
+                    child.join(10)
+        assert child.exitcode == 0
+        assert hits == parent_hits and fresh
+        assert child_workers == grandchildren and len(child_workers) == 2
+        assert not child_workers & parent_workers
+        assert mc._pool[0] is pool and set(pool._processes) == parent_workers
+        assert _curve_hits(base, grid, 2) == parent_hits
+
+    def test_an_interpreter_with_a_live_pool_exits(self):
+        code = (
+            "from semidist import montecarlo as mc\n"
+            "from semidist.framework import Hypothesis, mean_z\n"
+            "from semidist.measurement import State\n"
+            "plan = mc.ExperimentPlan(mean_z(10, 1.0), State(0.0, 1.0), 0.05, 400, 31,\n"
+            "                         Hypothesis.point(0.0))\n"
+            "print([r.hits for r in mc.power_curve(plan, [State(0.0, 1.0)], workers=2)])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": ":".join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        base, _ = _small_curve()
+        assert done.stdout.strip() == str(_curve_hits(base, [State(0.0, 1.0)], 1))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_of_a_killed_interpreter_end(self):
+        code = (
+            "import os, signal\n"
+            "from semidist import montecarlo as mc\n"
+            "from semidist.framework import Hypothesis, mean_z\n"
+            "from semidist.measurement import State\n"
+            "plan = mc.ExperimentPlan(mean_z(10, 1.0), State(0.0, 1.0), 0.05, 400, 31,\n"
+            "                         Hypothesis.point(0.0))\n"
+            "mc.power_curve(plan, [State(0.0, 1.0)], workers=2)\n"
+            "print(*mc._pool[0]._processes, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        # The workers hold the output pipe, so this returns once they end.
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": ":".join(sys.path)},
+        )
+        assert done.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in done.stdout.split()]
+        assert len(workers) == 2 and not any(map(_running, workers))
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
+            return "\nState:\tZ" not in status.read()
+    except FileNotFoundError:
+        return False
 
 
 # Every catalog entry, with the null on the truth's quantity value.
