@@ -3,6 +3,8 @@
 Three subcommands: ``test`` runs a catalog hypothesis test on a data
 file, ``ci`` prints the matching confidence interval, and
 ``experiment`` drives the Monte Carlo coverage/size/power harness.
+The test names, and what each test needs (one or two data columns,
+known sigmas, a positive null), come from ``framework.CATALOG``.
 Decisions always live in the payload; the exit code only distinguishes
 "ran" (0) from "could not run" (2).
 """
@@ -17,27 +19,12 @@ import sys
 from typing import Sequence
 
 from . import framework, montecarlo
-from .framework import Hypothesis, TestProblem
+from .framework import CATALOG, Hypothesis, TestProblem
 from .measurement import Sample, State, TwoSampleState
 
 __all__ = ["main"]
 
 SEED_ENV_VAR = "SEMIDIST_SEED"
-
-TEST_NAMES = (
-    "mean-z",
-    "mean-z-upper",
-    "var",
-    "var-upper",
-    "diff-means",
-    "diff-means-upper",
-    "var-ratio",
-    "var-ratio-upper",
-    "mean-t",
-    "mean-t-upper",
-)
-_TWO_SAMPLE = ("diff-means", "diff-means-upper", "var-ratio", "var-ratio-upper")
-_UPPER = tuple(name for name in TEST_NAMES if name.endswith("-upper"))
 
 
 class CliError(Exception):
@@ -111,60 +98,33 @@ def _row_values(line: str) -> list[float]:
 
 
 def _build_problem(name: str, n: int, m: int | None, args: argparse.Namespace) -> TestProblem:
-    if name in ("mean-z", "mean-z-upper"):
-        if args.sigma is None:
-            raise CliError(
-                f"--sigma is required for {name} (the known population sd); "
-                "with sigma unknown, use mean-t"
-                + ("-upper" if name.endswith("-upper") else "")
-            )
-        maker = framework.mean_z_upper if name.endswith("-upper") else framework.mean_z
-        return maker(n, args.sigma)
-    if name in ("diff-means", "diff-means-upper"):
-        if args.sigma1 is None or args.sigma2 is None:
-            raise CliError(
-                f"--sigma1 and --sigma2 are required for {name} "
-                "(the known population sds)"
-            )
-        if m is None:
-            raise CliError(f"{name} needs two data columns")
-        maker = (
-            framework.mean_diff_z_upper
-            if name.endswith("-upper")
-            else framework.mean_diff_z
+    entry = CATALOG[name]
+    sigmas = {flag: getattr(args, flag) for flag in entry.estimator.known_sigmas}
+    if None in sigmas.values():
+        flags = " and ".join(f"--{flag}" for flag in sigmas)
+        studentized = next(
+            other for other, e in CATALOG.items()
+            if e.kind.studentized and e.kind.half_line == entry.kind.half_line
         )
-        return maker(n, m, args.sigma1, args.sigma2)
-    if name in ("var", "var-upper"):
-        if n < 2:
-            raise CliError(f"{name} needs at least 2 observations, got {n}")
-        return framework.variance_upper(n) if name.endswith("-upper") else framework.variance(n)
-    if name in ("var-ratio", "var-ratio-upper"):
-        if m is None:
-            raise CliError(f"{name} needs two data columns")
-        if n < 2 or m < 2:
-            raise CliError(f"{name} needs at least 2 observations per column")
-        maker = (
-            framework.variance_ratio_upper
-            if name.endswith("-upper")
-            else framework.variance_ratio
+        raise CliError(
+            f"{name} needs the known population sd ({flags}); "
+            f"with sigma unknown, use {studentized}"
         )
-        return maker(n, m)
-    if n < 2:
-        raise CliError(f"{name} needs at least 2 observations, got {n}")
-    return framework.mean_t_upper(n) if name.endswith("-upper") else framework.mean_t(n)
+    return TestProblem(*entry, n, m, **sigmas)
 
 
 def _build_hypothesis(name: str, null_value: float) -> Hypothesis:
-    if name in ("var", "var-upper", "var-ratio", "var-ratio-upper") and null_value <= 0.0:
+    entry = CATALOG[name]
+    if entry.quantity.positive and null_value <= 0.0:
         raise CliError(f"--null must be positive for {name}, got {null_value}")
-    if name in _UPPER:
+    if entry.kind.half_line:
         return Hypothesis.lower_half_line(null_value)
     return Hypothesis.point(null_value)
 
 
 def _load_sample(name: str, path: str) -> Sample:
     col1, col2 = read_columns(path)
-    if name in _TWO_SAMPLE:
+    if CATALOG[name].quantity.two_sample:
         if not col2:
             raise CliError(f"{name} needs two data columns in {path!r}")
         return Sample(tuple(col1), tuple(col2))
@@ -244,7 +204,7 @@ def _print_report(report: montecarlo.ExperimentReport, prefix: str = "") -> None
 
 def _experiment_truth(name: str, args: argparse.Namespace) -> State | TwoSampleState:
     first = State(args.mu, args.sd)
-    if name in _TWO_SAMPLE:
+    if CATALOG[name].quantity.two_sample:
         return TwoSampleState(first, State(args.mu2, args.sd2))
     return first
 
@@ -252,35 +212,16 @@ def _experiment_truth(name: str, args: argparse.Namespace) -> State | TwoSampleS
 def _experiment_problem(name: str, args: argparse.Namespace) -> TestProblem:
     # In an experiment the truth's sigma is available, so the known-sigma
     # tests default their nuisance values to it.
-    if name in ("mean-z", "mean-z-upper") and args.sigma is None:
-        args.sigma = args.sd
-    if name in ("diff-means", "diff-means-upper"):
-        if args.sigma1 is None:
-            args.sigma1 = args.sd
-        if args.sigma2 is None:
-            args.sigma2 = args.sd2
-    m = args.m if name in _TWO_SAMPLE else None
+    for flag, sd in (("sigma", args.sd), ("sigma1", args.sd), ("sigma2", args.sd2)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, sd)
+    m = args.m if CATALOG[name].quantity.two_sample else None
     return _build_problem(name, args.n, m, args)
-
-
-def _grid_truth(name: str, theta: float, args: argparse.Namespace) -> State | TwoSampleState:
-    # Place the quantity value at theta by moving the first component.
-    if name in ("mean-z", "mean-z-upper", "mean-t", "mean-t-upper"):
-        return State(theta, args.sd)
-    if name in ("var", "var-upper"):
-        if theta <= 0.0:
-            raise CliError(f"--grid values must be positive for {name}")
-        return State(args.mu, theta)
-    if name in ("diff-means", "diff-means-upper"):
-        return TwoSampleState(State(args.mu2 + theta, args.sd), State(args.mu2, args.sd2))
-    if theta <= 0.0:
-        raise CliError(f"--grid values must be positive for {name}")
-    return TwoSampleState(State(args.mu, theta * args.sd2), State(args.mu2, args.sd2))
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.test
-    if name in _TWO_SAMPLE and args.m is None:
+    if CATALOG[name].quantity.two_sample and args.m is None:
         args.m = args.n
     problem = _experiment_problem(name, args)
     seed = args.seed
@@ -324,7 +265,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise CliError(f"--grid must be a comma-separated list of reals, got {args.grid!r}")
     if not thetas:
         raise CliError("--grid is empty")
-    truths = [_grid_truth(name, theta, args) for theta in thetas]
+    if problem.quantity.positive and any(theta <= 0.0 for theta in thetas):
+        raise CliError(f"--grid values must be positive for {name}")
+    truth = _experiment_truth(name, args)
+    truths = [framework.state_with_quantity(problem, truth, theta) for theta in thetas]
     plan = montecarlo.ExperimentPlan(
         problem, truths[0], args.alpha, args.reps, seed, hypothesis
     )
@@ -339,7 +283,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=float, help="known population sd (mean-z tests)")
+    parser.add_argument("--sigma", type=float, help="known population sd (known-sigma mean tests)")
     parser.add_argument("--sigma1", type=float, help="known sd of the first sample")
     parser.add_argument("--sigma2", type=float, help="known sd of the second sample")
 
@@ -353,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="run a hypothesis test on a data file")
-    p_test.add_argument("name", choices=TEST_NAMES, help="catalog test name")
+    p_test.add_argument("name", choices=tuple(CATALOG), help="catalog test name")
     p_test.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
     p_test.add_argument("--null", type=float, required=True, help="null value")
     p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
@@ -362,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=_cmd_test)
 
     p_ci = sub.add_parser("ci", help="confidence interval from a data file")
-    p_ci.add_argument("name", choices=TEST_NAMES, help="catalog test name")
+    p_ci.add_argument("name", choices=tuple(CATALOG), help="catalog test name")
     p_ci.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
     p_ci.add_argument("--gamma", type=float, default=0.95, help="confidence level")
     _add_nuisance_flags(p_ci)
@@ -371,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo coverage/size/power")
     p_exp.add_argument("kind", choices=("coverage", "size", "power"))
-    p_exp.add_argument("--test", required=True, choices=TEST_NAMES, help="catalog test")
+    p_exp.add_argument("--test", required=True, choices=tuple(CATALOG), help="catalog test")
     p_exp.add_argument("--n", type=int, default=10, help="first sample size")
     p_exp.add_argument("--m", type=int, help="second sample size (two-sample tests)")
     p_exp.add_argument("--mu", type=float, default=0.0, help="true mean")

@@ -12,10 +12,26 @@ Rejection uses ``d >= eta`` and coverage uses ``d < eta``; both sides
 evaluate the same semi-distance arithmetic on the same estimate, so the
 duality is exact, not merely within tolerance.
 
-The ten catalog entries cover one- and two-sided tests of the mean
-(known sigma), the standard deviation, the difference of two means
-(known sigmas), the ratio of two standard deviations, and the mean with
-unknown sigma (the data-studentized distance).
+Every semi-distance is one formula,
+
+    d(theta1, theta2) = |g(clamp(theta1)) - g(clamp(theta2))| / s,
+
+read from three facts of its ``SemiDistanceKind``: ``half_line`` (clamp
+values below the anchor theta0 up to it, else no clamp), ``log_scale``
+(g = log, else the identity) and ``studentized`` (s is the sample's
+sigma_bar_prime / sqrt(n), else 1).  Each problem's pivot has one of
+four laws: normal, at scale sigma / sqrt(n) or
+sqrt(sigma1^2 / n + sigma2^2 / m); chi-squared(n - 1) at scale n;
+F(n - 1, m - 1) at scale 1; or Student-t(n - 1).  The radius is the
+(1 - alpha) point of that law, as a symmetric interval or an upper tail,
+and both ends of an interval are g^-1(g(e) -+ s * eta).
+
+``CATALOG`` holds the ten catalog entries, keyed by their command-line
+names, each as its (estimator, quantity, kind): one- and two-sided tests
+of the mean (known sigma), the standard deviation, the difference of two
+means (known sigmas), the ratio of two standard deviations, and the mean
+with unknown sigma (the data-studentized distance).  The ten
+constructors, such as ``mean_z``, build their entry's problem.
 """
 
 from __future__ import annotations
@@ -24,9 +40,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import distributions as dist
-from .distributions import Tails, quantile, student_t, chi_squared, fisher_f, z_alpha
+from .distributions import DistributionSpec, quantile, student_t, chi_squared, fisher_f
 from .measurement import (
     Sample,
     State,
@@ -42,6 +59,8 @@ __all__ = [
     "EstimatorKind",
     "QuantityKind",
     "TestProblem",
+    "CatalogEntry",
+    "CATALOG",
     "HypothesisKind",
     "Hypothesis",
     "Region",
@@ -60,6 +79,7 @@ __all__ = [
     "mean_t_upper",
     "estimate",
     "quantity_value",
+    "state_with_quantity",
     "eta_alpha",
     "eta_gamma",
     "eta_alpha_generic",
@@ -79,28 +99,29 @@ class SemiDistanceKind(Enum):
     STUDENTIZED = "studentized"
     HALF_LINE_STUDENTIZED = "half_line_studentized"
 
-    # Each kind is |clamp(g(theta1)) - clamp(g(theta2))| / s for three
-    # independent facts, spelled out in its value.
-    @property
-    def half_line(self) -> bool:
-        """Anchored below: values under theta0 collapse onto it."""
-        return self.value.startswith("half_line")
-
-    @property
-    def log_scale(self) -> bool:
-        """g = log, on the target space (0, inf); otherwise g = identity."""
-        return self.value.endswith("log_ratio")
-
-    @property
-    def studentized(self) -> bool:
-        """s is the data's sigma_bar_prime / sqrt(n); otherwise s = 1."""
-        return self.value.endswith("studentized")
+    def __init__(self, value: str) -> None:
+        # Each kind is |clamp(g(theta1)) - clamp(g(theta2))| / s for three
+        # independent facts, spelled out in its value and read on every
+        # distance, so they are stored once per member.
+        #: Anchored below: values under theta0 collapse onto it.
+        self.half_line = value.startswith("half_line")
+        #: g = log, on the target space (0, inf); otherwise g = identity.
+        self.log_scale = value.endswith("log_ratio")
+        #: s is the data's sigma_bar_prime / sqrt(n); otherwise s = 1.
+        self.studentized = value.endswith("studentized")
 
 
 def _safe_log(theta: float) -> float:
     # Estimates can realize 0 on degenerate data even though the target
     # space is (0, inf); treat them as infinitely far in log scale.
     return math.log(theta) if theta > 0.0 else -math.inf
+
+
+def _studentized_scale(x: Sample) -> float:
+    s = sigma_bar_prime(x.values)
+    if s == 0.0:
+        raise ValueError("degenerate sample: all values equal")
+    return s / math.sqrt(x.n)
 
 
 @dataclass(frozen=True)
@@ -117,37 +138,26 @@ class SemiDistance:
     def __post_init__(self) -> None:
         if self.kind.half_line and self.theta0 is None:
             raise ValueError(f"{self.kind.value} requires an anchor theta0")
-
-    def _scale(self, x: Sample | None) -> float:
-        x = x if x is not None else self.context
-        if x is None:
-            raise ValueError(f"{self.kind.value} requires a sample context")
-        s = sigma_bar_prime(x.values)
-        if s == 0.0:
-            raise ValueError("degenerate sample: all values equal")
-        return s / math.sqrt(x.n)
+        if self.kind.half_line and self.kind.log_scale and self.theta0 <= 0.0:
+            raise ValueError(f"log-scale anchor must be positive, got {self.theta0!r}")
 
     def __call__(self, theta1: float, theta2: float, x: Sample | None = None) -> float:
         kind = self.kind
-        if kind is SemiDistanceKind.ABSOLUTE:
-            return abs(theta1 - theta2)
-        if kind is SemiDistanceKind.HALF_LINE_ABSOLUTE:
-            t0 = self.theta0
-            return abs(max(theta1, t0) - max(theta2, t0))
-        if kind is SemiDistanceKind.LOG_RATIO:
-            a, b = _safe_log(theta1), _safe_log(theta2)
-            if a == b:
+        if kind.half_line:
+            theta1, theta2 = max(theta1, self.theta0), max(theta2, self.theta0)
+        if kind.log_scale:
+            theta1, theta2 = _safe_log(theta1), _safe_log(theta2)
+            # All of (-inf, 0] is the one point -inf, at distance 0 from
+            # itself; -inf - -inf would be nan.
+            if theta1 == theta2 == -math.inf:
                 return 0.0
-            return abs(a - b)
-        if kind is SemiDistanceKind.HALF_LINE_LOG_RATIO:
-            t0 = self.theta0
-            if t0 <= 0.0:
-                raise ValueError(f"log-scale anchor must be positive, got {t0!r}")
-            return abs(math.log(max(theta1, t0)) - math.log(max(theta2, t0)))
-        if kind is SemiDistanceKind.STUDENTIZED:
-            return abs(theta1 - theta2) / self._scale(x)
-        t0 = self.theta0
-        return abs(max(theta1, t0) - max(theta2, t0)) / self._scale(x)
+        d = abs(theta1 - theta2)
+        if not kind.studentized:
+            return d
+        x = x if x is not None else self.context
+        if x is None:
+            raise ValueError(f"{kind.value} requires a sample context")
+        return d / _studentized_scale(x)
 
 
 class EstimatorKind(Enum):
@@ -157,6 +167,12 @@ class EstimatorKind(Enum):
     SIGMA_PRIME_RATIO = "sigma_prime_ratio"
     MU_BAR_STUDENTIZED = "mu_bar_studentized"
 
+    @property
+    def known_sigmas(self) -> tuple[str, ...]:
+        """The TestProblem fields a z estimator's pivot law needs."""
+        known = {EstimatorKind.MU_BAR: ("sigma",), EstimatorKind.DIFF_MU_BAR: ("sigma1", "sigma2")}
+        return known.get(self, ())
+
 
 class QuantityKind(Enum):
     MU = "mu"
@@ -164,8 +180,38 @@ class QuantityKind(Enum):
     MU_DIFF = "mu_diff"
     SIGMA_RATIO = "sigma_ratio"
 
+    @property
+    def two_sample(self) -> bool:
+        """A target of two populations, estimated from two blocks."""
+        return self in (QuantityKind.MU_DIFF, QuantityKind.SIGMA_RATIO)
 
-_TWO_SAMPLE_QUANTITIES = frozenset({QuantityKind.MU_DIFF, QuantityKind.SIGMA_RATIO})
+    @property
+    def positive(self) -> bool:
+        """The target space is (0, inf), so null values must be positive."""
+        return self in (QuantityKind.SIGMA, QuantityKind.SIGMA_RATIO)
+
+
+class CatalogEntry(NamedTuple):
+    estimator: EstimatorKind
+    quantity: QuantityKind
+    kind: SemiDistanceKind
+
+
+# Test name -> (estimator, quantity, semi-distance kind).  Each "-upper"
+# entry is the half-line kind of its two-sided entry.
+_E, _Q, _K = EstimatorKind, QuantityKind, SemiDistanceKind
+CATALOG: dict[str, CatalogEntry] = {
+    "mean-z": CatalogEntry(_E.MU_BAR, _Q.MU, _K.ABSOLUTE),
+    "mean-z-upper": CatalogEntry(_E.MU_BAR, _Q.MU, _K.HALF_LINE_ABSOLUTE),
+    "var": CatalogEntry(_E.SIGMA_BAR, _Q.SIGMA, _K.LOG_RATIO),
+    "var-upper": CatalogEntry(_E.SIGMA_BAR, _Q.SIGMA, _K.HALF_LINE_LOG_RATIO),
+    "diff-means": CatalogEntry(_E.DIFF_MU_BAR, _Q.MU_DIFF, _K.ABSOLUTE),
+    "diff-means-upper": CatalogEntry(_E.DIFF_MU_BAR, _Q.MU_DIFF, _K.HALF_LINE_ABSOLUTE),
+    "var-ratio": CatalogEntry(_E.SIGMA_PRIME_RATIO, _Q.SIGMA_RATIO, _K.LOG_RATIO),
+    "var-ratio-upper": CatalogEntry(_E.SIGMA_PRIME_RATIO, _Q.SIGMA_RATIO, _K.HALF_LINE_LOG_RATIO),
+    "mean-t": CatalogEntry(_E.MU_BAR_STUDENTIZED, _Q.MU, _K.STUDENTIZED),
+    "mean-t-upper": CatalogEntry(_E.MU_BAR_STUDENTIZED, _Q.MU, _K.HALF_LINE_STUDENTIZED),
+}
 
 
 @dataclass(frozen=True)
@@ -185,7 +231,7 @@ class TestProblem:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        two_sample = self.quantity in _TWO_SAMPLE_QUANTITIES
+        two_sample = self.quantity.two_sample
         if two_sample and (self.m is None or self.m < 1):
             raise ValueError("two-sample problems need m >= 1")
         if not two_sample and self.m is not None:
@@ -194,10 +240,17 @@ class TestProblem:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        # A sample sd needs two values: its pivot has n - 1 (and m - 1) dof.
+        kind = self.distance_kind
+        if (kind.log_scale or kind.studentized) and min(self.n, self.m or self.n) < 2:
+            entry = (self.estimator, self.quantity, kind)
+            name = next((k for k, v in CATALOG.items() if v == entry), kind.value)
+            sizes = f"n={self.n}" + (f", m={self.m}" if two_sample else "")
+            raise ValueError(f"{name} needs at least 2 observations per sample, got {sizes}")
 
     @property
     def two_sample(self) -> bool:
-        return self.quantity in _TWO_SAMPLE_QUANTITIES
+        return self.quantity.two_sample
 
 
 class HypothesisKind(Enum):
@@ -229,115 +282,58 @@ class Hypothesis:
 
 
 # ---------------------------------------------------------------------------
-# Catalog
+# Catalog constructors
 # ---------------------------------------------------------------------------
 
 
 def mean_z(n: int, sigma: float) -> TestProblem:
     """Two-sided test of the mean with known sigma."""
-    return TestProblem(
-        EstimatorKind.MU_BAR, QuantityKind.MU, SemiDistanceKind.ABSOLUTE, n, sigma=sigma
-    )
+    return TestProblem(*CATALOG["mean-z"], n, sigma=sigma)
 
 
 def mean_z_upper(n: int, sigma: float) -> TestProblem:
     """One-sided (upper) test of the mean with known sigma."""
-    return TestProblem(
-        EstimatorKind.MU_BAR,
-        QuantityKind.MU,
-        SemiDistanceKind.HALF_LINE_ABSOLUTE,
-        n,
-        sigma=sigma,
-    )
+    return TestProblem(*CATALOG["mean-z-upper"], n, sigma=sigma)
 
 
 def variance(n: int) -> TestProblem:
     """Two-sided test of the standard deviation."""
-    return TestProblem(
-        EstimatorKind.SIGMA_BAR, QuantityKind.SIGMA, SemiDistanceKind.LOG_RATIO, n
-    )
+    return TestProblem(*CATALOG["var"], n)
 
 
 def variance_upper(n: int) -> TestProblem:
     """One-sided (upper) test of the standard deviation."""
-    return TestProblem(
-        EstimatorKind.SIGMA_BAR,
-        QuantityKind.SIGMA,
-        SemiDistanceKind.HALF_LINE_LOG_RATIO,
-        n,
-    )
+    return TestProblem(*CATALOG["var-upper"], n)
 
 
 def mean_diff_z(n: int, m: int, sigma1: float, sigma2: float) -> TestProblem:
     """Two-sided test of mu1 - mu2 with known sigmas."""
-    return TestProblem(
-        EstimatorKind.DIFF_MU_BAR,
-        QuantityKind.MU_DIFF,
-        SemiDistanceKind.ABSOLUTE,
-        n,
-        m,
-        sigma1=sigma1,
-        sigma2=sigma2,
-    )
+    return TestProblem(*CATALOG["diff-means"], n, m, sigma1=sigma1, sigma2=sigma2)
 
 
 def mean_diff_z_upper(n: int, m: int, sigma1: float, sigma2: float) -> TestProblem:
     """One-sided (upper) test of mu1 - mu2 with known sigmas."""
-    return TestProblem(
-        EstimatorKind.DIFF_MU_BAR,
-        QuantityKind.MU_DIFF,
-        SemiDistanceKind.HALF_LINE_ABSOLUTE,
-        n,
-        m,
-        sigma1=sigma1,
-        sigma2=sigma2,
-    )
+    return TestProblem(*CATALOG["diff-means-upper"], n, m, sigma1=sigma1, sigma2=sigma2)
 
 
 def variance_ratio(n: int, m: int) -> TestProblem:
     """Two-sided test of sigma1 / sigma2."""
-    return TestProblem(
-        EstimatorKind.SIGMA_PRIME_RATIO,
-        QuantityKind.SIGMA_RATIO,
-        SemiDistanceKind.LOG_RATIO,
-        n,
-        m,
-    )
+    return TestProblem(*CATALOG["var-ratio"], n, m)
 
 
 def variance_ratio_upper(n: int, m: int) -> TestProblem:
     """One-sided (upper) test of sigma1 / sigma2."""
-    return TestProblem(
-        EstimatorKind.SIGMA_PRIME_RATIO,
-        QuantityKind.SIGMA_RATIO,
-        SemiDistanceKind.HALF_LINE_LOG_RATIO,
-        n,
-        m,
-    )
+    return TestProblem(*CATALOG["var-ratio-upper"], n, m)
 
 
 def mean_t(n: int) -> TestProblem:
     """Two-sided test of the mean with unknown sigma (studentized distance)."""
-    if n < 2:
-        raise ValueError(f"studentized problems need n >= 2, got {n}")
-    return TestProblem(
-        EstimatorKind.MU_BAR_STUDENTIZED,
-        QuantityKind.MU,
-        SemiDistanceKind.STUDENTIZED,
-        n,
-    )
+    return TestProblem(*CATALOG["mean-t"], n)
 
 
 def mean_t_upper(n: int) -> TestProblem:
     """One-sided (upper) test of the mean with unknown sigma."""
-    if n < 2:
-        raise ValueError(f"studentized problems need n >= 2, got {n}")
-    return TestProblem(
-        EstimatorKind.MU_BAR_STUDENTIZED,
-        QuantityKind.MU,
-        SemiDistanceKind.HALF_LINE_STUDENTIZED,
-        n,
-    )
+    return TestProblem(*CATALOG["mean-t-upper"], n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,69 +386,76 @@ def quantity_value(problem: TestProblem, state: State | TwoSampleState) -> float
     return state.first.sigma / state.second.sigma
 
 
+def state_with_quantity(
+    problem: TestProblem, state: State | TwoSampleState, theta: float
+) -> State | TwoSampleState:
+    """The inverse of quantity_value: ``state`` with its first component
+    moved so that the quantity value is theta.  A positive quantity
+    rejects theta <= 0 (as ``State`` does a non-positive sigma)."""
+    q = problem.quantity
+    if q is QuantityKind.MU:
+        return State(theta, state.sigma)
+    if q is QuantityKind.SIGMA:
+        return State(state.mu, theta)
+    second = state.second
+    if q is QuantityKind.MU_DIFF:
+        return TwoSampleState(State(second.mu + theta, state.first.sigma), second)
+    return TwoSampleState(State(state.first.mu, theta * second.sigma), second)
+
+
 # ---------------------------------------------------------------------------
 # Calibrated radii
 # ---------------------------------------------------------------------------
 
 
-def _resolve_sigmas(
+def _pivot(
     problem: TestProblem, omega: State | TwoSampleState | None
-) -> tuple[float | None, float | None, float | None]:
-    # The radius is a property of the state where one is supplied; the
-    # problem's known-nuisance values cover the no-state calls (run_test,
-    # regions), which is where "sigma fixed and known" actually bites.
-    if problem.quantity is QuantityKind.MU_DIFF:
-        if isinstance(omega, TwoSampleState):
-            return None, omega.first.sigma, omega.second.sigma
-        if problem.sigma1 is None or problem.sigma2 is None:
-            raise ValueError(
-                "mean-difference z tests need known sigma1 and sigma2; "
-                "with unknown sigmas use the studentized mean tests "
-                "(mean_t / mean_t_upper) on each sample"
-            )
-        return None, problem.sigma1, problem.sigma2
-    if problem.quantity is QuantityKind.MU and not problem.distance_kind.studentized:
-        if isinstance(omega, State):
-            return omega.sigma, None, None
-        if problem.sigma is None:
+) -> tuple[DistributionSpec, float]:
+    """The law of the problem's pivot and the scale that carries it onto
+    the distance.  The sigma of a known-sigma entry is the state's where
+    one is supplied; the problem's known-nuisance values cover the
+    no-state calls (run_test, regions), which is where "sigma fixed and
+    known" actually bites."""
+    n, m, estimator = problem.n, problem.m, problem.estimator
+    if estimator is EstimatorKind.SIGMA_BAR:
+        return chi_squared(n - 1), float(n)
+    if estimator is EstimatorKind.SIGMA_PRIME_RATIO:
+        return fisher_f(n - 1, m - 1), 1.0
+    if estimator is EstimatorKind.MU_BAR_STUDENTIZED:
+        return student_t(n - 1), 1.0
+    if estimator is EstimatorKind.MU_BAR:
+        sigma = omega.sigma if isinstance(omega, State) else problem.sigma
+        if sigma is None:
             raise ValueError(
                 "mean z tests need a known sigma; with unknown sigma use "
                 "the studentized mean tests (mean_t / mean_t_upper)"
             )
-        return problem.sigma, None, None
-    return None, None, None
+        return dist.normal(), sigma / math.sqrt(n)
+    sigma1, sigma2 = problem.sigma1, problem.sigma2
+    if isinstance(omega, TwoSampleState):
+        sigma1, sigma2 = omega.first.sigma, omega.second.sigma
+    elif sigma1 is None or sigma2 is None:
+        raise ValueError(
+            "mean-difference z tests need known sigma1 and sigma2; "
+            "with unknown sigmas use the studentized mean tests "
+            "(mean_t / mean_t_upper) on each sample"
+        )
+    return dist.normal(), math.sqrt(sigma1**2 / n + sigma2**2 / m)
 
 
 @lru_cache(maxsize=1024)
-def _eta_from_alpha(
-    distance_kind: SemiDistanceKind,
-    quantity: QuantityKind,
-    n: int,
-    m: int | None,
-    sigma: float | None,
-    sigma1: float | None,
-    sigma2: float | None,
-    alpha: float,
+def _radius(
+    problem: TestProblem, omega: State | TwoSampleState | None, alpha: float
 ) -> float:
-    if distance_kind is SemiDistanceKind.ABSOLUTE:
-        if quantity is QuantityKind.MU:
-            return sigma / math.sqrt(n) * z_alpha(alpha, Tails.TWO)
-        return math.sqrt(sigma1**2 / n + sigma2**2 / m) * z_alpha(alpha, Tails.TWO)
-    if distance_kind is SemiDistanceKind.HALF_LINE_ABSOLUTE:
-        if quantity is QuantityKind.MU:
-            return sigma / math.sqrt(n) * z_alpha(alpha, Tails.ONE)
-        return math.sqrt(sigma1**2 / n + sigma2**2 / m) * z_alpha(alpha, Tails.ONE)
-    if distance_kind is SemiDistanceKind.LOG_RATIO:
-        if quantity is QuantityKind.SIGMA:
-            return dist.symmetric_log_interval_eta(chi_squared(n - 1), n, alpha)
-        return dist.symmetric_log_interval_eta(fisher_f(n - 1, m - 1), n, alpha)
-    if distance_kind is SemiDistanceKind.HALF_LINE_LOG_RATIO:
-        if quantity is QuantityKind.SIGMA:
-            return dist.upper_tail_log_eta(chi_squared(n - 1), n, alpha)
-        return dist.upper_tail_log_eta(fisher_f(n - 1, m - 1), n, alpha)
-    if distance_kind is SemiDistanceKind.STUDENTIZED:
-        return quantile(student_t(n - 1), 1.0 - alpha / 2.0)
-    return quantile(student_t(n - 1), 1.0 - alpha)
+    # The (1 - alpha) point of the pivot law: an upper tail for half-line
+    # kinds, a symmetric interval for two-sided ones.
+    law, scale = _pivot(problem, omega)
+    kind = problem.distance_kind
+    if kind.log_scale:
+        solve = dist.upper_tail_log_eta if kind.half_line else dist.symmetric_log_interval_eta
+        return solve(law, problem.n, alpha)
+    tails = 1.0 if kind.half_line else 2.0
+    return scale * quantile(law, 1.0 - alpha / tails)
 
 
 def eta_alpha(
@@ -467,19 +470,7 @@ def eta_alpha(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if problem.distance_kind.log_scale and problem.n < 2:
-        raise ValueError("variance problems need n >= 2")
-    sigma, sigma1, sigma2 = _resolve_sigmas(problem, omega)
-    return _eta_from_alpha(
-        problem.distance_kind,
-        problem.quantity,
-        problem.n,
-        problem.m,
-        sigma,
-        sigma1,
-        sigma2,
-        alpha,
-    )
+    return _radius(problem, omega, alpha)
 
 
 def eta_gamma(
@@ -502,17 +493,24 @@ def _distance(problem: TestProblem, anchor: float | None, x: Sample) -> SemiDist
     return SemiDistance(problem.distance_kind, theta0=theta0, context=x)
 
 
+def _endpoints(
+    kind: SemiDistanceKind, center: float, eta: float, x: Sample | None
+) -> tuple[float, float]:
+    # g^-1(g(center) -+ s * eta).  The log scale multiplies by exp(-+eta)
+    # rather than taking exp(log(center) -+ eta), which rounds differently.
+    if kind.log_scale:
+        return center * math.exp(-eta), center * math.exp(eta)
+    s = _studentized_scale(x) if kind.studentized else 1.0
+    return center - s * eta, center + s * eta
+
+
 def _validate_hypothesis(problem: TestProblem, hypothesis: Hypothesis) -> None:
-    half_line = problem.distance_kind.half_line
-    if half_line and hypothesis.kind is not HypothesisKind.LOWER_HALF_LINE:
-        raise ValueError("half-line distances pair with lower-half-line hypotheses")
-    if not half_line and hypothesis.kind is not HypothesisKind.POINT:
-        raise ValueError("two-sided distances pair with point hypotheses")
-    if problem.quantity in (QuantityKind.SIGMA, QuantityKind.SIGMA_RATIO):
-        if hypothesis.value <= 0.0:
-            raise ValueError(
-                f"hypothesis value must be positive, got {hypothesis.value!r}"
-            )
+    kind = problem.distance_kind
+    expected = HypothesisKind.LOWER_HALF_LINE if kind.half_line else HypothesisKind.POINT
+    if hypothesis.kind is not expected:
+        raise ValueError(f"{kind.value} distances pair with {expected.value} hypotheses")
+    if problem.quantity.positive and hypothesis.value <= 0.0:
+        raise ValueError(f"hypothesis value must be positive, got {hypothesis.value!r}")
 
 
 @dataclass(frozen=True)
@@ -539,21 +537,10 @@ class Region:
         >= upper; lower is None for one-sided entries.  Studentized
         entries need the sample for their data-dependent scale."""
         kind = self.problem.distance_kind
-        t0 = self.hypothesis.value
-        if kind.studentized:
-            if x is None:
-                raise ValueError("studentized cutpoints need the sample")
-            scale = sigma_bar_prime(x.values) / math.sqrt(x.n)
-            if kind is SemiDistanceKind.STUDENTIZED:
-                return t0 - scale * self.eta, t0 + scale * self.eta
-            return None, t0 + scale * self.eta
-        if kind is SemiDistanceKind.ABSOLUTE:
-            return t0 - self.eta, t0 + self.eta
-        if kind is SemiDistanceKind.HALF_LINE_ABSOLUTE:
-            return None, t0 + self.eta
-        if kind is SemiDistanceKind.LOG_RATIO:
-            return t0 * math.exp(-self.eta), t0 * math.exp(self.eta)
-        return None, t0 * math.exp(self.eta)
+        if kind.studentized and x is None:
+            raise ValueError("studentized cutpoints need the sample")
+        lo, hi = _endpoints(kind, self.hypothesis.value, self.eta, x)
+        return (None if kind.half_line else lo), hi
 
 
 @dataclass(frozen=True)
@@ -633,26 +620,10 @@ def confidence_region(problem: TestProblem, x: Sample, gamma: float) -> Confiden
     e = estimate(problem, x)
     eta = eta_gamma(problem, None, gamma)
     kind = problem.distance_kind
-    if kind is SemiDistanceKind.ABSOLUTE:
-        lo, hi = e - eta, e + eta
-    elif kind is SemiDistanceKind.HALF_LINE_ABSOLUTE:
-        lo, hi = e - eta, math.inf
-    elif kind.log_scale:
-        if not 0.0 < e < math.inf:
-            raise ValueError("degenerate sample: log-scale estimate is 0 or infinite")
-        if kind is SemiDistanceKind.LOG_RATIO:
-            lo, hi = e * math.exp(-eta), e * math.exp(eta)
-        else:
-            lo, hi = e * math.exp(-eta), math.inf
-    else:
-        scale = sigma_bar_prime(x.values) / math.sqrt(x.n)
-        if scale == 0.0:
-            raise ValueError("degenerate sample: all values equal")
-        if kind is SemiDistanceKind.STUDENTIZED:
-            lo, hi = e - scale * eta, e + scale * eta
-        else:
-            lo, hi = e - scale * eta, math.inf
-    return ConfidenceRegion(problem, gamma, eta, e, lo, hi, x)
+    if kind.log_scale and not 0.0 < e < math.inf:
+        raise ValueError("degenerate sample: log-scale estimate is 0 or infinite")
+    lo, hi = _endpoints(kind, e, eta, x)
+    return ConfidenceRegion(problem, gamma, eta, e, lo, math.inf if kind.half_line else hi, x)
 
 
 def sure_region(
@@ -678,53 +649,30 @@ def _statistic_law_cdf(
 ) -> float:
     """P_omega(d^x(E(x), pi(omega)) < eta), from the exact sampling law."""
     kind = problem.distance_kind
-    q = problem.quantity
-    nrm = dist.normal()
-    if q in (QuantityKind.MU, QuantityKind.MU_DIFF) and not kind.studentized:
-        if q is QuantityKind.MU:
-            s = omega.sigma / math.sqrt(problem.n)
-        else:
-            s = math.sqrt(
-                omega.first.sigma**2 / problem.n + omega.second.sigma**2 / problem.m
+    law, scale = _pivot(problem, omega)
+    if not kind.half_line:
+        if kind.log_scale:
+            return dist.cdf(law, scale * math.exp(2.0 * eta)) - dist.cdf(
+                law, scale * math.exp(-2.0 * eta)
             )
-        if kind is SemiDistanceKind.ABSOLUTE:
-            return dist.cdf(nrm, eta / s) - dist.cdf(nrm, -eta / s)
-        shift = anchor - quantity_value(problem, omega)
-        if shift < 0.0:
-            raise ValueError("state lies outside the lower-half-line null")
-        return dist.cdf(nrm, (eta + shift) / s)
-    if q is QuantityKind.SIGMA:
-        spec = chi_squared(problem.n - 1)
-        n = problem.n
-        if kind is SemiDistanceKind.LOG_RATIO:
-            return dist.cdf(spec, n * math.exp(2.0 * eta)) - dist.cdf(
-                spec, n * math.exp(-2.0 * eta)
-            )
-        ratio = anchor / omega.sigma
-        if ratio < 1.0:
-            raise ValueError("state lies outside the lower-half-line null")
-        return dist.cdf(spec, n * math.exp(2.0 * eta) * ratio**2)
-    if q is QuantityKind.SIGMA_RATIO:
-        spec = fisher_f(problem.n - 1, problem.m - 1)
-        if kind is SemiDistanceKind.LOG_RATIO:
-            return dist.cdf(spec, math.exp(2.0 * eta)) - dist.cdf(
-                spec, math.exp(-2.0 * eta)
-            )
-        ratio = anchor / quantity_value(problem, omega)
-        if ratio < 1.0:
-            raise ValueError("state lies outside the lower-half-line null")
-        return dist.cdf(spec, math.exp(2.0 * eta) * ratio**2)
-    spec = student_t(problem.n - 1)
-    if kind is SemiDistanceKind.STUDENTIZED:
-        return dist.cdf(spec, eta) - dist.cdf(spec, -eta)
+        return dist.cdf(law, eta / scale) - dist.cdf(law, -eta / scale)
+    theta = quantity_value(problem, omega)
     # Half-line studentized: the law at interior null states is
     # noncentral-t, outside this library's four families.
-    if anchor != quantity_value(problem, omega):
+    if kind.studentized and anchor != theta:
         raise ValueError(
             "generic inversion of the one-sided studentized radius is only "
             "available at the null boundary"
         )
-    return dist.cdf(spec, eta)
+    if kind.log_scale:
+        ratio = anchor / theta
+        if ratio < 1.0:
+            raise ValueError("state lies outside the lower-half-line null")
+        return dist.cdf(law, scale * math.exp(2.0 * eta) * ratio**2)
+    shift = anchor - theta
+    if shift < 0.0:
+        raise ValueError("state lies outside the lower-half-line null")
+    return dist.cdf(law, (eta + shift) / scale)
 
 
 def eta_alpha_generic(

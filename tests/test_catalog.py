@@ -1,0 +1,147 @@
+"""The catalog registry: the constructors, the command line and the
+grid-truth inverse all read it; sizes are checked when a problem is built."""
+
+import argparse
+import math
+
+import pytest
+
+from semidist import cli, framework
+from semidist.framework import (
+    CATALOG,
+    Hypothesis,
+    confidence_region,
+    quantity_value,
+    rejection_region,
+    state_with_quantity,
+)
+from semidist.measurement import Sample, State, TwoSampleState
+
+CONSTRUCTORS = {
+    "mean-z": lambda: framework.mean_z(5, 1.5),
+    "mean-z-upper": lambda: framework.mean_z_upper(5, 1.5),
+    "var": lambda: framework.variance(5),
+    "var-upper": lambda: framework.variance_upper(5),
+    "diff-means": lambda: framework.mean_diff_z(5, 6, 1.5, 0.5),
+    "diff-means-upper": lambda: framework.mean_diff_z_upper(5, 6, 1.5, 0.5),
+    "var-ratio": lambda: framework.variance_ratio(5, 6),
+    "var-ratio-upper": lambda: framework.variance_ratio_upper(5, 6),
+    "mean-t": lambda: framework.mean_t(5),
+    "mean-t-upper": lambda: framework.mean_t_upper(5),
+}
+
+
+def _choices(parser: argparse.ArgumentParser, dest: str) -> tuple:
+    (action,) = [a for a in parser._actions if a.dest == dest]
+    return tuple(action.choices)
+
+
+class TestRegistry:
+    def test_every_entry_has_a_constructor(self):
+        assert tuple(CONSTRUCTORS) == tuple(CATALOG)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_constructor_builds_its_entry(self, name):
+        problem = CONSTRUCTORS[name]()
+        estimator, quantity, kind = CATALOG[name]
+        assert (problem.estimator, problem.quantity, problem.distance_kind) == (
+            estimator,
+            quantity,
+            kind,
+        )
+
+    def test_parser_choices_are_the_registry_names(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        names = tuple(CATALOG)
+        assert _choices(sub.choices["test"], "name") == names
+        assert _choices(sub.choices["ci"], "name") == names
+        assert _choices(sub.choices["experiment"], "test") == names
+
+
+class TestSizesCheckedAtBuild:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: framework.variance_ratio(5, 1), "var-ratio"),
+            (lambda: framework.variance(1), "var"),
+            (lambda: framework.variance_ratio_upper(1, 5), "var-ratio-upper"),
+            (lambda: framework.mean_t(1), "mean-t"),
+            (lambda: framework.mean_t_upper(1), "mean-t-upper"),
+        ],
+    )
+    def test_one_observation_is_refused_naming_the_problem(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} needs at least 2 observations"):
+            build()
+
+    def test_known_sigma_entries_take_one_observation(self):
+        assert framework.mean_z(1, 1.0).n == 1
+        assert framework.mean_diff_z_upper(1, 1, 1.0, 1.0).m == 1
+
+    def test_cli_var_on_one_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one_row.txt"
+        path.write_text("1.5\n", encoding="utf-8")
+        assert cli.main(["test", "var", str(path), "--null", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "var needs at least 2 observations" in captured.err
+
+
+class TestDegenerateCutpoints:
+    @pytest.mark.parametrize(
+        "problem, hypothesis",
+        [
+            (framework.mean_t(3), Hypothesis.point(2.0)),
+            (framework.mean_t_upper(3), Hypothesis.lower_half_line(2.0)),
+        ],
+    )
+    def test_constant_sample_raises_like_contains(self, problem, hypothesis):
+        region = rejection_region(problem, hypothesis, 0.05)
+        x = Sample((2.0, 2.0, 2.0))
+        message = "degenerate sample: all values equal"
+        with pytest.raises(ValueError, match=message):
+            region.contains(x)
+        with pytest.raises(ValueError, match=message):
+            confidence_region(problem, x, 0.95)
+        with pytest.raises(ValueError, match=message):
+            region.estimator_cutpoints(x)
+
+
+class TestGridTruthInverse:
+    BASE = {
+        "mean-z": State(0.25, 1.5),
+        "var": State(0.25, 1.5),
+        "diff-means": TwoSampleState(State(0.25, 1.5), State(0.0, 0.5)),
+        "var-ratio": TwoSampleState(State(0.25, 1.5), State(-1.0, 0.75)),
+    }
+
+    @pytest.mark.parametrize("name", list(BASE))
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 1.7, 2.9, 1e-3, 123.456])
+    def test_round_trips_quantity_value(self, name, theta):
+        problem = CONSTRUCTORS[name]()
+        state = state_with_quantity(problem, self.BASE[name], theta)
+        assert abs(quantity_value(problem, state) - theta) <= math.ulp(theta)
+
+    @pytest.mark.parametrize("name", ["var", "var-ratio"])
+    @pytest.mark.parametrize("theta", [0.0, -0.5])
+    def test_positive_quantities_reject_non_positive_values(self, name, theta):
+        with pytest.raises(ValueError):
+            state_with_quantity(CONSTRUCTORS[name](), self.BASE[name], theta)
+
+    @pytest.mark.parametrize("name", ["var-upper", "var-ratio"])
+    def test_cli_grid_must_be_positive(self, name, capsys):
+        argv = ["experiment", "power", "--test", name, "--null", "1", "--grid", "1,0",
+                "--reps", "10"]
+        assert cli.main(argv) == 2
+        assert f"--grid values must be positive for {name}" in capsys.readouterr().err
+
+
+class TestMissingSigmaHint:
+    @pytest.mark.parametrize("name, hint", [("mean-z", "mean-t"), ("mean-z-upper", "mean-t-upper")])
+    def test_names_the_flag_and_the_studentized_entry(self, tmp_path, capsys, name, hint):
+        path = tmp_path / "x.txt"
+        path.write_text("1\n2\n3\n", encoding="utf-8")
+        assert cli.main(["test", name, str(path), "--null", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--sigma" in err
+        assert f"use {hint}" in err
