@@ -7,15 +7,30 @@ The test names, and what each test needs (one or two data columns,
 known sigmas, a positive null), come from ``framework.CATALOG``.
 Decisions always live in the payload; the exit code only distinguishes
 "ran" (0) from "could not run" (2).
+
+Data files (``test`` and ``ci``) are UTF-8 text, with or without a byte
+order mark, holding one or two columns of reals.  A row with a comma is
+split at its commas, and spaces around them do not matter; any other row
+is split at whitespace.  A row of one value adds to the first column
+only, so in a comma-separated file the second column may end early.
+Blank lines are skipped, and every line break ``str.splitlines`` knows
+ends a row.  The first non-blank line is a header if it does not parse
+and has no empty field.  Any other line that does not parse, an empty
+comma-separated field, a row of more than two values and a non-finite
+value each stop the command (exit 2) with a message naming the line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
+from itertools import accumulate, compress, repeat
+from operator import add
 from typing import Sequence
 
 from . import framework, montecarlo
@@ -46,36 +61,25 @@ def _emit_json(payload: dict) -> None:
 
 
 def read_columns(path: str) -> tuple[list[float], list[float]]:
-    """Parse a one- or two-column data file (comma- or whitespace-separated,
-    optional header line).  A line with an empty comma-separated field, a
-    line that does not parse (after the header) and a non-finite value each
-    raise a ``CliError`` naming the line."""
+    """Parse a data file in the format of the module docstring into its two
+    columns (the second empty for a one-column file).
+
+    A bulk pass of C-level operations over all rows at once reads one-value
+    rows and rows of two comma-separated values, which covers one-column
+    files and comma-separated files (header or none, blank lines, any line
+    break, spaces around commas, one-value rows).  Anything it cannot read,
+    which is every bad file and the whitespace-separated two-column shapes,
+    goes through the per-line scan: it reads those shapes and names the
+    first bad line in a ``CliError``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read data file {path!r}: {exc}") from exc
-    col1: list[float] = []
-    col2: list[float] = []
-    allow_header = True
-    for number, raw in enumerate(lines, 1):
-        try:
-            values = _row_values(raw)
-        except ValueError:
-            if "," in raw and not all(field.strip() for field in raw.split(",")):
-                raise CliError(f"empty field on line {number} of {path!r}: {raw!r}") from None
-            if allow_header:
-                allow_header = False
-                continue
-            raise CliError(f"unparseable line {number} of {path!r}: {raw!r}") from None
-        if not values:
-            continue
-        allow_header = False
-        if len(values) > 2:
-            raise CliError(f"expected one or two columns in {path!r}, got {len(values)}")
-        col1.append(values[0])
-        if len(values) == 2:
-            col2.append(values[1])
+    try:
+        col1, col2 = _bulk_columns(lines)
+    except ValueError:
+        col1, col2 = _scan_columns(lines, path)
     if not col1:
         raise CliError(f"no data rows in {path!r}")
     # A finite sum proves every value finite; only a non-finite value (or
@@ -91,10 +95,82 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     return col1, col2
 
 
+# Rows joined and split at a time: a bound on the transient copy of the text.
+_CHUNK_ROWS = 2048
+
+
+def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float]]:
+    """The columns when every data row holds one value or two comma-separated
+    ones; raises ValueError on anything else.  No list is built per row."""
+    rows = list(filter(str.strip, lines))
+    if rows and _is_header(rows[0]):
+        del rows[0]
+    try:
+        return list(map(float, rows)), []
+    except ValueError:
+        pass  # a row with a comma, or a bad row
+    counts = list(map(str.count, rows, repeat(",")))
+    if max(counts) > 1:
+        raise ValueError("more than two columns")
+    values: list[float] = []
+    for k in range(0, len(rows), _CHUNK_ROWS):
+        values += map(float, ",".join(rows[k:k + _CHUNK_ROWS]).split(","))
+    if sum(counts) == len(rows):
+        return values[0::2], values[1::2]
+    # Row k's first value sits at k plus the commas before it; a row with a
+    # comma also holds the value after that.
+    starts = list(accumulate(map(add, counts, repeat(1)), initial=0))
+    del starts[-1]
+    col2 = list(map(values.__getitem__, compress(map(add, starts, repeat(1)), counts)))
+    return list(map(values.__getitem__, starts)), col2
+
+
+def _scan_columns(lines: list[str], path: str) -> tuple[list[float], list[float]]:
+    """The columns, line by line; a line with an empty field, a line that
+    does not parse (after the header) and a row of more than two values each
+    raise a ``CliError`` naming the line."""
+    col1: list[float] = []
+    col2: list[float] = []
+    allow_header = True
+    for number, raw in enumerate(lines, 1):
+        try:
+            values = _row_values(raw)
+        except ValueError:
+            if _has_empty_field(raw):
+                raise CliError(f"empty field on line {number} of {path!r}: {raw!r}") from None
+            if allow_header:
+                allow_header = False
+                continue
+            raise CliError(f"unparseable line {number} of {path!r}: {raw!r}") from None
+        if not values:
+            continue
+        allow_header = False
+        if len(values) > 2:
+            raise CliError(f"expected one or two columns in {path!r}, got {len(values)}")
+        col1.append(values[0])
+        if len(values) == 2:
+            col2.append(values[1])
+    return col1, col2
+
+
 def _row_values(line: str) -> list[float]:
     """The numbers on a line: its comma-separated fields if it has a comma,
     else its whitespace-separated ones; an empty field raises ValueError."""
     return [float(p) for p in (line.split(",") if "," in line else line.split())]
+
+
+def _has_empty_field(line: str) -> bool:
+    return "," in line and not all(map(str.strip, line.split(",")))
+
+
+def _is_header(line: str) -> bool:
+    """Whether a first non-blank line is a header: one that does not parse
+    and has no empty field."""
+    try:
+        _row_values(line)
+    except ValueError:
+        return not _has_empty_field(line)
+    return False
 
 
 def _build_problem(name: str, n: int, m: int | None, args: argparse.Namespace) -> TestProblem:
@@ -111,6 +187,20 @@ def _build_problem(name: str, n: int, m: int | None, args: argparse.Namespace) -
             f"with sigma unknown, use {studentized}"
         )
     return TestProblem(*entry, n, m, **sigmas)
+
+
+def _refuse_unused_flags(name: str, args: argparse.Namespace) -> None:
+    """Refuse a nuisance flag the test has no use for, rather than drop it."""
+    entry = CATALOG[name]
+    unused = [
+        flag for flag in ("sigma", "sigma1", "sigma2")
+        if getattr(args, flag) is not None and flag not in entry.estimator.known_sigmas
+    ]
+    if getattr(args, "m", None) is not None and not entry.quantity.two_sample:
+        unused.append("m")
+    if unused:
+        flags = " and ".join(f"--{flag}" for flag in unused)
+        raise CliError(f"{name} does not use {flags}")
 
 
 def _build_hypothesis(name: str, null_value: float) -> Hypothesis:
@@ -134,6 +224,7 @@ def _load_sample(name: str, path: str) -> Sample:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
+    _refuse_unused_flags(args.name, args)
     x = _load_sample(args.name, args.data)
     problem = _build_problem(args.name, x.n, x.m, args)
     hypothesis = _build_hypothesis(args.name, args.null)
@@ -161,6 +252,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
+    _refuse_unused_flags(args.name, args)
     x = _load_sample(args.name, args.data)
     problem = _build_problem(args.name, x.n, x.m, args)
     region = framework.confidence_region(problem, x, args.gamma)
@@ -221,6 +313,7 @@ def _experiment_problem(name: str, args: argparse.Namespace) -> TestProblem:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.test
+    _refuse_unused_flags(name, args)
     if CATALOG[name].quantity.two_sample and args.m is None:
         args.m = args.n
     problem = _experiment_problem(name, args)
@@ -289,14 +382,22 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter, and so a terminal-size lookup, for every
+    # add_argument; one lookup gives each of them the width it would compute.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="semidist",
         description="Catalog hypothesis tests, confidence intervals, and "
         "Monte Carlo coverage/size experiments for the normal model.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_test = sub.add_parser("test", help="run a hypothesis test on a data file")
+    p_test = sub.add_parser(
+        "test", help="run a hypothesis test on a data file", formatter_class=formatter
+    )
     p_test.add_argument("name", choices=tuple(CATALOG), help="catalog test name")
     p_test.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
     p_test.add_argument("--null", type=float, required=True, help="null value")
@@ -305,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--json", action="store_true", help="emit JSON")
     p_test.set_defaults(func=_cmd_test)
 
-    p_ci = sub.add_parser("ci", help="confidence interval from a data file")
+    p_ci = sub.add_parser(
+        "ci", help="confidence interval from a data file", formatter_class=formatter
+    )
     p_ci.add_argument("name", choices=tuple(CATALOG), help="catalog test name")
     p_ci.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
     p_ci.add_argument("--gamma", type=float, default=0.95, help="confidence level")
@@ -313,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--json", action="store_true", help="emit JSON")
     p_ci.set_defaults(func=_cmd_ci)
 
-    p_exp = sub.add_parser("experiment", help="Monte Carlo coverage/size/power")
+    p_exp = sub.add_parser(
+        "experiment", help="Monte Carlo coverage/size/power", formatter_class=formatter
+    )
     p_exp.add_argument("kind", choices=("coverage", "size", "power"))
     p_exp.add_argument("--test", required=True, choices=tuple(CATALOG), help="catalog test")
     p_exp.add_argument("--n", type=int, default=10, help="first sample size")

@@ -2,9 +2,13 @@
 agreement with direct library calls."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import semidist
 from semidist import cli
 from semidist.framework import (
     Hypothesis,
@@ -119,6 +123,14 @@ class TestParsing:
         path = tmp_path / "big.txt"
         path.write_text("1e308\n1.5e308\n-3e307\n", encoding="utf-8")
         assert cli.read_columns(str(path)) == ([1e308, 1.5e308, -3e307], [])
+
+    @pytest.mark.parametrize("header", ["", "x\n"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, capsys, header):
+        path = tmp_path / "bom.csv"
+        path.write_text(f"\ufeff{header}1.5\n2.0\n3.0\n4.0\n", encoding="utf-8")
+        assert cli.read_columns(str(path)) == ([1.5, 2.0, 3.0, 4.0], [])
+        assert cli.main(["ci", "mean-t", str(path)]) == 0
+        assert "n: 4\n" in capsys.readouterr().out
 
     def test_missing_file(self, capsys):
         assert cli.main(["test", "mean-t", "/nonexistent/nope.txt", "--null", "0"]) == 2
@@ -290,3 +302,56 @@ class TestExperimentCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["J"] == 400
+
+
+class TestUnusedFlags:
+    @pytest.mark.parametrize(
+        "argv, flag, name",
+        [
+            (["test", "var", "DATA", "--null", "1", "--sigma", "3"], "--sigma", "var"),
+            (["test", "mean-t", "DATA", "--null", "0", "--sigma1", "1"], "--sigma1", "mean-t"),
+            (["ci", "mean-z", "DATA", "--sigma", "1", "--sigma2", "2"], "--sigma2", "mean-z"),
+            (["ci", "var-ratio", "PAIR", "--sigma", "1"], "--sigma", "var-ratio"),
+        ],
+    )
+    def test_sigma_flag_a_test_does_not_use(self, one_col, two_col, capsys, argv, flag, name):
+        data = {"DATA": one_col, "PAIR": two_col[0]}
+        assert cli.main([data.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} does not use {flag}\n"
+
+    def test_sigma_flag_an_experiment_does_not_use(self, capsys):
+        argv = ["experiment", "coverage", "--test", "var", "--sigma", "2", "--reps", "10"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: var does not use --sigma\n"
+
+    def test_second_sample_size_on_a_one_sample_experiment(self, capsys):
+        argv = ["experiment", "coverage", "--test", "mean-z", "--m", "7", "--reps", "10"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: mean-z does not use --m\n"
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [[], ["test"], ["ci"], ["experiment"]])
+    def test_help_wraps_to_the_terminal_width(self, monkeypatch, capsys, command):
+        widest = {}
+        for columns in (60, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert cli.main([*command, "--help"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            # argparse never breaks a line that holds the list of test names
+            widest[columns] = max(len(line) for line in lines if "{mean-z," not in line)
+        # argparse wraps to two columns less than the terminal
+        assert widest[60] <= 58 < widest[200] <= 198
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(semidist.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "semidist", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: semidist ")
