@@ -29,8 +29,7 @@ import math
 import os
 import shutil
 import sys
-from itertools import accumulate, compress, repeat
-from operator import add
+from itertools import repeat
 from typing import Sequence
 
 from . import framework, montecarlo
@@ -64,13 +63,14 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     """Parse a data file in the format of the module docstring into its two
     columns (the second empty for a one-column file).
 
-    A bulk pass of C-level operations over all rows at once reads one-value
-    rows and rows of two comma-separated values, which covers one-column
-    files and comma-separated files (header or none, blank lines, any line
-    break, spaces around commas, one-value rows).  Anything it cannot read,
-    which is every bad file and the whitespace-separated two-column shapes,
-    goes through the per-line scan: it reads those shapes and names the
-    first bad line in a ``CliError``."""
+    A bulk pass of C-level operations over all rows at once reads files
+    whose data rows all hold one value or all hold two comma-separated
+    values: one-column files and comma-separated files (header or none,
+    blank lines, any line break, spaces around commas).  Anything it cannot
+    read, which is every bad file, a comma-separated file whose second
+    column ends early and the whitespace-separated two-column shapes, goes
+    through the per-line scan: it reads those shapes and names the first
+    bad line in a ``CliError``."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
@@ -95,13 +95,10 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     return col1, col2
 
 
-# Rows joined and split at a time: a bound on the transient copy of the text.
-_CHUNK_ROWS = 2048
-
-
 def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float]]:
-    """The columns when every data row holds one value or two comma-separated
-    ones; raises ValueError on anything else.  No list is built per row."""
+    """The columns when every data row holds one value, or every one holds
+    two comma-separated ones; raises ValueError on anything else.  No list
+    is built per row."""
     rows = list(filter(str.strip, lines))
     if rows and _is_header(rows[0]):
         del rows[0]
@@ -109,20 +106,10 @@ def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float]]:
         return list(map(float, rows)), []
     except ValueError:
         pass  # a row with a comma, or a bad row
-    counts = list(map(str.count, rows, repeat(",")))
-    if max(counts) > 1:
-        raise ValueError("more than two columns")
-    values: list[float] = []
-    for k in range(0, len(rows), _CHUNK_ROWS):
-        values += map(float, ",".join(rows[k:k + _CHUNK_ROWS]).split(","))
-    if sum(counts) == len(rows):
-        return values[0::2], values[1::2]
-    # Row k's first value sits at k plus the commas before it; a row with a
-    # comma also holds the value after that.
-    starts = list(accumulate(map(add, counts, repeat(1)), initial=0))
-    del starts[-1]
-    col2 = list(map(values.__getitem__, compress(map(add, starts, repeat(1)), counts)))
-    return list(map(values.__getitem__, starts)), col2
+    if list(map(str.count, rows, repeat(","))).count(1) != len(rows):
+        raise ValueError("not one comma on every row")
+    values = list(map(float, ",".join(rows).split(",")))
+    return values[0::2], values[1::2]
 
 
 def _scan_columns(lines: list[str], path: str) -> tuple[list[float], list[float]]:
@@ -196,8 +183,8 @@ def _refuse_unused_flags(name: str, args: argparse.Namespace) -> None:
         flag for flag in ("sigma", "sigma1", "sigma2")
         if getattr(args, flag) is not None and flag not in entry.estimator.known_sigmas
     ]
-    if getattr(args, "m", None) is not None and not entry.quantity.two_sample:
-        unused.append("m")
+    if not entry.quantity.two_sample:
+        unused += [flag for flag in ("m", "mu2", "sd2") if getattr(args, flag, None) is not None]
     if unused:
         flags = " and ".join(f"--{flag}" for flag in unused)
         raise CliError(f"{name} does not use {flags}")
@@ -314,8 +301,11 @@ def _experiment_problem(name: str, args: argparse.Namespace) -> TestProblem:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.test
     _refuse_unused_flags(name, args)
-    if CATALOG[name].quantity.two_sample and args.m is None:
-        args.m = args.n
+    if CATALOG[name].quantity.two_sample:
+        # The second sample defaults to the first one's size and to N(0, 1).
+        for flag, default in (("m", args.n), ("mu2", 0.0), ("sd2", 1.0)):
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     problem = _experiment_problem(name, args)
     seed = args.seed
     if seed is None:
@@ -425,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--m", type=int, help="second sample size (two-sample tests)")
     p_exp.add_argument("--mu", type=float, default=0.0, help="true mean")
     p_exp.add_argument("--sd", type=float, default=1.0, help="true sd")
-    p_exp.add_argument("--mu2", type=float, default=0.0, help="true mean, second sample")
-    p_exp.add_argument("--sd2", type=float, default=1.0, help="true sd, second sample")
+    p_exp.add_argument("--mu2", type=float, help="true mean, second sample")
+    p_exp.add_argument("--sd2", type=float, help="true sd, second sample")
     p_exp.add_argument("--gamma", type=float, default=0.95, help="confidence level (coverage)")
     p_exp.add_argument("--alpha", type=float, default=0.05, help="significance level (size/power)")
     p_exp.add_argument("--null", type=float, help="null value (size/power)")

@@ -326,10 +326,20 @@ class TestUnusedFlags:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: var does not use --sigma\n"
 
-    def test_second_sample_size_on_a_one_sample_experiment(self, capsys):
-        argv = ["experiment", "coverage", "--test", "mean-z", "--m", "7", "--reps", "10"]
+    @pytest.mark.parametrize("flag", ["--m", "--mu2", "--sd2"])
+    def test_second_sample_flag_on_a_one_sample_experiment(self, capsys, flag):
+        argv = ["experiment", "coverage", "--test", "mean-z", flag, "7", "--reps", "10"]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: mean-z does not use --m\n"
+        assert capsys.readouterr().err == f"error: mean-z does not use {flag}\n"
+
+    def test_second_sample_defaults_on_a_two_sample_experiment(self, capsys):
+        argv = ["experiment", "size", "--test", "diff-means", "--null", "0", "--n", "8",
+                "--reps", "200", "--json"]
+        assert cli.main(argv) == 0
+        implicit = capsys.readouterr().out
+        explicit = argv + ["--m", "8", "--mu2", "0", "--sd2", "1"]
+        assert cli.main(explicit) == 0
+        assert capsys.readouterr().out == implicit
 
 
 class TestHelp:

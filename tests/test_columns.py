@@ -121,8 +121,9 @@ def _files(draw):
 
 @st.composite
 def _well_formed_files(draw):
-    """Files the bulk pass reads: one value or two comma-separated values
-    per row, with blank lines and one-value rows mixed in."""
+    """Well-formed files: one value or two comma-separated values per row,
+    with blank lines mixed in, and one-value rows that end a second column
+    early, which the per-line scan reads."""
     one = st.tuples(PADS, VALUES, PADS).map("".join)
     two = st.tuples(one, st.sampled_from([",", " , ", "\t,"]), one).map("".join)
     width = draw(st.sampled_from([one, two, st.one_of(two, one), st.one_of(two, st.just(" "))]))
