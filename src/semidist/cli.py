@@ -29,6 +29,7 @@ import math
 import os
 import shutil
 import sys
+import textwrap
 from itertools import repeat
 from typing import Sequence
 
@@ -83,8 +84,11 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     if not col1:
         raise CliError(f"no data rows in {path!r}")
     # A finite sum proves every value finite; only a non-finite value (or
-    # an overflowing sum) pays for the search for its line.
-    if not math.isfinite(sum(col1) + sum(col2)):
+    # an overflowing sum) pays for the check, and only a non-finite value
+    # for the search for its line.
+    if not math.isfinite(sum(col1) + sum(col2)) and not all(
+        map(math.isfinite, col1 + col2)
+    ):
         for number, raw in enumerate(lines, 1):
             try:
                 values = _row_values(raw)
@@ -371,12 +375,18 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float, help="known sd of the second sample")
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, except that help text never breaks a line
+    inside a hyphenated word such as a test name."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # argparse makes a formatter, and so a terminal-size lookup, for every
     # add_argument; one lookup gives each of them the width it would compute.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+    formatter = functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="semidist",
         description="Catalog hypothesis tests, confidence intervals, and "
@@ -384,11 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A metavar lets argparse wrap the names, which it never breaks in a
+    # {choice,...} list.
+    names = dict(
+        choices=tuple(CATALOG), metavar="NAME", help=f"catalog test: {', '.join(CATALOG)}"
+    )
 
     p_test = sub.add_parser(
         "test", help="run a hypothesis test on a data file", formatter_class=formatter
     )
-    p_test.add_argument("name", choices=tuple(CATALOG), help="catalog test name")
+    p_test.add_argument("name", **names)
     p_test.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
     p_test.add_argument("--null", type=float, required=True, help="null value")
     p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
@@ -399,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci = sub.add_parser(
         "ci", help="confidence interval from a data file", formatter_class=formatter
     )
-    p_ci.add_argument("name", choices=tuple(CATALOG), help="catalog test name")
+    p_ci.add_argument("name", **names)
     p_ci.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
     p_ci.add_argument("--gamma", type=float, default=0.95, help="confidence level")
     _add_nuisance_flags(p_ci)
@@ -410,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="Monte Carlo coverage/size/power", formatter_class=formatter
     )
     p_exp.add_argument("kind", choices=("coverage", "size", "power"))
-    p_exp.add_argument("--test", required=True, choices=tuple(CATALOG), help="catalog test")
+    p_exp.add_argument("--test", required=True, **names)
     p_exp.add_argument("--n", type=int, default=10, help="first sample size")
     p_exp.add_argument("--m", type=int, help="second sample size (two-sample tests)")
     p_exp.add_argument("--mu", type=float, default=0.0, help="true mean")

@@ -24,7 +24,9 @@ four laws: normal, at scale sigma / sqrt(n) or
 sqrt(sigma1^2 / n + sigma2^2 / m); chi-squared(n - 1) at scale n;
 F(n - 1, m - 1) at scale 1; or Student-t(n - 1).  The radius is the
 (1 - alpha) point of that law, as a symmetric interval or an upper tail,
-and both ends of an interval are g^-1(g(e) -+ s * eta).
+and both ends of an interval are g^-1(g(e) -+ s * eta).  The estimates
+and the formula are defined on rows, one measured value per row, so a
+single measured value and a Monte Carlo block share one arithmetic.
 
 ``CATALOG`` holds the ten catalog entries, keyed by their command-line
 names, each as its (estimator, quantity, kind): one- and two-sided tests
@@ -42,16 +44,11 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from . import distributions as dist
 from .distributions import DistributionSpec, quantile, student_t, chi_squared, fisher_f
-from .measurement import (
-    Sample,
-    State,
-    TwoSampleState,
-    mu_bar,
-    sigma_bar,
-    sigma_bar_prime,
-)
+from .measurement import Sample, State, TwoSampleState, _Rows
 
 __all__ = [
     "SemiDistanceKind",
@@ -111,17 +108,35 @@ class SemiDistanceKind(Enum):
         self.studentized = value.endswith("studentized")
 
 
-def _safe_log(theta: float) -> float:
-    # Estimates can realize 0 on degenerate data even though the target
-    # space is (0, inf); treat them as infinitely far in log scale.
-    return math.log(theta) if theta > 0.0 else -math.inf
-
-
-def _studentized_scale(x: Sample) -> float:
-    s = sigma_bar_prime(x.values)
-    if s == 0.0:
+def _studentized_scale(x: _Rows) -> np.ndarray:
+    s = x.sigma_bar_prime
+    if not s.all():
         raise ValueError("degenerate sample: all values equal")
     return s / math.sqrt(x.n)
+
+
+def _semi_distance(
+    kind: SemiDistanceKind, theta1: np.ndarray, theta2: float, theta0: float | None, x: _Rows | None
+) -> np.ndarray:
+    """d(theta1, theta2) for each row of theta1, clamped at theta0 on the
+    half-line kinds and, on the studentized ones, scaled by the rows of x."""
+    if kind.half_line:
+        theta1, theta2 = np.maximum(theta1, theta0), max(theta2, theta0)
+    if kind.log_scale:
+        # Estimates can realize 0 on degenerate data even though the target
+        # space is (0, inf): all of (-inf, 0] is the one point -inf,
+        # infinitely far from the rest and at distance 0 from itself (where
+        # -inf - -inf would be nan).
+        with np.errstate(divide="ignore"):
+            theta1, theta2 = np.log(np.maximum(theta1, 0.0)), np.log(max(theta2, 0.0))
+        if theta2 == -math.inf:
+            return np.where(theta1 == theta2, 0.0, math.inf)
+    d = np.abs(theta1 - theta2)
+    if kind.studentized:
+        if x is None:
+            raise ValueError(f"{kind.value} requires a sample context")
+        d = d / _studentized_scale(x)
+    return d
 
 
 @dataclass(frozen=True)
@@ -142,22 +157,9 @@ class SemiDistance:
             raise ValueError(f"log-scale anchor must be positive, got {self.theta0!r}")
 
     def __call__(self, theta1: float, theta2: float, x: Sample | None = None) -> float:
-        kind = self.kind
-        if kind.half_line:
-            theta1, theta2 = max(theta1, self.theta0), max(theta2, self.theta0)
-        if kind.log_scale:
-            theta1, theta2 = _safe_log(theta1), _safe_log(theta2)
-            # All of (-inf, 0] is the one point -inf, at distance 0 from
-            # itself; -inf - -inf would be nan.
-            if theta1 == theta2 == -math.inf:
-                return 0.0
-        d = abs(theta1 - theta2)
-        if not kind.studentized:
-            return d
         x = x if x is not None else self.context
-        if x is None:
-            raise ValueError(f"{kind.value} requires a sample context")
-        return d / _studentized_scale(x)
+        rows = x._rows[0] if x is not None and self.kind.studentized else None
+        return float(_semi_distance(self.kind, np.array([theta1]), theta2, self.theta0, rows)[0])
 
 
 class EstimatorKind(Enum):
@@ -353,23 +355,45 @@ def _check_sizes(problem: TestProblem, x: Sample) -> None:
         raise ValueError("one-sample problem got a two-block sample")
 
 
+def _estimates(
+    problem: TestProblem, x: _Rows, y: _Rows | None, centres: bool = False
+) -> np.ndarray:
+    """E of each row, from the rows of the first block and of the second.
+    As the ``centres`` of confidence regions, they must lie in (0, inf) on
+    the log scale."""
+    estimator = problem.estimator
+    if estimator is EstimatorKind.SIGMA_BAR:
+        e = x.sigma_bar
+    elif estimator is EstimatorKind.DIFF_MU_BAR:
+        e = x.mean - y.mean
+    elif estimator is EstimatorKind.SIGMA_PRIME_RATIO:
+        num, den = x.sigma_bar_prime, y.sigma_bar_prime
+        if not (num + den).all():  # both 0: the sds are >= 0
+            raise ValueError("degenerate sample: both blocks constant")
+        with np.errstate(divide="ignore"):
+            e = num / den
+    else:
+        e = x.mean
+    if centres and problem.distance_kind.log_scale and not ((0.0 < e) & (e < math.inf)).all():
+        raise ValueError("degenerate sample: log-scale estimate is 0 or infinite")
+    return e
+
+
+def _statistic(
+    problem: TestProblem, anchor: float, x: _Rows, y: _Rows | None, coverage: bool = False
+) -> np.ndarray:
+    """d(E, anchor) of each row, anchored at ``anchor`` on the half-line
+    kinds: a rejection region's statistic at the null value ``anchor``, or
+    with ``coverage`` a confidence region's at the candidate ``anchor``."""
+    e = _estimates(problem, x, y, centres=coverage)
+    kind = problem.distance_kind
+    return _semi_distance(kind, e, anchor, anchor if kind.half_line else None, x)
+
+
 def estimate(problem: TestProblem, x: Sample) -> float:
     """The realized estimator value E(x) for the problem."""
     _check_sizes(problem, x)
-    kind = problem.estimator
-    if kind in (EstimatorKind.MU_BAR, EstimatorKind.MU_BAR_STUDENTIZED):
-        return mu_bar(x.values)
-    if kind is EstimatorKind.SIGMA_BAR:
-        return sigma_bar(x.values)
-    if kind is EstimatorKind.DIFF_MU_BAR:
-        return mu_bar(x.values) - mu_bar(x.second)
-    num = sigma_bar_prime(x.values)
-    den = sigma_bar_prime(x.second)
-    if den == 0.0:
-        if num == 0.0:
-            raise ValueError("degenerate sample: both blocks constant")
-        return math.inf
-    return num / den
+    return float(_estimates(problem, *x._rows)[0])
 
 
 def quantity_value(problem: TestProblem, state: State | TwoSampleState) -> float:
@@ -488,11 +512,6 @@ def eta_gamma(
 # ---------------------------------------------------------------------------
 
 
-def _distance(problem: TestProblem, anchor: float | None, x: Sample) -> SemiDistance:
-    theta0 = anchor if problem.distance_kind.half_line else None
-    return SemiDistance(problem.distance_kind, theta0=theta0, context=x)
-
-
 def _endpoints(
     kind: SemiDistanceKind, center: float, eta: float, x: Sample | None
 ) -> tuple[float, float]:
@@ -500,7 +519,7 @@ def _endpoints(
     # rather than taking exp(log(center) -+ eta), which rounds differently.
     if kind.log_scale:
         return center * math.exp(-eta), center * math.exp(eta)
-    s = _studentized_scale(x) if kind.studentized else 1.0
+    s = float(_studentized_scale(x._rows[0])[0]) if kind.studentized else 1.0
     return center - s * eta, center + s * eta
 
 
@@ -525,9 +544,8 @@ class Region:
     eta: float
 
     def statistic(self, x: Sample) -> float:
-        e = estimate(self.problem, x)
-        d = _distance(self.problem, self.hypothesis.value, x)
-        return d(e, self.hypothesis.value, x)
+        _check_sizes(self.problem, x)
+        return float(_statistic(self.problem, self.hypothesis.value, *x._rows)[0])
 
     def contains(self, x: Sample) -> bool:
         return self.statistic(x) >= self.eta
@@ -560,8 +578,7 @@ class ConfidenceRegion:
         # Same arithmetic as the test side (with the half-line anchor at
         # the candidate value), so "not rejected" and "covered" agree
         # exactly rather than up to endpoint rounding.
-        d = _distance(self.problem, theta, self.sample)
-        return d(self.estimate, theta, self.sample) < self.eta
+        return bool(_statistic(self.problem, theta, *self.sample._rows)[0] < self.eta)
 
 
 @dataclass(frozen=True)
@@ -617,11 +634,10 @@ def confidence_region(problem: TestProblem, x: Sample, gamma: float) -> Confiden
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
-    e = estimate(problem, x)
+    _check_sizes(problem, x)
+    e = float(_estimates(problem, *x._rows, centres=True)[0])
     eta = eta_gamma(problem, None, gamma)
     kind = problem.distance_kind
-    if kind.log_scale and not 0.0 < e < math.inf:
-        raise ValueError("degenerate sample: log-scale estimate is 0 or infinite")
     lo, hi = _endpoints(kind, e, eta, x)
     return ConfidenceRegion(problem, gamma, eta, e, lo, math.inf if kind.half_line else hi, x)
 

@@ -4,8 +4,9 @@ A state is a point (mu, sigma) of R x R+.  Observing the model n times
 yields a measured value x = (x_1, ..., x_n) of i.i.d. Normal(mu, sigma^2)
 draws; two-sample problems observe two independent blocks.  The
 estimator maps (sample mean, sum of squared deviations, and the two
-standard-deviation scalings) and the pushforward probabilities of the
-mean and SS statistics live here.
+standard-deviation scalings) are defined once, on (rows, n) arrays of
+measured values, and a single measured value is a batch of one row.  The
+pushforward probabilities of the mean and SS statistics live here too.
 
 Sampling is stream-based: each (seed, replication) pair deterministically
 derives an independent PCG64 stream (O'Neill 2014), so any partition of
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,6 +112,11 @@ class Sample:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def _rows(self) -> tuple["_Rows", "_Rows | None"]:
+        """The blocks as one row each, estimated once per sample."""
+        return _Rows.of(self.values), None if self.second is None else _Rows.of(self.second)
 
     @property
     def m(self) -> int | None:
@@ -402,24 +409,62 @@ def _scale(z: np.ndarray, state: State) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _Rows:
+    """Measured values as a (rows, n) array, one replication per row, with
+    the estimators of every row.  A ``Sample`` is a batch of one row, so a
+    block of replications and a single measured value go through the same
+    arithmetic: numpy row sums, whose result for a row does not depend on
+    the rows around it.  The means are computed at once, the rest on first
+    use; a sum that overflows raises a ValueError that says so."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values, self.n = values, values.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mean = values.sum(axis=1) / self.n
+        if not np.isfinite(self.mean).all():
+            raise ValueError("sum of the sample values overflows float64")
+
+    @classmethod
+    def of(cls, values: Sequence[float], name: str = "sample") -> "_Rows":
+        """One row of values; ``name`` says what an empty one was meant for."""
+        if len(values) < 1:
+            raise ValueError(f"{name} of an empty sample")
+        return cls(np.array(values, dtype=float, ndmin=2))
+
+    @cached_property
+    def ss(self) -> np.ndarray:
+        v = self.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = v - self.mean[:, None]
+            ss = np.einsum("ij,ij->i", dev, dev)
+        if not np.isfinite(ss).all():
+            raise ValueError("sum of squared deviations overflows float64")
+        # A rounded mean leaves a constant row off its value; its SS is 0.
+        ss[(v == v[:, :1]).all(axis=1)] = 0.0
+        return ss
+
+    @cached_property
+    def sigma_bar(self) -> np.ndarray:
+        return np.sqrt(self.ss / self.n)
+
+    @cached_property
+    def sigma_bar_prime(self) -> np.ndarray:
+        return np.sqrt(self.ss / (self.n - 1))
+
+
 def mu_bar(values: Sequence[float]) -> float:
     """Arithmetic mean (x_1 + ... + x_n) / n."""
-    if len(values) < 1:
-        raise ValueError("mean of an empty sample")
-    return math.fsum(values) / len(values)
+    return float(_Rows.of(values, "mean").mean[0])
 
 
 def ss_bar(values: Sequence[float]) -> float:
     """Sum of squared deviations from the sample mean; 0 iff all equal."""
-    if len(values) < 1:
-        raise ValueError("sum of squares of an empty sample")
-    center = mu_bar(values)
-    return math.fsum((v - center) ** 2 for v in values)
+    return float(_Rows.of(values, "sum of squares").ss[0])
 
 
 def sigma_bar(values: Sequence[float]) -> float:
     """sqrt(SS / n): the n-denominator standard deviation."""
-    return math.sqrt(ss_bar(values) / len(values))
+    return float(_Rows.of(values, "sum of squares").sigma_bar[0])
 
 
 def sigma_bar_prime(values: Sequence[float]) -> float:
@@ -430,7 +475,7 @@ def sigma_bar_prime(values: Sequence[float]) -> float:
     n = len(values)
     if n < 2:
         raise ValueError(f"sigma_bar_prime needs n >= 2, got n={n}")
-    return math.sqrt(ss_bar(values) / (n - 1))
+    return float(_Rows.of(values).sigma_bar_prime[0])
 
 
 # ---------------------------------------------------------------------------

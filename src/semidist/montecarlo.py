@@ -12,22 +12,13 @@ Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
 rows, so memory stays bounded at any J.  ``measurement._std_block``
 computes the block's standard normals with array arithmetic, and
 ``measurement._scale_rows`` scales them into a (rows, n) array (plus
-(rows, m) for two-sample problems) for each plan; the estimates
-and the semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are then
-evaluated for the whole block with numpy, reading g (log or identity),
-the half-line clamp and the studentized scale s from the problem's
-``SemiDistanceKind``.
+(rows, m) for two-sample problems) for each plan.  The framework's
+estimates and semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are
+defined on such arrays, and decide the whole block at once.
 
-Guard band: numpy sums round differently from ``math.fsum``, and
-``np.log`` from ``math.log``, so a batched statistic can sit a few ulps
-from the scalar one.  Each row carries a bound on that gap, derived from
-the summation error (about n * u * sum|x_i| on a mean) and carried
-through the estimator and the distance.  Rows whose statistic lies
-within that band of eta, and rows that are degenerate or non-finite, are
-decided by the framework's scalar ``ConfidenceRegion.contains`` /
-``Region.contains`` on the same values, which also raises exactly where
-it always has (a non-finite row raises in ``Sample``).  Hits therefore
-equal the scalar path's, replication for replication.
+A single measured value is a batch of one row, so the block decision is
+the scalar ``Region.contains`` / ``ConfidenceRegion.contains`` decision on
+each row, errors included.
 
 Shared draws: the points of a power curve share the plan's seed, so
 replication j of every point scales the same standard normals (common
@@ -57,25 +48,24 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing.util import Finalize
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .framework import (
-    EstimatorKind,
     Hypothesis,
     TestProblem,
-    confidence_region,
+    _statistic,
     eta_gamma,
     quantity_value,
     rejection_region,
 )
 from .measurement import (
     STREAM_CONTRACT,
-    Sample,
     State,
     TwoSampleState,
     _load_ndtri,
+    _Rows,
     _scale_rows,
     _std_block,
 )
@@ -131,101 +121,32 @@ def _binomial_band(p: float, j: int) -> tuple[float, float]:
 # Values drawn per block; a block holds _BLOCK_VALUES // (n + m) rows, so
 # the kernel's memory stays bounded whatever the replication count.
 _BLOCK_VALUES = 1 << 16
-# Unit roundoff of float64.
-_U = 2.0**-53
-
-
-def _moments(v: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Row means and sums of squared deviations, each with a bound on its
-    # distance from the scalar mu_bar / ss_bar of the row.  Any summation
-    # order errs by at most (k - 1) u sum|term|; fsum adds one rounding,
-    # and the two paths' centres differ by at most the mean's bound.
-    k = v.shape[1]
-    mean = v.sum(axis=1) / k
-    mean_err = (k + 4) * _U * np.abs(v).sum(axis=1) / k
-    dev = v - mean[:, None]
-    ss = np.einsum("ij,ij->i", dev, dev)
-    ss_err = (k + 8) * _U * ss + 2.0 * mean_err * np.sqrt(k * ss) + k * mean_err**2
-    # Relative bound of ss, inf where ss may be 0 on the scalar path.
-    ss_rel = np.where(ss > 2.0 * ss_err, ss_err / ss, np.inf)
-    return mean, mean_err, ss, ss_rel
-
-
-def _statistic(
-    problem: TestProblem, anchor: float, xs: np.ndarray, ys: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row semi-distances |clamp(g(E(x))) - clamp(g(anchor))| / s with a
-    first-order bound on each row's distance from the scalar path's value
-    (inf for rows that are degenerate or non-finite there)."""
-    n, m = problem.n, problem.m
-    mean, err, ss, ss_rel = _moments(xs)
-    estimator = problem.estimator
-    if estimator is EstimatorKind.DIFF_MU_BAR:
-        mean_y, err_y, _, _ = _moments(ys)
-        e = mean - mean_y
-        err = err + err_y + 2.0 * _U * np.abs(e)
-    elif estimator is EstimatorKind.SIGMA_BAR:
-        e = np.sqrt(ss / n)
-        err = e * (ss_rel + 4.0 * _U)
-    elif estimator is EstimatorKind.SIGMA_PRIME_RATIO:
-        _, _, ss_y, ss_rel_y = _moments(ys)
-        e = np.sqrt(ss / (n - 1)) / np.sqrt(ss_y / (m - 1))
-        err = e * (ss_rel + ss_rel_y + 12.0 * _U)
-    else:
-        e = mean
-    kind = problem.distance_kind
-    if kind.half_line:
-        e = np.maximum(e, anchor)
-    if kind.log_scale:
-        err = np.where(e > 2.0 * err, err / (e - err), np.inf)
-        e, anchor = np.log(e), math.log(anchor)
-        err = err + 8.0 * _U * np.abs(e)
-    d = np.abs(e - anchor)
-    err = err + 2.0 * _U * d
-    if kind.studentized:
-        s = np.sqrt(ss / (n - 1)) / math.sqrt(n)
-        d = d / s
-        err = err / s + d * (ss_rel + 10.0 * _U)
-    return d, err
 
 
 @dataclass(frozen=True)
 class _Rule:
-    """How a plan decides a block of replications: the semi-distance from
-    the anchor against eta, with ``scalar`` (the framework's own
-    ``contains``) settling every row inside the guard band."""
+    """How a plan decides a block of replications: the semi-distance of
+    each row's estimate from the anchor against eta."""
 
     problem: TestProblem
     anchor: float
     eta: float
     coverage: bool
-    scalar: Callable[[Sample], bool]
 
     @staticmethod
     def of(plan: ExperimentPlan) -> "_Rule":
         problem = plan.problem
         if plan.hypothesis is None:
             target = quantity_value(problem, plan.truth)
-
-            def covers(x: Sample) -> bool:
-                return confidence_region(problem, x, plan.level).contains(target)
-
-            return _Rule(problem, target, eta_gamma(problem, None, plan.level), True, covers)
+            return _Rule(problem, target, eta_gamma(problem, None, plan.level), True)
         region = rejection_region(problem, plan.hypothesis, plan.level)
-        return _Rule(problem, plan.hypothesis.value, region.eta, False, region.contains)
+        return _Rule(problem, plan.hypothesis.value, region.eta, False)
 
     def hits(self, xs: np.ndarray, ys: np.ndarray | None) -> int:
-        with np.errstate(all="ignore"):
-            d, err = _statistic(self.problem, self.anchor, xs, ys)
-            # Doubling covers the bound's second-order terms; NaN rows
-            # compare false and so take the scalar path too.
-            unsure = ~(np.abs(d - self.eta) > 2.0 * err)
-            hit = d < self.eta if self.coverage else d >= self.eta
-        hits = int(np.count_nonzero(hit & ~unsure))
-        for i in np.flatnonzero(unsure):
-            second = None if ys is None else tuple(ys[i].tolist())
-            hits += self.scalar(Sample(tuple(xs[i].tolist()), second))
-        return hits
+        y = None if ys is None else _Rows(ys)
+        d = _statistic(self.problem, self.anchor, _Rows(xs), y, self.coverage)
+        hit = d < self.eta if self.coverage else d >= self.eta
+        return int(np.count_nonzero(hit))
 
 
 def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:

@@ -11,6 +11,7 @@ import pytest
 import semidist
 from semidist import cli
 from semidist.framework import (
+    CATALOG,
     Hypothesis,
     confidence_region,
     mean_t,
@@ -123,6 +124,31 @@ class TestParsing:
         path = tmp_path / "big.txt"
         path.write_text("1e308\n1.5e308\n-3e307\n", encoding="utf-8")
         assert cli.read_columns(str(path)) == ([1e308, 1.5e308, -3e307], [])
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e307 + 2e307 * (k / 99) for k in range(100)], [1e308, 1.5e308, -1e308]],
+        ids=["100 values", "three values"],
+    )
+    @pytest.mark.parametrize("name", ["mean-t", "var"])
+    def test_an_overflowing_sum_is_a_named_error(self, tmp_path, capsys, values, name):
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+        assert cli.main(["ci", name, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sum of the sample values overflows float64\n"
+
+    def test_an_overflowing_sum_of_finite_values_is_read_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"{1e307 + k * 1e303!r}\n" for k in range(10_000)), "utf-8")
+        seen = []
+        row_values = cli._row_values
+        monkeypatch.setattr(cli, "_row_values", lambda line: seen.append(line) or row_values(line))
+        col1, col2 = cli.read_columns(str(path))
+        assert len(col1) == 10_000 and col2 == []
+        # Only the header probe of the first row reads a line on its own.
+        assert seen == [f"{1e307!r}"]
 
     @pytest.mark.parametrize("header", ["", "x\n"])
     def test_byte_order_mark_is_not_data(self, tmp_path, capsys, header):
@@ -350,8 +376,12 @@ class TestHelp:
             monkeypatch.setenv("COLUMNS", str(columns))
             assert cli.main([*command, "--help"]) == 0
             lines = capsys.readouterr().out.splitlines()
-            # argparse never breaks a line that holds the list of test names
-            widest[columns] = max(len(line) for line in lines if "{mean-z," not in line)
+            widest[columns] = max(map(len, lines))
+            if command:
+                # The test names are listed once, each on one line.
+                text = " ".join(" ".join(lines).split())
+                assert text.count("mean-z-upper") == 1
+                assert f"catalog test: {', '.join(CATALOG)}" in text
         # argparse wraps to two columns less than the terminal
         assert widest[60] <= 58 < widest[200] <= 198
 

@@ -93,6 +93,14 @@ class TestEstimators:
         assert sigma_bar((3.0, 3.0)) == 0.0
         assert sigma_bar_prime((3.0, 3.0)) == 0.0
 
+    def test_overflowing_sums_raise_a_named_error(self):
+        with pytest.raises(ValueError, match="^sum of the sample values overflows float64$"):
+            mu_bar((1e308, 1.5e308, -1e308))
+        with pytest.raises(ValueError, match="^sum of squared deviations overflows float64$"):
+            ss_bar((1e200, -1e200, 3.0))
+        # The mean of those values does not overflow, and needs no SS.
+        assert mu_bar((1e200, -1e200, 3.0)) == 1.0
+
     def test_sigma_prime_needs_two(self):
         with pytest.raises(ValueError):
             sigma_bar_prime((1.0,))

@@ -18,11 +18,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semidist import montecarlo as mc
+from semidist import framework, montecarlo as mc
 from semidist.framework import (
     Hypothesis,
-    Region,
     confidence_region,
+    estimate,
     mean_diff_z,
     mean_diff_z_upper,
     mean_t,
@@ -41,6 +41,7 @@ from semidist.measurement import (
     Sample,
     State,
     TwoSampleState,
+    _Rows,
     _sample_block,
     sample,
     stream,
@@ -494,56 +495,105 @@ class TestBatchedDecisions:
         assert type(coverage_experiment(_coverage_plan(reps=50)).hits) is int
 
 
-def _spied(rule):
-    """The rule with its scalar path recording the rows it settles."""
-    seen = []
+def _with_rows(monkeypatch, rows):
+    """Make the block kernel see ``rows`` (row index -> first block's
+    values, second block's or None) in place of those replications'
+    draws; returns the same edit for a (xs, ys) block of draws."""
 
-    def scalar(x):
-        seen.append(x)
-        return rule.scalar(x)
+    def edit(xs, ys):
+        for i, (x, y) in rows.items():
+            xs[i] = x
+            if ys is not None:
+                ys[i] = y
+        return xs, ys
 
-    return replace(rule, scalar=scalar), seen
+    scale = mc._scale_rows
+    monkeypatch.setattr(mc, "_scale_rows", lambda z, state, n: edit(*scale(z, state, n)))
+    return edit
 
 
-def _row(xs, ys, i):
-    return Sample(tuple(xs[i].tolist()), None if ys is None else tuple(ys[i].tolist()))
+def _samples(xs, ys):
+    return [
+        Sample(tuple(x.tolist()), None if ys is None else tuple(y.tolist()))
+        for x, y in zip(xs, xs if ys is None else ys)
+    ]
 
 
-class TestGuardBand:
+def _scalar_decision(plan):
+    """The framework's one-row decision of each replication of a plan."""
+    problem = plan.problem
+    if plan.hypothesis is None:
+        target = quantity_value(problem, plan.truth)
+        return lambda x: confidence_region(problem, x, plan.level).contains(target)
+    return rejection_region(problem, plan.hypothesis, plan.level).contains
+
+
+def _ulps(value, k):
+    for _ in range(abs(k)):
+        value = float(np.nextafter(value, math.copysign(math.inf, k)))
+    return value
+
+
+def _decides_at_eta_as_the_scalar_path(monkeypatch, plan, rows, anchor):
+    """With eta at the statistic of row 0 and 2 ulps either side, ``_hits``
+    equals the scalar decision loop over the same rows, and row 0 is
+    decided one way at eta and 2 ulps below it and the other way 2 ulps
+    above it."""
+    problem = plan.problem
+    kind = problem.distance_kind
+    at = rejection_region(
+        problem,
+        Hypothesis.lower_half_line(anchor) if kind.half_line else Hypothesis.point(anchor),
+        plan.level,
+    ).statistic(rows[0])
+    first = []
+    for eta in (_ulps(at, -2), at, _ulps(at, 2)):
+        monkeypatch.setattr(framework, "_radius", lambda *args, eta=eta: eta)
+        decide = _scalar_decision(plan)
+        assert mc._hits([plan], 0, len(rows)) == [sum(map(decide, rows))]
+        first.append(decide(rows[0]))
+    assert first[0] == first[1] != first[2]
+
+
+class TestBoundaryRows:
+    """The block decision is the scalar one on each row, also for rows that
+    sit on eta or a few ulps from it, for constant rows and for rows that
+    make the scalar path raise."""
+
+    @pytest.mark.parametrize("coverage", [False, True], ids=["size", "coverage"])
     @pytest.mark.parametrize("problem,two", _ENTRIES, ids=_ids(_ENTRIES))
-    def test_rows_within_ulps_of_eta_take_the_scalar_path(self, problem, two):
-        truth = _truth(two)
-        hypothesis = _hypothesis(problem, truth)
-        xs, ys = _sample_block(truth, problem.n, problem.m, 3, 0, 60)
-        rows = [_row(xs, ys, i) for i in range(60)]
-        base = rejection_region(problem, hypothesis, 0.05)
-        at = base.statistic(rows[0])
-        for eta in (at, *(float(v) for v in (
-            np.nextafter(np.nextafter(at, math.inf), math.inf),
-            np.nextafter(np.nextafter(at, 0.0), 0.0),
-        ))):
-            region = Region(problem, hypothesis, 0.05, eta)
-            rule = mc._Rule(problem, hypothesis.value, eta, False, region.contains)
-            rule, seen = _spied(rule)
-            assert rule.hits(xs, ys) == sum(region.contains(x) for x in rows)
-            assert rows[0] in seen
-            assert len(seen) < len(rows)
+    def test_rows_at_and_near_eta(self, monkeypatch, problem, two, coverage):
+        truth, reps, seed = _truth(two), 60, 3
+        hypothesis = None if coverage else _hypothesis(problem, truth)
+        plan = ExperimentPlan(problem, truth, 0.05, reps, seed, hypothesis)
+        xs, ys = _sample_block(truth, problem.n, problem.m, seed, 0, reps)
+        rows = _samples(xs, ys)
+        anchor = quantity_value(problem, truth)
+        _decides_at_eta_as_the_scalar_path(monkeypatch, plan, rows, anchor)
 
-    def test_boundary_rows_of_a_constant_sample(self):
-        # Constant rows c put the mean-z statistic exactly at c, so rows
-        # a few ulps either side of eta sit inside the guard band.
-        plan = ExperimentPlan(
-            mean_z(4, 1.0), State(0.0, 1.0), 0.05, 1, 1, Hypothesis.point(0.0)
-        )
-        rule, seen = _spied(mc._Rule.of(plan))
-        values = [rule.eta]
-        for _ in range(3):
-            values = [float(np.nextafter(values[0], 0.0))] + values
-            values.append(float(np.nextafter(values[-1], math.inf)))
-        far = [rule.eta * 0.5, rule.eta * 2.0]
-        xs = np.repeat(np.array(values + far)[:, None], 4, axis=1)
-        assert rule.hits(xs, None) == 4 + 1  # rows at or beyond eta, and 2 * eta
-        assert sorted(x.values[0] for x in seen) == values
+    @pytest.mark.parametrize(
+        "problem", [mean_z(4, 1.0), mean_z_upper(4, 1.0), mean_diff_z(4, 3, 1.0, 1.0),
+                    mean_diff_z_upper(4, 3, 1.0, 1.0)],
+        ids=["mean-z", "mean-z-upper", "diff-means", "diff-means-upper"],
+    )
+    def test_constant_rows_at_and_near_eta(self, monkeypatch, problem):
+        # Constant rows c put the statistic at about |c|, so constant rows
+        # at the statistic of row 0 and a few ulps either side, plus two
+        # far from it, meet every case of the comparison with eta.
+        truth = _truth(problem.two_sample)
+        hypothesis = _hypothesis(problem, truth)
+        plan = ExperimentPlan(problem, truth, 0.05, 9, 1, hypothesis)
+        anchor = hypothesis.value
+        c = anchor + 1.25
+        values = [_ulps(c, k) for k in range(-3, 4)] + [anchor + 0.6, anchor + 2.5]
+        second = None if problem.m is None else (0.0,) * problem.m
+        rows = {i: ((v,) * problem.n, second) for i, v in enumerate(values)}
+        edit = _with_rows(monkeypatch, rows)
+        xs, ys = edit(*_sample_block(truth, problem.n, problem.m, 1, 0, 9))
+        samples = _samples(xs, ys)
+        # Every draw was replaced by a constant row.
+        assert [set(x.values) for x in samples] == [{v} for v in values]
+        _decides_at_eta_as_the_scalar_path(monkeypatch, plan, samples, anchor)
 
     @pytest.mark.parametrize(
         "problem,coverage",
@@ -557,38 +607,78 @@ class TestGuardBand:
             (variance_ratio_upper(10, 10), False),
         ],
     )
-    def test_degenerate_rows_raise_as_the_scalar_path_does(self, problem, coverage):
+    def test_degenerate_rows_raise_as_the_scalar_path_does(
+        self, monkeypatch, problem, coverage
+    ):
         two = problem.two_sample
         truth = _truth(two)
         hypothesis = None if coverage else _hypothesis(problem, truth)
-        plan = ExperimentPlan(problem, truth, 0.9, 1, 1, hypothesis)
-        scalar_rule = mc._Rule.of(plan)
-        rule, seen = _spied(scalar_rule)
-        xs, ys = _sample_block(truth, problem.n, problem.m, 9, 0, 5)
+        plan = ExperimentPlan(problem, truth, 0.9, 5, 9, hypothesis)
         # 0.1 is inexact, so numpy's mean of the constant row is not 0.1.
-        xs[3] = 0.1
-        if two:
-            ys[3] = -7.0
-        with pytest.raises(ValueError) as scalar_error:
-            scalar_rule.scalar(_row(xs, ys, 3))
+        edit = _with_rows(monkeypatch, {3: (0.1, -7.0)})
+        rows = _samples(*edit(*_sample_block(truth, problem.n, problem.m, 9, 0, 5)))
+        assert rows[3].values == (0.1,) * problem.n
+        decide = _scalar_decision(plan)
+        for x in rows[:3]:
+            decide(x)  # the rows before it decide without raising
+        with pytest.raises(ValueError, match="^degenerate sample: ") as scalar_error:
+            decide(rows[3])
+        run = coverage_experiment if coverage else size_experiment
         with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
-            rule.hits(xs, ys)
-        assert len(seen) == 1 and seen[0].values == (0.1,) * problem.n
+            run(plan)
 
-    def test_degenerate_rows_that_decide_take_the_scalar_path(self):
+    def test_a_constant_row_on_var_is_rejected_without_raising(self, monkeypatch):
         # A constant row gives the variance estimate 0: infinitely far in
-        # log scale, so the size path rejects it without raising.
-        problem = variance(10)
+        # log scale, so the size path rejects it.
         plan = ExperimentPlan(
-            problem, State(0.0, 1.0), 0.05, 1, 1, Hypothesis.point(1.0)
+            variance(10), State(0.0, 1.0), 0.05, 5, 9, Hypothesis.point(1.0)
         )
-        scalar_rule = mc._Rule.of(plan)
-        rule, seen = _spied(scalar_rule)
-        xs, _ = _sample_block(State(0.0, 1.0), 10, None, 9, 0, 5)
-        xs[2] = 0.1
-        scalar = sum(scalar_rule.scalar(_row(xs, None, i)) for i in range(5))
-        assert rule.hits(xs, None) == scalar
-        assert [x.values for x in seen] == [(0.1,) * 10]
+        edit = _with_rows(monkeypatch, {2: (0.1, None)})
+        rows = _samples(*edit(*_sample_block(State(0.0, 1.0), 10, None, 9, 0, 5)))
+        region = rejection_region(plan.problem, plan.hypothesis, plan.level)
+        assert region.statistic(rows[2]) == math.inf
+        assert size_experiment(plan).hits == sum(map(region.contains, rows))
+
+
+@pytest.fixture(scope="module")
+def pinned_normals():
+    """Standard normals of 10^5 replications of n = 10 plus m = 7 values."""
+    return mc._std_block(61, 17, 0, 100_000)
+
+
+class TestPositionIndependence:
+    """A row's estimate and statistic do not depend on the rows around it:
+    numpy's row sums, ``einsum`` and ``log`` give a row the same value in
+    any layout and alone, which is what makes the block decision the
+    one-row decision.  That is a property of the numpy build, not a
+    documented guarantee, so a build that breaks it fails here."""
+
+    @pytest.mark.parametrize("problem,two", _ENTRIES, ids=_ids(_ENTRIES))
+    def test_rows_in_any_layout_and_alone(self, pinned_normals, problem, two):
+        truth = _truth(two)
+        z = pinned_normals if two else pinned_normals[:, : problem.n]
+        xs, ys = mc._scale_rows(z, truth, problem.n)
+        anchor = quantity_value(problem, truth)
+
+        def rows(sl):
+            return _Rows(xs[sl].copy()), None if ys is None else _Rows(ys[sl].copy())
+
+        def batched(sl):
+            x, y = rows(sl)
+            e = framework._estimates(problem, x, y)
+            return e, framework._statistic(problem, anchor, x, y)
+
+        e, d = batched(slice(None))
+        assert np.isfinite(d).all()
+        e_rev, d_rev = batched(slice(None, None, -1))
+        assert np.array_equal(e_rev[::-1], e) and np.array_equal(d_rev[::-1], d)
+        blocks = [batched(slice(k, k + 997)) for k in range(0, len(xs), 997)]
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), e)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), d)
+        region = rejection_region(problem, _hypothesis(problem, truth), 0.05)
+        for i, x in enumerate(_samples(xs[::50], None if ys is None else ys[::50])):
+            assert estimate(problem, x) == e[50 * i]
+            assert region.statistic(x) == d[50 * i]
 
 
 # Power grids that move each kind of parameter: mu, sigma, and in the
@@ -659,3 +749,15 @@ class TestSharedDraws:
         )
         with pytest.raises(ValueError, match="same seed"):
             mc._hits([plan, replace(plan, seed=2)], 0, 100)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("problem", [mean_t(10), variance(10)], ids=["mean-t", "var"])
+def test_overflowing_draws_are_a_named_error(problem):
+    truth = State(0.0, 1e308)
+    plan = ExperimentPlan(problem, truth, 0.05, 100, 1, _hypothesis(problem, truth))
+    message = "^sum of the sample values overflows float64$"
+    with pytest.raises(ValueError, match=message):
+        size_experiment(plan)
+    with pytest.raises(ValueError, match=message):
+        coverage_experiment(replace(plan, level=0.95, hypothesis=None))
