@@ -5,10 +5,11 @@ Student-t and Fisher-F families, plus the log-scale interval and tail
 radii that the variance tests calibrate against.
 
 Everything here is computed from scratch: regularized incomplete gamma
-(series + continued fraction) backs the normal/chi-squared CDFs,
-regularized incomplete beta (continued fraction) backs t and F, and
-quantiles come from a safeguarded Newton/bisection inversion.  All
-functions are pure and reentrant.
+(series + continued fraction) backs the normal/chi-squared CDFs, and
+regularized incomplete beta (continued fraction) backs t and F.  One
+safeguarded Newton/bisection inversion, ``_invert``, serves both the
+quantiles (a CDF) and the two-sided log radius (the mass of a log
+interval).  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -287,78 +288,75 @@ def cdf(spec: DistributionSpec, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quantiles
+# Inversion
 # ---------------------------------------------------------------------------
 
 
-def _bracket(spec: DistributionSpec, p: float) -> tuple[float, float]:
-    # Expand geometrically until [lo, hi] encloses the quantile.
-    if spec.kind is Family.NORMAL or spec.kind is Family.STUDENT_T:
-        hi = 2.0
-        while cdf(spec, hi) < p:
-            hi *= 2.0
-            if hi > 1e300:
-                raise ValueError(f"tail underflow inverting p={p!r}")
-        lo = -2.0
-        while cdf(spec, lo) > p:
-            lo *= 2.0
-            if lo < -1e300:
-                raise ValueError(f"tail underflow inverting p={p!r}")
-        return lo, hi
-    hi = float(spec.dof1) if spec.kind is Family.CHI_SQUARED else 4.0
-    while cdf(spec, hi) < p:
+def _invert(f, slope, target: float, lo: float, hi: float) -> float:
+    """The x with f(x) = target, for f nondecreasing with derivative slope.
+
+    [lo, hi] grows outward by doubling until it encloses the root (an end
+    at 0 stays there); Newton steps then run inside it, bisecting whenever
+    a step leaves it.  The stop is a residual within 8e-16 * target or a
+    step within 2e-16 * |x|; ValueError if neither comes in 200 steps.
+    """
+    while f(hi) < target:
         hi *= 2.0
         if hi > 1e300:
-            raise ValueError(f"tail underflow inverting p={p!r}")
-    return 0.0, hi
+            raise ValueError(f"tail underflow inverting p={target!r}")
+    while lo < 0.0 and f(lo) > target:
+        lo *= 2.0
+        if lo < -1e300:
+            raise ValueError(f"tail underflow inverting p={target!r}")
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        r = f(x) - target
+        if r > 0.0:
+            hi = x
+        else:
+            lo = x
+        if abs(r) <= 8.0 * _EPS * target:
+            break
+        try:
+            d = slope(x)
+        except ValueError:
+            d = 0.0
+        if d > 0.0 and math.isfinite(d):
+            nxt = x - r / d
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+        else:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 2.0 * _EPS * abs(nxt):
+            x = nxt
+            break
+        x = nxt
+    else:
+        raise ValueError(f"no convergence inverting p={target!r} in 200 steps")
+    return x
 
 
 def quantile(spec: DistributionSpec, p: float) -> float:
     """Inverse CDF: the x with cdf(spec, x) = p, for p in (0, 1).
 
-    Safeguarded Newton iteration inside a maintained bracket, with
-    bisection whenever the Newton step leaves it.  Residual |cdf(x) - p|
-    is driven to ~1e-15 relative, well inside the 1e-10 contract.
+    ``_invert`` drives the residual |cdf(x) - p| to 8e-16 p: relative
+    precision below p = 1/2, about 1e-15 absolute above it (so the relative
+    error grows as 1 - p shrinks).  Raises ValueError if it cannot.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    lo, hi = _bracket(spec, p)
-    x = 0.5 * (lo + hi)
-    scale = max(p, 1.0 - p)
-    for _ in range(200):
-        f = cdf(spec, x) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) <= 8.0 * _EPS * scale:
-            break
-        try:
-            slope = pdf(spec, x)
-        except ValueError:
-            slope = 0.0
-        if slope > 0.0 and math.isfinite(slope):
-            nxt = x - f / slope
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-        else:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 2.0 * _EPS * max(1.0, abs(nxt)):
-            x = nxt
-            break
-        x = nxt
-    if not math.isfinite(x):
-        raise ValueError(f"tail underflow inverting p={p!r}")
-    return x
+    if spec.kind is Family.NORMAL or spec.kind is Family.STUDENT_T:
+        lo, hi = -2.0, 2.0
+    else:
+        lo, hi = 0.0, float(spec.dof1) if spec.kind is Family.CHI_SQUARED else 4.0
+    return _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), p, lo, hi)
 
 
 def z_alpha(alpha: float, tails: Tails) -> float:
     """Normal critical value: mass alpha/2 per tail (TWO) or alpha in one (ONE)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if tails is Tails.TWO:
-        return quantile(normal(), 1.0 - alpha / 2.0)
-    return quantile(normal(), 1.0 - alpha)
+    return quantile(normal(), 1.0 - alpha / tails.value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +364,16 @@ def z_alpha(alpha: float, tails: Tails) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_interval_mass(spec: DistributionSpec, scale: float, eta: float) -> float:
-    return cdf(spec, scale * math.exp(2.0 * eta)) - cdf(spec, scale * math.exp(-2.0 * eta))
+def _log_scale(dist: DistributionSpec, n: int, alpha: float) -> float:
+    # The scale s of a log-scale radius: n for chi-squared with n - 1 dof,
+    # 1 for F with first dof n - 1.
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if dist.kind is not Family.CHI_SQUARED and dist.kind is not Family.FISHER_F:
+        raise ValueError(f"log-scale radius undefined for {dist.kind.value}")
+    if n < 2 or dist.dof1 != n - 1:
+        raise ValueError(f"expected {dist.kind.value} with first dof {n - 1} for n={n}")
+    return float(n) if dist.kind is Family.CHI_SQUARED else 1.0
 
 
 def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
@@ -376,37 +382,21 @@ def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> 
     For a chi-squared dist the interval is scaled by s = n (and dist must
     be chi-squared with n - 1 dof); for Fisher-F the scale is s = 1 and n
     must match dof1 + 1.  The map eta -> interval mass is strictly
-    increasing from 0 to 1, so bisection on an expanding bracket always
-    converges; the returned eta satisfies the mass equation to < 1e-12.
+    increasing from 0 to 1, with derivative
+    2s (e^(2 eta) f(s e^(2 eta)) + e^(-2 eta) f(s e^(-2 eta))) for the
+    density f, and :func:`quantile`'s Newton solve drives its residual
+    to about 1e-15.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if dist.kind is Family.CHI_SQUARED:
-        if n < 2 or dist.dof1 != n - 1:
-            raise ValueError(f"expected chi-squared with {n - 1} dof for n={n}")
-        scale = float(n)
-    elif dist.kind is Family.FISHER_F:
-        if n < 2 or dist.dof1 != n - 1:
-            raise ValueError(f"expected F with first dof {n - 1} for n={n}")
-        scale = 1.0
-    else:
-        raise ValueError(f"log-interval radius undefined for {dist.kind.value}")
-    target = 1.0 - alpha
-    hi = 0.5
-    while _log_interval_mass(dist, scale, hi) < target:
-        hi *= 2.0
-        if hi > 400.0:
-            raise ValueError("failed to bracket the interval radius")
-    lo = 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if _log_interval_mass(dist, scale, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    s = _log_scale(dist, n, alpha)
+
+    def mass(eta: float) -> float:
+        return cdf(dist, s * math.exp(2.0 * eta)) - cdf(dist, s * math.exp(-2.0 * eta))
+
+    def slope(eta: float) -> float:
+        up, down = s * math.exp(2.0 * eta), s * math.exp(-2.0 * eta)
+        return 2.0 * (up * pdf(dist, up) + down * pdf(dist, down))
+
+    return _invert(mass, slope, 1.0 - alpha, 0.0, 0.5)
 
 
 def upper_tail_log_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
@@ -418,17 +408,5 @@ def upper_tail_log_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
     tests use; for large alpha the defining equation's (negative) root is
     returned as-is.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if dist.kind is Family.CHI_SQUARED:
-        if n < 2 or dist.dof1 != n - 1:
-            raise ValueError(f"expected chi-squared with {n - 1} dof for n={n}")
-        scale = float(n)
-    elif dist.kind is Family.FISHER_F:
-        if n < 2 or dist.dof1 != n - 1:
-            raise ValueError(f"expected F with first dof {n - 1} for n={n}")
-        scale = 1.0
-    else:
-        raise ValueError(f"upper-tail radius undefined for {dist.kind.value}")
-    q = quantile(dist, 1.0 - alpha)
-    return 0.5 * math.log(q / scale)
+    s = _log_scale(dist, n, alpha)
+    return 0.5 * math.log(quantile(dist, 1.0 - alpha) / s)

@@ -167,6 +167,9 @@ def _load_ndtri():
     return _ndtri
 
 
+_Z_MAX = 8.21  # |Phi^-1(2^-53)| = 8.2095... rounded up: no draw has a larger |z|
+
+
 def _std_normal(words: np.ndarray) -> np.ndarray:
     """Phi^-1(u) for u = (2 (w >> 12) + 1) 2^-53, one raw 64-bit word w per
     value: u is exact, symmetric about 1/2 and never 0 or 1, so the extreme

@@ -68,6 +68,7 @@ from .measurement import (
     _Rows,
     _scale_rows,
     _std_block,
+    _Z_MAX,
 )
 
 __all__ = [
@@ -83,7 +84,8 @@ __all__ = [
 class ExperimentPlan:
     """One experiment: a problem, the true state, the level (gamma for
     coverage, alpha for size/power), the replication count and the seed.
-    A hypothesis is present exactly for size and power runs."""
+    A hypothesis is present exactly for size and power runs.  A truth
+    whose draws could overflow float64 is refused."""
 
     problem: TestProblem
     truth: State | TwoSampleState
@@ -99,6 +101,9 @@ class ExperimentPlan:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.problem.two_sample != isinstance(self.truth, TwoSampleState):
             raise ValueError("truth does not match the problem's sample structure")
+        for state in (self.truth.first, self.truth.second) if self.problem.two_sample else (self.truth,):
+            if not math.isfinite(abs(state.mu) + _Z_MAX * state.sigma):
+                raise ValueError(f"draws of {state} overflow float64")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ test_acceptance.py.
 import math
 
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
+from oracles import oracle_symmetric_log_eta
+from semidist import distributions
 from semidist.distributions import (
     DistributionSpec,
     Family,
@@ -131,6 +134,29 @@ class TestQuantile:
                     q, rel=1e-8, abs=1e-8
                 )
 
+    @pytest.mark.parametrize(
+        "spec,law",
+        [
+            (normal(), stats.norm()),
+            (student_t(3), stats.t(3)),
+            (chi_squared(5), stats.chi2(5)),
+            (fisher_f(4, 7), stats.f(4, 7)),
+        ],
+        ids=["z", "t3", "chi2_5", "f4_7"],
+    )
+    @pytest.mark.parametrize("p", [1e-12, 1e-16, 1e-100])
+    def test_lower_tail_relative_precision(self, spec, law, p):
+        assert quantile(spec, p) == pytest.approx(law.ppf(p), rel=1e-13, abs=0.0)
+
+    def test_lower_tail_beyond_reach_is_exact_or_raises(self):
+        # chi-squared(5) at 1e-300 lies near 1e-120: either the exact
+        # quantile or a ValueError, never a plausible wrong number.
+        try:
+            q = quantile(chi_squared(5), 1e-300)
+        except ValueError:
+            return
+        assert q == pytest.approx(stats.chi2(5).ppf(1e-300), rel=1e-13, abs=0.0)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("dof", [1, 5, 19])
@@ -224,3 +250,31 @@ class TestLogIntervalRadii:
             symmetric_log_interval_eta(chi_squared(8), 8, 0.05)
         with pytest.raises(ValueError):
             upper_tail_log_eta(normal(), 10, 0.05)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3])
+    @pytest.mark.parametrize("family", ["chi2", "f"])
+    def test_symmetric_radius_large_n_matches_oracle(self, family, n, alpha):
+        # The quadrature oracle itself drifts for F at alpha <= 1e-4, so the
+        # comparison stops at 1e-3.
+        spec = chi_squared(n - 1) if family == "chi2" else fisher_f(n - 1, n - 1)
+        eta = symmetric_log_interval_eta(spec, n, alpha)
+        assert eta == pytest.approx(oracle_symmetric_log_eta(spec, n, alpha), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [10, 10000])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-8])
+    @pytest.mark.parametrize("family", ["chi2", "f"])
+    def test_symmetric_radius_takes_newton_steps(self, monkeypatch, family, n, alpha):
+        # Bisection to full precision needs 100 or more cdf calls; the
+        # Newton solve needs at most 44 on these points.
+        calls = []
+        real = distributions.cdf
+
+        def counting(spec, x):
+            calls.append(x)
+            return real(spec, x)
+
+        monkeypatch.setattr(distributions, "cdf", counting)
+        spec = chi_squared(n - 1) if family == "chi2" else fisher_f(n - 1, n - 1)
+        symmetric_log_interval_eta(spec, n, alpha)
+        assert 0 < len(calls) <= 50

@@ -751,10 +751,18 @@ class TestSharedDraws:
             mc._hits([plan, replace(plan, seed=2)], 0, 100)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("problem", [mean_t(10), variance(10)], ids=["mean-t", "var"])
 def test_overflowing_draws_are_a_named_error(problem):
-    truth = State(0.0, 1e308)
+    # Draws of mu + z sigma, |z| <= 8.2095, that cannot all be finite are
+    # refused when the plan is built, naming the state.
+    for bad in (State(0.0, 1e308), State(-1.7e308, 1e307)):
+        with pytest.raises(ValueError, match=re.escape(f"draws of {bad} overflow float64")):
+            ExperimentPlan(problem, bad, 0.05, 100, 1, _hypothesis(problem, State(0.0, 1.0)))
+    base = ExperimentPlan(problem, State(0.0, 1.0), 0.05, 100, 1, _hypothesis(problem, State(0.0, 1.0)))
+    with pytest.raises(ValueError, match="overflow float64"):
+        power_curve(base, [State(0.0, 1.0), State(0.0, 1e308)])
+    # Finite draws whose sum overflows still raise the sum's own error.
+    truth = State(1e308, 1.0)
     plan = ExperimentPlan(problem, truth, 0.05, 100, 1, _hypothesis(problem, truth))
     message = "^sum of the sample values overflows float64$"
     with pytest.raises(ValueError, match=message):
