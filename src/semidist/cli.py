@@ -313,7 +313,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     problem = _experiment_problem(name, args)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise CliError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     if args.kind == "coverage":
         plan = montecarlo.ExperimentPlan(
             problem, _experiment_truth(name, args), args.gamma, args.reps, seed
@@ -375,6 +379,51 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float, help="known sd of the second sample")
 
 
+def _add_test_arguments(p: argparse.ArgumentParser, names: dict) -> None:
+    p.add_argument("name", **names)
+    p.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
+    p.add_argument("--null", type=float, required=True, help="null value")
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    _add_nuisance_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _add_ci_arguments(p: argparse.ArgumentParser, names: dict) -> None:
+    p.add_argument("name", **names)
+    p.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
+    p.add_argument("--gamma", type=float, default=0.95, help="confidence level")
+    _add_nuisance_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _add_experiment_arguments(p: argparse.ArgumentParser, names: dict) -> None:
+    p.add_argument("kind", choices=("coverage", "size", "power"))
+    p.add_argument("--test", required=True, **names)
+    p.add_argument("--n", type=int, default=10, help="first sample size")
+    p.add_argument("--m", type=int, help="second sample size (two-sample tests)")
+    p.add_argument("--mu", type=float, default=0.0, help="true mean")
+    p.add_argument("--sd", type=float, default=1.0, help="true sd")
+    p.add_argument("--mu2", type=float, help="true mean, second sample")
+    p.add_argument("--sd2", type=float, help="true sd, second sample")
+    p.add_argument("--gamma", type=float, default=0.95, help="confidence level (coverage)")
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level (size/power)")
+    p.add_argument("--null", type=float, help="null value (size/power)")
+    p.add_argument("--grid", help="comma-separated quantity values (power)")
+    p.add_argument("--reps", type=int, default=10000, help="replications")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    _add_nuisance_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+
+
+# Each subcommand: its help line, the adder of its arguments and its handler.
+_COMMANDS = {
+    "test": ("run a hypothesis test on a data file", _add_test_arguments, _cmd_test),
+    "ci": ("confidence interval from a data file", _add_ci_arguments, _cmd_ci),
+    "experiment": ("Monte Carlo coverage/size/power", _add_experiment_arguments, _cmd_experiment),
+}
+
+
 class _HelpFormatter(argparse.HelpFormatter):
     """argparse's formatter, except that help text never breaks a line
     inside a hyphenated word such as a test name."""
@@ -383,7 +432,20 @@ class _HelpFormatter(argparse.HelpFormatter):
         return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for a call with arguments ``argv``.
+
+    A call only ever parses with the subparser its first argument names, so
+    when ``argv[0]`` is ``test``, ``ci`` or ``experiment`` only that
+    subcommand is registered.  Its choices list is given the fixed metavar
+    ``{test,ci,experiment}``, so the top-level usage line in the errors the
+    top parser prints ("unrecognized arguments") reads as with all three.
+    Any other ``argv`` (``None``, empty, ``-h``, ``--``, an unknown word)
+    registers all three, so its help and errors are argparse's own.
+    Looking at ``argv[0]`` alone is right only while the top parser has no
+    option but ``-h``: then a first argument that names a command is that
+    command.
+    """
     # argparse makes a formatter, and so a terminal-size lookup, for every
     # add_argument; one lookup gives each of them the width it would compute.
     formatter = functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -393,64 +455,30 @@ def build_parser() -> argparse.ArgumentParser:
         "Monte Carlo coverage/size experiments for the normal model.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _COMMANDS:
+        commands = [argv[0]]
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        commands, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     # A metavar lets argparse wrap the names, which it never breaks in a
     # {choice,...} list.
     names = dict(
         choices=tuple(CATALOG), metavar="NAME", help=f"catalog test: {', '.join(CATALOG)}"
     )
-
-    p_test = sub.add_parser(
-        "test", help="run a hypothesis test on a data file", formatter_class=formatter
-    )
-    p_test.add_argument("name", **names)
-    p_test.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
-    p_test.add_argument("--null", type=float, required=True, help="null value")
-    p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    _add_nuisance_flags(p_test)
-    p_test.add_argument("--json", action="store_true", help="emit JSON")
-    p_test.set_defaults(func=_cmd_test)
-
-    p_ci = sub.add_parser(
-        "ci", help="confidence interval from a data file", formatter_class=formatter
-    )
-    p_ci.add_argument("name", **names)
-    p_ci.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
-    p_ci.add_argument("--gamma", type=float, default=0.95, help="confidence level")
-    _add_nuisance_flags(p_ci)
-    p_ci.add_argument("--json", action="store_true", help="emit JSON")
-    p_ci.set_defaults(func=_cmd_ci)
-
-    p_exp = sub.add_parser(
-        "experiment", help="Monte Carlo coverage/size/power", formatter_class=formatter
-    )
-    p_exp.add_argument("kind", choices=("coverage", "size", "power"))
-    p_exp.add_argument("--test", required=True, **names)
-    p_exp.add_argument("--n", type=int, default=10, help="first sample size")
-    p_exp.add_argument("--m", type=int, help="second sample size (two-sample tests)")
-    p_exp.add_argument("--mu", type=float, default=0.0, help="true mean")
-    p_exp.add_argument("--sd", type=float, default=1.0, help="true sd")
-    p_exp.add_argument("--mu2", type=float, help="true mean, second sample")
-    p_exp.add_argument("--sd2", type=float, help="true sd, second sample")
-    p_exp.add_argument("--gamma", type=float, default=0.95, help="confidence level (coverage)")
-    p_exp.add_argument("--alpha", type=float, default=0.05, help="significance level (size/power)")
-    p_exp.add_argument("--null", type=float, help="null value (size/power)")
-    p_exp.add_argument("--grid", help="comma-separated quantity values (power)")
-    p_exp.add_argument("--reps", type=int, default=10000, help="replications")
-    p_exp.add_argument(
-        "--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)"
-    )
-    p_exp.add_argument("--workers", type=int, default=1, help="parallel workers")
-    _add_nuisance_flags(p_exp)
-    p_exp.add_argument("--json", action="store_true", help="emit JSON")
-    p_exp.set_defaults(func=_cmd_experiment)
+    for command in commands:
+        help_line, add_arguments, handler = _COMMANDS[command]
+        p = sub.add_parser(command, help=help_line, formatter_class=formatter)
+        add_arguments(p, names)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

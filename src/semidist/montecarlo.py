@@ -41,6 +41,7 @@ a worker whose process was killed ends itself within a second.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 import time
@@ -84,8 +85,10 @@ __all__ = [
 class ExperimentPlan:
     """One experiment: a problem, the true state, the level (gamma for
     coverage, alpha for size/power), the replication count and the seed.
-    A hypothesis is present exactly for size and power runs.  A truth
-    whose draws could overflow float64 is refused."""
+    A hypothesis is present exactly for size and power runs.  A seed that
+    is not a non-negative integer, more than 2**32 replications (the
+    streams the bulk derivation covers) and a truth whose draws could
+    overflow float64 are refused."""
 
     problem: TestProblem
     truth: State | TwoSampleState
@@ -97,8 +100,10 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 1 <= self.replications <= 1 << 32:
+            raise ValueError(f"replications must lie in 1..2**32, got {self.replications}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.problem.two_sample != isinstance(self.truth, TwoSampleState):
             raise ValueError("truth does not match the problem's sample structure")
         for state in (self.truth.first, self.truth.second) if self.problem.two_sample else (self.truth,):

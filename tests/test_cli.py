@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, JSON schema, and golden
 agreement with direct library calls."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -300,6 +301,26 @@ class TestExperimentCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 77
 
+    @pytest.mark.parametrize(
+        "flags, env, message",
+        [
+            (["--seed", "-3"], None, "seed must be a non-negative integer, got -3"),
+            ([], "abc", "$SEMIDIST_SEED must be an integer, got 'abc'"),
+            ([], "-2", "seed must be a non-negative integer, got -2"),
+            (["--reps", "5000000000"], None, "replications must lie in 1..2**32, got 5000000000"),
+        ],
+    )
+    def test_seed_and_replications_are_checked_before_the_run(
+        self, capsys, monkeypatch, flags, env, message
+    ):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        assert cli.main(["experiment", "coverage", "--test", "mean-t", *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_size_requires_null(self, capsys):
         assert cli.main(["experiment", "size", "--test", "mean-t", "--reps", "10"]) == 2
         assert "--null" in capsys.readouterr().err
@@ -386,12 +407,93 @@ class TestHelp:
         assert widest[60] <= 58 < widest[200] <= 198
 
     def test_python_dash_m_runs_the_cli(self):
-        src = os.path.dirname(os.path.dirname(semidist.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "semidist", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = _python_dash_m(["--help"])
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: semidist ")
+
+
+def _python_dash_m(argv):
+    src = os.path.dirname(os.path.dirname(semidist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "semidist", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+_DATA = "data.csv"
+# Argument lists that parse (abbreviated flags too), print help, or stop in
+# argparse on an unknown word or flag, an extra argument, a bad value or a
+# missing option.
+_PARSER_CORPUS = [
+    ["test", "var", _DATA, "--null", "1", "--json"],
+    ["ci", "var-ratio", _DATA, "--gamma", "0.9", "--sigma", "2"],
+    ["experiment", "coverage", "--test", "mean-t", "--seed", "3"],
+    ["experiment", "size", "--test", "var", "--null", "1", "--reps", "50"],
+    ["experiment", "power", "--test", "mean-z", "--null", "0", "--grid", "0,1"],
+    ["-h"],
+    ["test", "-h"],
+    ["ci", "--help"],
+    ["experiment", "-h"],
+    [],
+    ["nope"],
+    ["--"],
+    ["test", "var", _DATA, "--null", "1", "extra"],
+    ["ci", "mean-t", _DATA, "--bogus"],
+    ["test", "var", _DATA, "--null", "x"],
+    ["test", "var", _DATA],
+    ["test", "var", _DATA, "--nu", "1"],
+    ["experiment", "size", "--tes", "var", "--null", "1"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """Exit code, stdout, stderr and namespace of one parse."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+class TestScopedParser:
+    @pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_scoped_parser_acts_as_the_full_one(self, monkeypatch, capsys, argv):
+        for columns in (60, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            scoped = _parse(cli.build_parser(argv), argv, capsys)
+            assert scoped == _parse(cli.build_parser(), argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, commands",
+        [
+            (["ci", "mean-t", _DATA], ["ci"]),
+            (["experiment", "-h"], ["experiment"]),
+            (["-h", "ci"], ["test", "ci", "experiment"]),
+            (None, ["test", "ci", "experiment"]),
+        ],
+    )
+    def test_only_the_named_command_is_registered(self, argv, commands):
+        parser = cli.build_parser(argv)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == commands
+
+    def test_console_call_scopes_the_parser_from_sys_argv(self, monkeypatch, one_col, capsys):
+        argv = ["test", "var", one_col, "--null", "1", "--json"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        seen = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda a=None: seen.append(a) or build(a))
+        monkeypatch.setattr(sys, "argv", ["semidist", *argv])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == expected
+        assert seen == [argv]
+
+    def test_python_dash_m_prints_what_main_prints(self, one_col, capsys):
+        argv = ["test", "var", one_col, "--null", "1", "--json"]
+        assert cli.main(argv) == 0
+        done = _python_dash_m(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")

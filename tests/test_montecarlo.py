@@ -74,6 +74,18 @@ class TestReports:
         assert report.rate in (0.0, 1.0)
         assert report.hits in (0, 1)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None])
+    def test_seed_that_is_no_non_negative_integer_is_refused(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _coverage_plan(seed=seed)
+
+    def test_replications_beyond_the_streams_are_refused(self):
+        _coverage_plan(reps=1 << 32)  # replications 0 .. 2**32 - 1 have streams
+        for reps in (0, (1 << 32) + 1):
+            with pytest.raises(ValueError, match=re.escape(f"1..2**32, got {reps}")):
+                _coverage_plan(reps=reps)
+
     def test_worker_partition_invariance(self):
         reports = [
             coverage_experiment(_coverage_plan(), workers=w) for w in (1, 2, 3, 5)
