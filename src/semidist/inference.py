@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .distributions import cdf, normal
 from .framework import Hypothesis, HypothesisKind
 from .measurement import State, mu_bar, sigma_bar
 
@@ -238,7 +237,9 @@ def _exceedance(model: GaussianMeanModel, hypothesis: Hypothesis, eps: float) ->
     if eps >= 1.0:
         return 1.0
     r = math.sqrt(-2.0 * math.log(eps))
-    upper = 1.0 - cdf(normal(), r)
+    # The upper normal tail straight from erfc: 1 - cdf(r) would cancel
+    # to a few digits at small alpha.
+    upper = 0.5 * math.erfc(r / math.sqrt(2.0))
     if hypothesis.kind is HypothesisKind.POINT:
         return 2.0 * upper
     return upper

@@ -23,9 +23,10 @@ word count per value varies.)  Because every value costs one word,
 replications with numpy uint64 arithmetic: bulk SeedSequence
 derivation, PCG64 seeding, the 128-bit LCG by jump-ahead doubling and
 the XSL-RR output, then the same word -> normal map as ``sample``.
-``_scale_rows`` turns them into one state's draws with ``sample``'s own
-two roundings, so a block drawn once serves every state with the same
-seed, and ``_sample_block`` (draw, then scale) gives rows equal to
+``_scale_side`` turns the columns of one side (first or second block)
+into one state's draws with ``sample``'s own two roundings, so a block
+drawn once serves every state with the same seed, and ``_sample_block``
+(draw, then ``_scale_rows`` both sides) gives rows equal to
 ``sample(..., rng=stream(seed, j))`` bit for bit.
 
 ``scipy.special`` is imported on the first draw, not with the module.
@@ -337,15 +338,22 @@ def _std_block(seed: int, count: int, start: int, stop: int) -> np.ndarray:
     return z
 
 
+def _scale_side(z: np.ndarray, n: int, side: int, state: State) -> np.ndarray:
+    """One side of rows of standard normals as draws of ``state``: side 0
+    is the first n columns (each replication's first block), side 1 the
+    rest (the second block, two-sample only).  ``z`` is left as it is, so
+    one draw can serve several states."""
+    return _scale(z[:, n:] if side else z[:, :n], state)
+
+
 def _scale_rows(
     z: np.ndarray, state: State | TwoSampleState, n: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Rows of standard normals as draws of ``state``: the first n columns
-    scaled by its first state, the rest (two-sample only) by the second.
-    ``z`` is left as it is, so one block can serve several states."""
+    scaled by its first state, the rest (two-sample only) by the second."""
     if isinstance(state, TwoSampleState):
-        return _scale(z[:, :n], state.first), _scale(z[:, n:], state.second)
-    return _scale(z, state), None
+        return _scale_side(z, n, 0, state.first), _scale_side(z, n, 1, state.second)
+    return _scale_side(z, n, 0, state), None
 
 
 def _sample_block(

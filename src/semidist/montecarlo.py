@@ -11,10 +11,12 @@ probability of a passing implementation below 1e-4.
 Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
 rows, so memory stays bounded at any J.  ``measurement._std_block``
 computes the block's standard normals with array arithmetic, and
-``measurement._scale_rows`` scales them into a (rows, n) array (plus
-(rows, m) for two-sample problems) for each plan.  The framework's
-estimates and semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are
-defined on such arrays, and decide the whole block at once.
+``measurement._scale_side`` scales the columns of one side into a
+(rows, n) array (side 0) or a (rows, m) array (side 1, two-sample only)
+of one state's draws, which ``_Rows`` holds with their estimators.  The
+framework's estimates and semi-distance
+|clamp(g(E(x))) - clamp(g(anchor))| / s are defined on such rows, and
+decide the whole block at once.
 
 A single measured value is a batch of one row, so the block decision is
 the scalar ``Region.contains`` / ``ConfidenceRegion.contains`` decision on
@@ -23,8 +25,14 @@ each row, errors included.
 Shared draws: the points of a power curve share the plan's seed, so
 replication j of every point scales the same standard normals (common
 random numbers, which make the points' rates positively correlated).
-Each block is therefore drawn once and scaled for every point, and a
-pool runs one task per chunk of replications, covering every point.
+Each block is therefore drawn once for every point, and its rows are
+built once per distinct (side, state) and reused by every point whose
+truth has that state on that side: on a two-sample curve from
+``framework.state_with_quantity``, the fixed second sample is scaled and
+estimated once per block, not once per point.  Rows that several points
+read live for one block, and the others only for their one decision, so
+memory stays bounded.  A pool runs one task per chunk of replications,
+covering every point.
 
 Worker pool: a call with ``workers`` > 1 runs its chunks on one
 ``ProcessPoolExecutor`` per process, opened by the first such call and
@@ -45,9 +53,11 @@ import numbers
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import chain
 from multiprocessing.util import Finalize
 from typing import Sequence
 
@@ -67,7 +77,7 @@ from .measurement import (
     TwoSampleState,
     _load_ndtri,
     _Rows,
-    _scale_rows,
+    _scale_side,
     _std_block,
     _Z_MAX,
 )
@@ -81,14 +91,20 @@ __all__ = [
 ]
 
 
+def _sides(truth: State | TwoSampleState) -> tuple[State, ...]:
+    """The states of a truth's sides: the first block's and, two-sample
+    only, the second's."""
+    return (truth.first, truth.second) if isinstance(truth, TwoSampleState) else (truth,)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment: a problem, the true state, the level (gamma for
     coverage, alpha for size/power), the replication count and the seed.
     A hypothesis is present exactly for size and power runs.  A seed that
-    is not a non-negative integer, more than 2**32 replications (the
-    streams the bulk derivation covers) and a truth whose draws could
-    overflow float64 are refused."""
+    is not a non-negative integer, a replication count that is not an
+    integer in 1..2**32 (the streams the bulk derivation covers) and a
+    truth whose draws could overflow float64 are refused."""
 
     problem: TestProblem
     truth: State | TwoSampleState
@@ -100,13 +116,15 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        if not isinstance(self.replications, numbers.Integral):
+            raise ValueError(f"replications must be an integer, got {self.replications!r}")
         if not 1 <= self.replications <= 1 << 32:
             raise ValueError(f"replications must lie in 1..2**32, got {self.replications}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.problem.two_sample != isinstance(self.truth, TwoSampleState):
             raise ValueError("truth does not match the problem's sample structure")
-        for state in (self.truth.first, self.truth.second) if self.problem.two_sample else (self.truth,):
+        for state in _sides(self.truth):
             if not math.isfinite(abs(state.mu) + _Z_MAX * state.sigma):
                 raise ValueError(f"draws of {state} overflow float64")
 
@@ -152,9 +170,8 @@ class _Rule:
         region = rejection_region(problem, plan.hypothesis, plan.level)
         return _Rule(problem, plan.hypothesis.value, region.eta, False)
 
-    def hits(self, xs: np.ndarray, ys: np.ndarray | None) -> int:
-        y = None if ys is None else _Rows(ys)
-        d = _statistic(self.problem, self.anchor, _Rows(xs), y, self.coverage)
+    def hits(self, x: _Rows, y: _Rows | None = None) -> int:
+        d = _statistic(self.problem, self.anchor, x, y, self.coverage)
         hit = d < self.eta if self.coverage else d >= self.eta
         return int(np.count_nonzero(hit))
 
@@ -164,8 +181,9 @@ def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
     regions for a coverage plan, rejections for a size or power plan.
 
     The plans share their seed, so replication j has the same standard
-    normals in all of them: each block is drawn once and scaled for each
-    plan's truth.
+    normals in all of them: each block is drawn once, and the rows of each
+    distinct (side, state) among the plans' truths are scaled and
+    estimated once per block, then decided by every plan that has them.
     """
     if len({(p.seed, p.problem.n, p.problem.m, p.replications) for p in plans}) > 1:
         raise ValueError("plans that share draws must have the same seed, n, m and replications")
@@ -173,11 +191,34 @@ def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
     n, m = first.problem.n, first.problem.m or 0
     rules = [_Rule.of(plan) for plan in plans]
     rows = max(1, _BLOCK_VALUES // (n + m))
+    # Each plan's sides as cache keys.  A key holds mu's sign as well:
+    # State(-0.0, s) == State(0.0, s), but their draws can differ in the
+    # sign of a zero.
+    keys = [
+        [(side, state, math.copysign(1.0, state.mu)) for side, state in enumerate(_sides(p.truth))]
+        for p in plans
+    ]
+    # Only rows that several plans read are kept for the rest of the block;
+    # the others are freed after their one decision.  Keeping every plan's
+    # rows measured no faster than not sharing at all: the block's working
+    # set outgrew the cache.
+    shared = {key for key, count in Counter(chain.from_iterable(keys)).items() if count > 1}
     hits = [0] * len(plans)
     for lo in range(start, stop, rows):
+        # The block's shared rows, dropped before the next block is drawn.
+        built: dict[tuple[int, State, float], _Rows] = {}
         z = _std_block(first.seed, n + m, lo, min(lo + rows, stop))
-        for k, (plan, rule) in enumerate(zip(plans, rules)):
-            hits[k] += rule.hits(*_scale_rows(z, plan.truth, n))
+
+        def rows_of(key: tuple[int, State, float]) -> _Rows:
+            if key in built:
+                return built[key]
+            side_rows = _Rows(_scale_side(z, n, *key[:2]))
+            if key in shared:
+                built[key] = side_rows
+            return side_rows
+
+        for k, rule in enumerate(rules):
+            hits[k] += rule.hits(*map(rows_of, keys[k]))
     return hits
 
 
@@ -238,6 +279,8 @@ def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
     """Hits of each plan (plans as ``_hits`` takes them); when the
     replications are split, the process's worker pool runs one task per
     chunk, each for every plan, and stays open for the next call."""
+    if not isinstance(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     replications = plans[0].replications

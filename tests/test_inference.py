@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from semidist.distributions import Tails, z_alpha
+from semidist import inference
 from semidist.framework import Hypothesis
 from semidist.inference import (
     GaussianMeanModel,
@@ -195,6 +197,18 @@ class TestLrt:
         assert region.radius == pytest.approx(
             z_alpha(0.05, Tails.ONE) / math.sqrt(10), abs=1e-6
         )
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-12])
+    def test_exceedance_is_the_normal_upper_tail(self, alpha):
+        # At alpha = 1e-12, 1 - cdf(r) was 8.9e-5 (relative) off the tail.
+        r = stats.norm.isf(alpha)
+        eps = math.exp(-0.5 * r * r)
+        tail = stats.norm.sf(math.sqrt(-2.0 * math.log(eps)))
+        model = GaussianMeanModel(10, 1.0)
+        half = inference._exceedance(model, Hypothesis.lower_half_line(0.0), eps)
+        point = inference._exceedance(model, Hypothesis.point(0.0), eps)
+        assert math.isclose(half, tail, rel_tol=1e-13)
+        assert point == 2.0 * half
 
     def test_region_grows_with_alpha(self):
         model = GaussianMeanModel(10, 1.0)

@@ -31,6 +31,7 @@ from semidist.framework import (
     mean_z_upper,
     quantity_value,
     rejection_region,
+    state_with_quantity,
     variance,
     variance_ratio,
     variance_ratio_upper,
@@ -43,6 +44,7 @@ from semidist.measurement import (
     TwoSampleState,
     _Rows,
     _sample_block,
+    _scale_rows,
     sample,
     stream,
 )
@@ -85,6 +87,16 @@ class TestReports:
         for reps in (0, (1 << 32) + 1):
             with pytest.raises(ValueError, match=re.escape(f"1..2**32, got {reps}")):
                 _coverage_plan(reps=reps)
+
+    @pytest.mark.parametrize("reps", [100.0, 1.5, "7", None])
+    def test_replications_that_are_no_integer_are_refused(self, reps):
+        message = f"replications must be an integer, got {reps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _coverage_plan(reps=reps)
+
+    def test_numpy_integer_replications_are_accepted(self):
+        plan = _coverage_plan(reps=np.int64(50))
+        assert coverage_experiment(plan) == coverage_experiment(_coverage_plan(reps=50))
 
     def test_worker_partition_invariance(self):
         reports = [
@@ -240,6 +252,19 @@ class TestWorkers:
         with pytest.raises(ValueError, match=message):
             size_experiment(size_plan, workers=workers)
         with pytest.raises(ValueError, match=message):
+            power_curve(size_plan, [State(0.0, 1.0)], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+    def test_workers_that_are_no_integer_are_refused(self, workers):
+        size_plan = ExperimentPlan(
+            mean_t(10), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
+        )
+        message = f"workers must be an integer, got {workers!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            coverage_experiment(_coverage_plan(reps=100), workers=workers)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            size_experiment(size_plan, workers=workers)
+        with pytest.raises(ValueError, match=re.escape(message)):
             power_curve(size_plan, [State(0.0, 1.0)], workers=workers)
 
     def test_power_curve_opens_one_pool(self, monkeypatch, no_pool):
@@ -512,15 +537,19 @@ def _with_rows(monkeypatch, rows):
     values, second block's or None) in place of those replications'
     draws; returns the same edit for a (xs, ys) block of draws."""
 
-    def edit(xs, ys):
-        for i, (x, y) in rows.items():
-            xs[i] = x
-            if ys is not None:
-                ys[i] = y
-        return xs, ys
+    def edit_side(side, values):
+        for i, row in rows.items():
+            if row[side] is not None:
+                values[i] = row[side]
+        return values
 
-    scale = mc._scale_rows
-    monkeypatch.setattr(mc, "_scale_rows", lambda z, state, n: edit(*scale(z, state, n)))
+    def edit(xs, ys):
+        return edit_side(0, xs), None if ys is None else edit_side(1, ys)
+
+    scale = mc._scale_side
+    monkeypatch.setattr(
+        mc, "_scale_side", lambda z, n, side, state: edit_side(side, scale(z, n, side, state))
+    )
     return edit
 
 
@@ -669,7 +698,7 @@ class TestPositionIndependence:
     def test_rows_in_any_layout_and_alone(self, pinned_normals, problem, two):
         truth = _truth(two)
         z = pinned_normals if two else pinned_normals[:, : problem.n]
-        xs, ys = mc._scale_rows(z, truth, problem.n)
+        xs, ys = _scale_rows(z, truth, problem.n)
         anchor = quantity_value(problem, truth)
 
         def rows(sl):
@@ -693,8 +722,16 @@ class TestPositionIndependence:
             assert region.statistic(x) == d[50 * i]
 
 
+def _quantity_grid(problem, base, thetas):
+    """The states of a power curve over the quantity value, as
+    ``state_with_quantity`` moves them: the second state stays fixed."""
+    return [state_with_quantity(problem, base, theta) for theta in thetas]
+
+
 # Power grids that move each kind of parameter: mu, sigma, and in the
-# two-sample case sigma_1, sigma_2 and mu_2.
+# two-sample case sigma_1, sigma_2 and mu_2; grids whose points share
+# their second state; and a grid that repeats states (0.0 and -0.0 are
+# equal states).
 _GRIDS = {
     "mean-z-mu": (
         mean_z(10, 1.5),
@@ -714,12 +751,36 @@ _GRIDS = {
             for s1, mu2, s2 in ((1.0, 0.0, 1.0), (1.5, -2.0, 1.0), (0.7, 3.0, 2.5), (2.0, 0.5, 0.8))
         ],
     ),
+    "var-ratio-upper-quantity": (
+        variance_ratio_upper(50, 50),
+        Hypothesis.lower_half_line(1.0),
+        _quantity_grid(
+            variance_ratio_upper(50, 50),
+            TwoSampleState(State(0.0, 1.0), State(0.0, 1.0)),
+            [1.0 + 0.8 * i / 7 for i in range(8)],
+        ),
+    ),
+    "diff-means-quantity": (
+        mean_diff_z(10, 7, 1.5, 0.5),
+        Hypothesis.point(0.0),
+        _quantity_grid(
+            mean_diff_z(10, 7, 1.5, 0.5),
+            TwoSampleState(State(0.0, 1.5), State(0.3, 0.5)),
+            (-1.0, -0.4, 0.0, 0.5, 1.1),
+        ),
+    ),
+    "repeated-states": (
+        mean_t(10),
+        Hypothesis.point(0.0),
+        [State(0.3, 1.0), State(0.0, 2.0), State(0.3, 1.0), State(-0.0, 2.0)],
+    ),
 }
 
 
 class TestSharedDraws:
-    """A power curve draws each block once and scales it for every grid
-    point; its hits equal a scalar loop over each point's own draws."""
+    """A power curve draws each block once and builds the rows of each
+    distinct (side, state) once per block; its hits equal a scalar loop
+    over each point's own draws."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("grid", sorted(_GRIDS))
@@ -755,12 +816,86 @@ class TestSharedDraws:
         assert [r.hits for r in power_curve(base, grid)] == whole
         assert blocks == [(0, 100), (100, 200), (200, 300), (300, 301)]
 
+    def test_each_distinct_side_is_scaled_and_estimated_once_per_block(self, monkeypatch):
+        problem = variance_ratio_upper(10, 10)
+        second = State(0.5, 2.0)
+        grid = _quantity_grid(problem, TwoSampleState(State(0.0, 1.0), second), (1.0, 1.5, 2.0, 1.5))
+        grid.append(TwoSampleState(State(-0.0, 2.0), second))
+        base = ExperimentPlan(problem, grid[0], 0.05, 301, 37, Hypothesis.lower_half_line(1.0))
+        whole = [r.hits for r in power_curve(base, grid)]
+        blocks, scaled, estimated = [], [], []
+        draw, scale = mc._std_block, mc._scale_side
+
+        class Counting(_Rows):
+            def __init__(self, values):
+                estimated.append(len(blocks))
+                super().__init__(values)
+
+        def spy_draw(*args):
+            blocks.append(args)
+            return draw(*args)
+
+        def spy_scale(z, n, side, state):
+            scaled.append((len(blocks), side, state.mu, math.copysign(1.0, state.mu), state.sigma))
+            return scale(z, n, side, state)
+
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", 2000)
+        monkeypatch.setattr(mc, "_std_block", spy_draw)
+        monkeypatch.setattr(mc, "_scale_side", spy_scale)
+        monkeypatch.setattr(mc, "_Rows", Counting)
+        assert [r.hits for r in power_curve(base, grid)] == whole
+        # Per block: the three first states of the grid, the -0.0 one
+        # apart from its 0.0 twin, and the shared second state once.
+        sides = [
+            (0, 0.0, 1.0, 2.0), (1, 0.5, 1.0, 2.0), (0, 0.0, 1.0, 3.0),
+            (0, 0.0, 1.0, 4.0), (0, -0.0, -1.0, 2.0),
+        ]
+        assert len(blocks) == 4
+        assert scaled == [(b,) + side for b in range(1, 5) for side in sides]
+        assert estimated == [b for b in range(1, 5) for _ in sides]
+
     def test_plans_with_different_seeds_are_refused(self):
         plan = ExperimentPlan(
             mean_z(10, 1.0), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
         )
         with pytest.raises(ValueError, match="same seed"):
             mc._hits([plan, replace(plan, seed=2)], 0, 100)
+
+
+class TestGoldenHits:
+    """Hit counts pinned under stream contract 2: any change to the draws
+    or to the decisions of the catalog's plans fails here.  A new stream
+    contract changes them once, on purpose."""
+
+    _PROBLEMS = [
+        mean_z(10, 1.0), mean_z_upper(10, 1.0), variance(10), variance_upper(10),
+        mean_diff_z(10, 10, 1.0, 1.0), mean_diff_z_upper(10, 10, 1.0, 1.0),
+        variance_ratio(10, 10), variance_ratio_upper(10, 10), mean_t(10), mean_t_upper(10),
+    ]
+    _COVERAGE = [1887, 1901, 1907, 1874, 1909, 1910, 1912, 1904, 1908, 1895]
+    _SIZE = [94, 100, 82, 91, 92, 99, 88, 98, 91, 107]
+    _CURVE = [199, 746, 1658, 2619, 3349, 3745, 3916, 3968]
+
+    def test_catalog_coverage_and_size(self):
+        one = State(0.0, 1.0)
+        coverage, size = [], []
+        for k, problem in enumerate(self._PROBLEMS):
+            truth = TwoSampleState(one, one) if problem.two_sample else one
+            hypothesis = _hypothesis(problem, truth)
+            plan = ExperimentPlan(problem, truth, 0.95, 2000, 1101 + 2 * k)
+            coverage.append(coverage_experiment(plan).hits)
+            plan = ExperimentPlan(problem, truth, 0.05, 2000, 1102 + 2 * k, hypothesis)
+            size.append(size_experiment(plan).hits)
+        assert coverage == self._COVERAGE
+        assert size == self._SIZE
+
+    def test_var_ratio_upper_curve(self):
+        one = State(0.0, 1.0)
+        grid = [TwoSampleState(State(0.0, 1.0 + 0.8 * i / 7), one) for i in range(8)]
+        base = ExperimentPlan(
+            variance_ratio_upper(50, 50), grid[0], 0.05, 4000, 1201, Hypothesis.lower_half_line(1.0)
+        )
+        assert [r.hits for r in power_curve(base, grid)] == self._CURVE
 
 
 @pytest.mark.parametrize("problem", [mean_t(10), variance(10)], ids=["mean-t", "var"])
