@@ -274,6 +274,7 @@ def _report_payload(report: montecarlo.ExperimentReport) -> dict:
         "band": [_json_number(report.band[0]), _json_number(report.band[1])],
         "pass": report.passed,
         "seed": report.seed,
+        "stream_contract": report.stream_contract,
     }
 
 

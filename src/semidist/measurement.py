@@ -8,26 +8,31 @@ standard-deviation scalings) are defined once, on (rows, n) arrays of
 measured values, and a single measured value is a batch of one row.  The
 pushforward probabilities of the mean and SS statistics live here too.
 
-Sampling is stream-based: each (seed, replication) pair deterministically
-derives an independent PCG64 stream (O'Neill 2014), so any partition of
+Sampling is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): each (seed, replication) pair deterministically
+names its own counters of one Philox generator, so any partition of
 replications over workers reproduces the sequential results exactly.
 ``stream`` is the reference for the stream and ``sample`` for the draws.
 
-Stream contract 2 (``STREAM_CONTRACT``): replication j's stream is
-``PCG64(SeedSequence(seed, spawn_key=(j,)))``, and each value takes
-exactly one raw 64-bit word w of it, x = mu + sigma * Phi^-1(u) with
-u = (2 (w >> 12) + 1) 2^-53; the first n words give the first block and
-the next m the second.  (Contract 1 drew with numpy's ziggurat, whose
-word count per value varies.)  Because every value costs one word,
-``_std_block`` computes the standard normals of a whole block of
-replications with numpy uint64 arithmetic: bulk SeedSequence
-derivation, PCG64 seeding, the 128-bit LCG by jump-ahead doubling and
-the XSL-RR output, then the same word -> normal map as ``sample``.
-``_scale_side`` turns the columns of one side (first or second block)
-into one state's draws with ``sample``'s own two roundings, so a block
-drawn once serves every state with the same seed, and ``_sample_block``
-(draw, then ``_scale_rows`` both sides) gives rows equal to
-``sample(..., rng=stream(seed, j))`` bit for bit.
+Stream contract 3 (``STREAM_CONTRACT``): under the key
+``SeedSequence(seed).generate_state(2, uint64)``, value i of replication
+j takes word i mod 4 of the Philox4x64-10 block at counter
+((i // 4) << 64) + j + 1, that is, the next word of
+``Philox(seed).advance(((i // 4) << 64) + j)``.  A word w gives
+x = mu + sigma * Phi^-1(u) with u = (2 (w >> 12) + 1) 2^-53; the first n
+values give the first block and the next m the second.  The counter's low
+64 bits name the replication and the rest the group of four values, so
+2**64 replications have disjoint counters and a replication's values do
+not depend on n + m.  (Contract 1 drew with numpy's ziggurat; contract 2
+gave each replication a PCG64 stream spawned from a SeedSequence.)
+``_std_block`` draws a whole block of replications with numpy's own
+Philox, one ``random_raw`` call per group of four columns, then the same
+word -> normal map as ``sample``.  ``_scale_side`` turns the columns of
+one side (first or second block) into one state's draws with
+``sample``'s own two roundings, so a block drawn once serves every state
+with the same seed, and ``_sample_block`` (draw, then ``_scale_rows``
+both sides) gives rows equal to ``sample(..., rng=stream(seed, j))`` bit
+for bit.
 
 ``scipy.special`` is imported on the first draw, not with the module.
 """
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -64,7 +70,7 @@ Interval = tuple[float, float]
 
 # Version of the mapping from (seed, replication) to draws; see the module
 # docstring.  Any change to it changes every seeded result.
-STREAM_CONTRACT = 2
+STREAM_CONTRACT = 3
 
 
 @dataclass(frozen=True)
@@ -125,29 +131,19 @@ class Sample:
 
 
 def stream(seed: int, replication: int = 0) -> np.random.Generator:
-    """Reproducible generator for one replication, derived from (seed, j).
+    """Reproducible generator for one replication, derived from (seed, j):
+    ``Philox(seed)`` advanced by j, so its counter sits just below
+    replication j's first block.
 
-    Streams for distinct replications are statistically independent and
-    do not depend on the order they are created in.  With ``sample`` it
-    is the reference implementation of the stream contract, which
-    ``_sample_block`` reproduces bit for bit.
+    Replications' counters are disjoint and none depends on the order the
+    streams are created in.  With ``sample`` it is the reference
+    implementation of the stream contract, which ``_sample_block``
+    reproduces bit for bit.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-# numpy's SeedSequence hash constants (uint32 arithmetic, pool of 4 words)
-# and PCG64's 128-bit LCG multiplier (O'Neill 2014).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_LOW32 = np.uint64(_MASK32)
-_SHIFT12, _ONE_BITS = np.uint64(12), np.uint64(0x3FF0000000000000)
-# Values whose words are built at once: small enough that a tile's uint64
-# temporaries stay in cache.
-_TILE_VALUES = 1 << 14
+    replication = operator.index(replication)
+    if not 0 <= replication < 1 << 64:
+        raise ValueError(f"replication must lie in 0..2**64 - 1, got {replication}")
+    return np.random.Generator(np.random.Philox(seed).advance(replication))
 
 
 # scipy.special.ndtri, bound by ``_load_ndtri`` on the first draw: the
@@ -169,6 +165,7 @@ def _load_ndtri():
 
 
 _Z_MAX = 8.21  # |Phi^-1(2^-53)| = 8.2095... rounded up: no draw has a larger |z|
+_SHIFT12, _ONE_BITS = np.uint64(12), np.uint64(0x3FF0000000000000)
 
 
 def _std_normal(words: np.ndarray) -> np.ndarray:
@@ -183,159 +180,36 @@ def _std_normal(words: np.ndarray) -> np.ndarray:
     return (_ndtri or _load_ndtri())(u, out=u)
 
 
-def _mul128(
-    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a * b) mod 2**128 on uint64 (high, low) halves, broadcasting."""
-    shift = np.uint64(32)
-    a0, a1 = a_lo & _LOW32, a_lo >> shift
-    b0, b1 = b_lo & _LOW32, b_lo >> shift
-    p01, p10 = a0 * b1, a1 * b0
-    # High word of a_lo * b_lo from its four 32-bit partial products.
-    mid = ((a0 * b0) >> shift) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = a1 * b1 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
-    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+def _counter_words(bitgen, count: int, rows: int) -> np.ndarray:
+    """Raw words of ``rows`` consecutive replications, ``count`` per
+    replication, as a (rows, count) array, from a bit generator advanced
+    to the counter just below the first replication's.
 
-
-def _add128(
-    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a + b) mod 2**128 on uint64 (high, low) halves, broadcasting."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    # 128-bit Python ints as uint64 (high, low) column vectors.
-    hi = np.array([v >> 64 for v in values], np.uint64)[:, None]
-    lo = np.array([v & _MASK64 for v in values], np.uint64)[:, None]
-    return hi, lo
-
-
-def _jumps(count: int) -> tuple[list[int], list[int]]:
-    """A_h = M^h and C_h = M^(h-1) + ... + 1 (mod 2**128) for h = 1, 2, 4,
-    ... below ``count``: h LCG steps map a state s to A_h s + C_h inc."""
-    a, c = [], []
-    jump, offset, h = _PCG_MULT, 1, 1
-    while h < count:
-        a.append(jump)
-        c.append(offset)
-        offset = (offset * (jump + 1)) & _MASK128
-        jump = (jump * jump) & _MASK128
-        h *= 2
-    return a, c
-
-
-def _pcg_words(
-    hi: np.ndarray,
-    lo: np.ndarray,
-    jumps: tuple[np.ndarray, np.ndarray],
-    offsets: tuple[np.ndarray, np.ndarray],
-    count: int,
-) -> np.ndarray:
-    """PCG64 outputs of ``count`` successive states per stream, as a
-    (count, rows) array: column r is ``random_raw(count)`` of stream r.
-
-    (hi, lo) holds each stream's first stepped state; row k of ``jumps``
-    holds A_h for h = 2^k and row k of ``offsets`` holds C_h * inc per
-    stream, so doubling h fills the rows in log2(count) steps.
+    Each call of ``random_raw`` reads one group of four values for every
+    row (one Philox block per replication), and ``advance`` then moves the
+    counter's high part on to the next group.
     """
-    s_hi = np.empty((count, hi.size), np.uint64)
-    s_lo = np.empty_like(s_hi)
-    s_hi[0], s_lo[0] = hi, lo
-    h = 1
-    for a_hi, a_lo, c_hi, c_lo in zip(*jumps, *offsets):
-        k = min(h, count - h)
-        s_hi[h : h + k], s_lo[h : h + k] = _add128(
-            *_mul128(s_hi[:k], s_lo[:k], a_hi, a_lo), c_hi, c_lo
-        )
-        h *= 2
-    # XSL-RR output: the xor of the halves, rotated right by the top 6 bits.
-    rot = s_hi >> np.uint64(58)
-    x = s_hi ^ s_lo
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-
-
-def _hashmix(
-    values: np.ndarray, hash_const: int, mult: int
-) -> tuple[np.ndarray, int]:
-    # SeedSequence's word hash over an array, with the running hash
-    # constant threaded through as a Python int.
-    values = values ^ np.uint32(hash_const)
-    hash_const = (hash_const * mult) & _MASK32
-    values = values * np.uint32(hash_const)
-    return values ^ (values >> np.uint32(16)), hash_const
-
-
-def _block_seeds(seed: int, start: int, stop: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(j,)).generate_state(4, uint64)`` for
-    j in start..stop-1, as a (rows, 4) array.
-
-    The spawn key is mixed into the seed's pool for the whole block with
-    numpy uint32 arithmetic, and the four state words are generated the
-    same way.
-    """
-    if not 0 <= start <= stop <= 1 << 32:
-        raise ValueError(
-            f"bulk stream derivation covers replications 0 to 2**32 - 1, "
-            f"got {start} to {stop - 1}"
-        )
-    seed = operator.index(seed)
-    pool = [int(w) for w in np.random.SeedSequence(seed).pool]
-    # The pool took 4 hash calls per seed word beyond the first four, on
-    # top of the 16 it always takes; the spawn key's calls come next.
-    words = max(1, -(-seed.bit_length() // 32))
-    calls = 16 + 4 * max(0, words - 4)
-    hash_const = (_INIT_A * pow(_MULT_A, calls, 1 << 32)) & _MASK32
-    key = np.arange(start, stop, dtype=np.uint32)
-    mixed = []
-    for word in pool:
-        hashed, hash_const = _hashmix(key, hash_const, _MULT_A)
-        mixed_word = np.uint32((_MIX_MULT_L * word) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
-        mixed.append(mixed_word ^ (mixed_word >> np.uint32(16)))
-    # generate_state(4, uint64): 8 words cycling over the pool, paired
-    # low word first into 4 uint64 values.
-    hash_const = _INIT_B
-    halves = []
-    for k in range(8):
-        value, hash_const = _hashmix(mixed[k % 4], hash_const, _MULT_B)
-        halves.append(value.astype(np.uint64))
-    return np.stack(
-        [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1
-    )
+    words = np.empty((rows, -(-count // 4) * 4), np.uint64)
+    for g in range(0, count, 4):
+        words[:, g : g + 4] = bitgen.random_raw(4 * rows).reshape(rows, 4)
+        bitgen.advance((1 << 64) - rows)
+    return words[:, :count]
 
 
 def _std_block(seed: int, count: int, start: int, stop: int) -> np.ndarray:
     """Standard normals of replications start..stop-1 as a (rows, count)
     array: row i holds the ``count`` values that ``sample`` scales for
-    replication ``start + i``.
-
-    No generator is built: the block's SeedSequence states are derived in
-    bulk, PCG64's seeding and its 128-bit LCG run on uint64 (high, low)
-    halves, and the raw words go through ``sample``'s own word -> normal
-    map, tile by tile.
+    replication ``start + i``, drawn by numpy's Philox a group of four
+    columns at a time and put through ``sample``'s own word -> normal map.
     """
-    s_hi, s_lo, q_hi, q_lo = _block_seeds(seed, start, stop).T
-    # PCG64 seeding: inc = 2q + 1, state = (inc + s) * M + inc; one more
-    # step gives the state of the first output.
-    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
-    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
-    m_hi, m_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
-    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
-    for _ in range(2):
-        hi, lo = _add128(*_mul128(hi, lo, m_hi, m_lo), inc_hi, inc_lo)
-    a, c = _jumps(count)
-    jumps = _halves(a)
-    offsets = _mul128(inc_hi, inc_lo, *_halves(c))
-
-    rows_total = stop - start
-    z = np.empty((rows_total, count))
-    tiles = -(-rows_total * count // _TILE_VALUES)
-    for t in range(tiles):
-        rows = slice(t * rows_total // tiles, (t + 1) * rows_total // tiles)
-        tile_offsets = (offsets[0][:, rows], offsets[1][:, rows])
-        z[rows] = _std_normal(_pcg_words(hi[rows], lo[rows], jumps, tile_offsets, count)).T
-    return z
+    start, stop = operator.index(start), operator.index(stop)
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(
+            f"replications are the low 64 bits of the Philox counter, "
+            f"so they lie in 0..2**64 - 1, got {start} to {stop - 1}"
+        )
+    bitgen = np.random.Philox(seed).advance(start)
+    return _std_normal(_counter_words(bitgen, count, stop - start))
 
 
 def _scale_side(z: np.ndarray, n: int, side: int, state: State) -> np.ndarray:
@@ -385,9 +259,11 @@ def sample(
     problems).  Deterministic given ``seed``; pass ``rng`` instead to use
     an externally derived stream.
 
-    Each value takes one raw 64-bit word of the stream (the first n words
-    give the first block, the next m the second) through the inverse
-    normal CDF; see ``STREAM_CONTRACT``.
+    Each value takes one raw 64-bit word of the stream through the
+    inverse normal CDF, four words per group with an advance of
+    2**64 - 1 after each (the first n values give the first block, the
+    next m the second); see ``STREAM_CONTRACT``.  ``rng``'s bit generator
+    must have ``advance``.
     """
     if (seed is None) == (rng is None):
         raise ValueError("exactly one of seed and rng must be given")
@@ -395,15 +271,21 @@ def sample(
         raise ValueError(f"n must be >= 1, got {n}")
     if rng is None:
         rng = stream(seed)
+    bitgen = rng.bit_generator
+    if not hasattr(bitgen, "advance"):
+        raise ValueError(
+            f"rng must have a bit generator that can advance, as stream's "
+            f"Philox does, got {type(bitgen).__name__}"
+        )
     if isinstance(state, TwoSampleState):
         if m is None or m < 1:
             raise ValueError(f"two-sample draw needs m >= 1, got {m}")
-        z = _std_normal(rng.bit_generator.random_raw(n + m))
+        z = _std_normal(_counter_words(bitgen, n + m, 1)[0])
         x, y = _scale(z[:n], state.first), _scale(z[n:], state.second)
         return Sample(tuple(x.tolist()), tuple(y.tolist()))
     if m is not None:
         raise ValueError("m is only meaningful for a TwoSampleState")
-    x = _scale(_std_normal(rng.bit_generator.random_raw(n)), state)
+    x = _scale(_std_normal(_counter_words(bitgen, n, 1)[0]), state)
     return Sample(tuple(x.tolist()))
 
 
@@ -418,6 +300,9 @@ def _scale(z: np.ndarray, state: State) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Estimator maps
 # ---------------------------------------------------------------------------
+
+
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 
 class _Rows:
@@ -444,14 +329,27 @@ class _Rows:
 
     @cached_property
     def ss(self) -> np.ndarray:
-        v = self.values
+        v, n = self.values, self.n
         with np.errstate(over="ignore", invalid="ignore"):
             dev = v - self.mean[:, None]
             ss = np.einsum("ij,ij->i", dev, dev)
+            # A rounded mean can leave a constant row off its value; its SS
+            # is set to 0.  Only a row with a small SS needs the exact test:
+            # for n copies of c (n eps < 1/2), a sum in any order and the
+            # division leave the mean within about n eps |mean| / 2 of c, so
+            # each deviation (exact, by Sterbenz) is at most
+            # (n + 2) eps |mean| / 2 plus half a subnormal.  The rounded sum
+            # of their n rounded squares is then below a sixteenth of the
+            # bound, whose slack also covers the bound's own roundings;
+            # n tiny (tiny is the least normal) covers every subnormal
+            # term, and the bound overflows wherever such an SS can.
+            bound = n * (2 * (n + 2) * _EPS) ** 2 * self.mean**2 + n * _TINY
+        near = np.flatnonzero(ss <= bound)
+        if near.size:
+            w = v[near]
+            ss[near[(w == w[:, :1]).all(axis=1)]] = 0.0
         if not np.isfinite(ss).all():
             raise ValueError("sum of squared deviations overflows float64")
-        # A rounded mean leaves a constant row off its value; its SS is 0.
-        ss[(v == v[:, :1]).all(axis=1)] = 0.0
         return ss
 
     @cached_property

@@ -1,16 +1,17 @@
 """Monte Carlo verification of coverage and size.
 
-Stream contract 2 (``measurement.STREAM_CONTRACT``, carried by every
+Stream contract 3 (``measurement.STREAM_CONTRACT``, carried by every
 ``ExperimentReport``): replication j draws exactly
-``sample(truth, n, m, rng=stream(seed, j))``, one PCG64 word per value,
-so reports are reproducible and independent of how the replications are
-partitioned across workers.  Gates use 4-sigma binomial bands around the
-nominal level, clamped to [0, 1], which keeps the false-alarm
-probability of a passing implementation below 1e-4.
+``sample(truth, n, m, rng=stream(seed, j))``, from the Philox counters
+whose low 64 bits are j, so reports are reproducible and independent of
+how the replications are partitioned across workers.  Gates use 4-sigma
+binomial bands around the nominal level, clamped to [0, 1], which keeps
+the false-alarm probability of a passing implementation below 1e-4.
 
 Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
 rows, so memory stays bounded at any J.  ``measurement._std_block``
-computes the block's standard normals with array arithmetic, and
+draws the block's words with numpy's Philox, one call per four columns
+of every row, and maps them to standard normals;
 ``measurement._scale_side`` scales the columns of one side into a
 (rows, n) array (side 0) or a (rows, m) array (side 1, two-sample only)
 of one state's draws, which ``_Rows`` holds with their estimators.  The
@@ -103,8 +104,9 @@ class ExperimentPlan:
     coverage, alpha for size/power), the replication count and the seed.
     A hypothesis is present exactly for size and power runs.  A seed that
     is not a non-negative integer, a replication count that is not an
-    integer in 1..2**32 (the streams the bulk derivation covers) and a
-    truth whose draws could overflow float64 are refused."""
+    integer in 1..2**64 (the replications the low word of Philox's counter
+    tells apart) and a truth whose draws could overflow float64 are
+    refused."""
 
     problem: TestProblem
     truth: State | TwoSampleState
@@ -118,8 +120,8 @@ class ExperimentPlan:
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
         if not isinstance(self.replications, numbers.Integral):
             raise ValueError(f"replications must be an integer, got {self.replications!r}")
-        if not 1 <= self.replications <= 1 << 32:
-            raise ValueError(f"replications must lie in 1..2**32, got {self.replications}")
+        if not 1 <= self.replications <= 1 << 64:
+            raise ValueError(f"replications must lie in 1..2**64, got {self.replications}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.problem.two_sample != isinstance(self.truth, TwoSampleState):

@@ -262,12 +262,13 @@ class TestExperimentCommand:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert list(payload) == ["rate", "hits", "J", "band", "pass", "seed"]
+        assert list(payload) == ["rate", "hits", "J", "band", "pass", "seed", "stream_contract"]
         direct = coverage_experiment(
             ExperimentPlan(mean_t(10), State(0.0, 1.0), 0.95, 500, 9)
         )
         assert payload["hits"] == direct.hits
         assert payload["seed"] == 9
+        assert payload["stream_contract"] == direct.stream_contract == 3
 
     def test_seed_determinism(self, capsys):
         argv = ["experiment", "size", "--test", "var", "--n", "10", "--null", "1",
@@ -307,7 +308,7 @@ class TestExperimentCommand:
             (["--seed", "-3"], None, "seed must be a non-negative integer, got -3"),
             ([], "abc", "$SEMIDIST_SEED must be an integer, got 'abc'"),
             ([], "-2", "seed must be a non-negative integer, got -2"),
-            (["--reps", "5000000000"], None, "replications must lie in 1..2**32, got 5000000000"),
+            (["--reps", str(2**64 + 1)], None, f"replications must lie in 1..2**64, got {2**64 + 1}"),
         ],
     )
     def test_seed_and_replications_are_checked_before_the_run(

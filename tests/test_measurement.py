@@ -1,6 +1,7 @@
 """States, estimator maps, image probabilities and stream sampling."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -9,14 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from semidist import measurement
 from semidist.measurement import (
     STREAM_CONTRACT,
     Sample,
     State,
     TwoSampleState,
-    _add128,
-    _mul128,
     _sample_block,
     _std_normal,
     image_prob_mean,
@@ -88,6 +86,22 @@ class TestEstimators:
         x = (1.0, 2.0, 3.0)
         assert sigma_bar(x) == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
         assert sigma_bar_prime(x) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 10**4])
+    @pytest.mark.parametrize("c", [0.0, 5e-324, -5e-324, 1e-160, 1.0, 1e300])
+    def test_constant_rows_have_zero_ss(self, c, n):
+        # The mean of n copies of c can round off c (1e-160 at 10**4 and
+        # 1e300 at 50 do), and 1e300's deviations from it square to inf.
+        assert ss_bar((c,) * n) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 10**4])
+    @pytest.mark.parametrize("c", [1.0, -3.5, 1e-100, 1e150])
+    def test_a_row_one_ulp_off_constant_keeps_its_ss(self, c, n):
+        values = np.full(n, c)
+        values[n // 2] = np.nextafter(c, math.inf)
+        dev = values - values.sum() / n
+        ss = ss_bar(tuple(values.tolist()))
+        assert ss > 0.0 and ss == np.einsum("i,i->", dev, dev)
 
     def test_degenerate_pair(self):
         assert sigma_bar((3.0, 3.0)) == 0.0
@@ -215,6 +229,53 @@ class TestSampling:
         s = sample(State(0.0, 1.0), n, seed=7)
         assert abs(mu_bar(s.values)) < 4.0 / math.sqrt(n)
 
+    def test_golden_draws(self):
+        # Replications 0-2 of seed 0 at n = 5: a numpy whose Philox or a
+        # scipy whose ndtri gives other values fails here first.
+        golden = [
+            ["-0x1.190340ffe451ep+1", "-0x1.4ceccef525fffp-1", "-0x1.2430aace88f01p-4",
+             "-0x1.55021c1682a2ap+0", "0x1.005e448d8e50fp-1"],
+            ["0x1.04a1f72305994p+1", "-0x1.4f993b6c74bedp-1", "0x1.84cfa88b907afp+0",
+             "-0x1.c16233ca3065dp-1", "-0x1.477443257d714p+0"],
+            ["-0x1.cc479a21f80bcp+0", "-0x1.973657d9f2121p+0", "0x1.8e9d72b28fbc7p-1",
+             "-0x1.e43893c01a185p-4", "0x1.1cc56cb9b05aap+1"],
+        ]
+        for j, values in enumerate(golden):
+            x = sample(State(0.0, 1.0), 5, rng=stream(0, j)).values
+            assert [v.hex() for v in x] == values
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70 + 3])
+    def test_value_i_of_replication_j_is_a_philox_word(self, seed):
+        # Word i mod 4 of the block at counter ((i // 4) << 64) + j + 1.
+        for j in (0, 5, 2**64 - 1):
+            x = sample(State(0.0, 1.0), 9, rng=stream(seed, j)).values
+            for i, value in enumerate(x):
+                bitgen = np.random.Philox(seed).advance(((i // 4) << 64) + j)
+                word = int(bitgen.random_raw(4)[i % 4])
+                u = (2 * (word >> 12) + 1) / 2**53
+                assert value == stats.norm.ppf(u)
+
+    def test_layout_does_not_depend_on_the_value_count(self):
+        one, other = State(0.5, 2.0), State(-1.0, 0.5)
+        for j in (0, 3, 2**40):
+            x = sample(one, 10, rng=stream(9, j)).values
+            assert sample(one, 3, rng=stream(9, j)).values == x[:3]
+            for n, m in ((10, 1), (10, 7), (10, 30)):
+                pair = sample(TwoSampleState(one, other), n, m, rng=stream(9, j))
+                assert pair.values == x
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.SFC64])
+    def test_rng_that_cannot_advance_is_refused(self, bitgen):
+        rng = np.random.Generator(bitgen(3))
+        message = f"rng must have a bit generator that can advance, .* got {bitgen.__name__}"
+        with pytest.raises(ValueError, match=message):
+            sample(State(0.0, 1.0), 3, rng=rng)
+
+    @pytest.mark.parametrize("j", [-1, 2**64])
+    def test_replications_outside_the_counter_are_refused(self, j):
+        with pytest.raises(ValueError, match=re.escape(f"0..2**64 - 1, got {j}")):
+            stream(1, j)
+
     def test_two_sample_blocks_uncorrelated(self):
         state = TwoSampleState(State(0.0, 1.0), State(0.0, 1.0))
         n = 50_000
@@ -270,15 +331,16 @@ class TestBulkStreams:
             assert xs.tobytes() == ref_x.tobytes()
             assert ys.tobytes() == ref_y.tobytes()
 
-    def test_last_one_word_spawn_key(self):
-        j = 2**32 - 1
-        xs, _ = _sample_block(State(0.0, 1.0), 4, None, 11, j, j + 1)
-        ref, _ = self._reference(State(0.0, 1.0), 4, None, 11, j, j + 1)
-        assert xs.tobytes() == ref.tobytes()
+    def test_last_replication(self):
+        j = 2**64 - 1
+        for n in (4, 6):
+            xs, _ = _sample_block(State(0.0, 1.0), n, None, 11, j, j + 1)
+            ref, _ = self._reference(State(0.0, 1.0), n, None, 11, j, j + 1)
+            assert xs.tobytes() == ref.tobytes()
 
-    def test_two_word_spawn_keys_are_refused(self):
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            _sample_block(State(0.0, 1.0), 4, None, 11, 2**32, 2**32 + 1)
+    def test_replications_beyond_the_counter_are_refused(self):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            _sample_block(State(0.0, 1.0), 4, None, 11, 2**64, 2**64 + 1)
 
     def test_empty_block(self):
         xs, ys = _sample_block(State(0.0, 1.0), 4, None, 11, 7, 7)
@@ -286,48 +348,10 @@ class TestBulkStreams:
 
 
 _MASK64 = (1 << 64) - 1
-_EDGES = [0, 1, _MASK64, 1 << 63, (1 << 32) - 1, 1 << 32, 0xFFFFFFFF00000000]
-
-
-def _halves(value):
-    return np.array([value >> 64], np.uint64), np.array([value & _MASK64], np.uint64)
-
-
-def _join(hi, lo):
-    return (int(hi[0]) << 64) | int(lo[0])
 
 
 class TestKernelArithmetic:
-    """The uint64 (high, low) 128-bit helpers against Python ints."""
-
-    @staticmethod
-    def _values():
-        rng = np.random.default_rng(5)
-        random = [int(v) for v in rng.integers(0, 1 << 63, 40, dtype=np.uint64)]
-        return [(h << 64) | lo for h in _EDGES for lo in _EDGES] + [
-            (a << 64) | b for a, b in zip(random[::2], random[1::2])
-        ]
-
-    def test_mul_and_add_match_python_ints(self):
-        values = self._values()
-        a_hi = np.array([v >> 64 for v in values], np.uint64)
-        a_lo = np.array([v & _MASK64 for v in values], np.uint64)
-        mask = (1 << 128) - 1
-        for b in values:
-            b_hi, b_lo = np.uint64(b >> 64), np.uint64(b & _MASK64)
-            hi, lo = _mul128(a_hi, a_lo, b_hi, b_lo)
-            got = [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
-            assert got == [(v * b) & mask for v in values]
-            hi, lo = _add128(a_hi, a_lo, b_hi, b_lo)
-            got = [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
-            assert got == [(v + b) & mask for v in values]
-
-    def test_all_ones_carries(self):
-        ones = (1 << 128) - 1
-        assert _join(*_mul128(*_halves(ones), *_halves(ones))) == 1
-        assert _join(*_add128(*_halves(ones), *_halves(1))) == 0
-        assert _join(*_add128(*_halves(_MASK64), *_halves(1))) == 1 << 64
-        assert _join(*_mul128(*_halves(_MASK64), *_halves(_MASK64))) == _MASK64**2
+    """The word -> normal map."""
 
     def test_extreme_words_give_finite_tails(self):
         z = _std_normal(np.array([0, _MASK64], np.uint64))
@@ -343,10 +367,10 @@ class TestKernelArithmetic:
 
 
 class TestBlockKernel:
-    """Stream contract 2: one raw PCG64 word per value, drawn in bulk."""
+    """Stream contract 3: one Philox word per value, drawn in bulk."""
 
     def test_contract_version(self):
-        assert STREAM_CONTRACT == 2
+        assert STREAM_CONTRACT == 3
 
     @pytest.mark.parametrize("seed", [3, 2**128, 2**128 + 7, 2**200 + 1])
     def test_hundred_values_per_row(self, seed):
@@ -356,10 +380,9 @@ class TestBlockKernel:
         assert xs.tobytes() == ref[0].tobytes()
         assert ys.tobytes() == ref[1].tobytes()
 
-    @pytest.mark.parametrize("n", [1, 7, 100, 5000])
-    def test_block_spanning_several_tiles(self, monkeypatch, n):
-        monkeypatch.setattr(measurement, "_TILE_VALUES", 1000)
-        rows = 3 * 1000 // n + 5
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 100, 5000, 5003])
+    def test_block_of_many_rows(self, n):
+        rows = 3000 // n + 5
         state = State(1.0, 3.0)
         xs, _ = _sample_block(state, n, None, 2**128 + 3, 9, 9 + rows)
         ref, _ = TestBulkStreams._reference(state, n, None, 2**128 + 3, 9, 9 + rows)
@@ -370,7 +393,6 @@ class TestBlockKernel:
             raise AssertionError("the block kernel built a generator")
 
         monkeypatch.setattr(np.random, "Generator", refuse)
-        monkeypatch.setattr(np.random, "PCG64", refuse)
         xs, _ = _sample_block(State(0.0, 1.0), 10, None, 4, 0, 3000)
         assert xs.shape == (3000, 10)
 

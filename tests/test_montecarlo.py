@@ -83,9 +83,9 @@ class TestReports:
             _coverage_plan(seed=seed)
 
     def test_replications_beyond_the_streams_are_refused(self):
-        _coverage_plan(reps=1 << 32)  # replications 0 .. 2**32 - 1 have streams
-        for reps in (0, (1 << 32) + 1):
-            with pytest.raises(ValueError, match=re.escape(f"1..2**32, got {reps}")):
+        _coverage_plan(reps=1 << 64)  # replications 0 .. 2**64 - 1 have counters
+        for reps in (0, (1 << 64) + 1):
+            with pytest.raises(ValueError, match=re.escape(f"1..2**64, got {reps}")):
                 _coverage_plan(reps=reps)
 
     @pytest.mark.parametrize("reps", [100.0, 1.5, "7", None])
@@ -118,7 +118,7 @@ class TestReports:
 
     def test_report_names_its_stream_contract(self):
         report = coverage_experiment(_coverage_plan(reps=20))
-        assert report.stream_contract == STREAM_CONTRACT == 2
+        assert report.stream_contract == STREAM_CONTRACT == 3
 
 
 class TestBands:
@@ -863,18 +863,19 @@ class TestSharedDraws:
 
 
 class TestGoldenHits:
-    """Hit counts pinned under stream contract 2: any change to the draws
+    """Hit counts pinned under stream contract 3: any change to the draws
     or to the decisions of the catalog's plans fails here.  A new stream
-    contract changes them once, on purpose."""
+    contract changes them once, on purpose.  Each count also equals the
+    per-replication loop ``stream`` -> ``sample`` -> ``contains``."""
 
     _PROBLEMS = [
         mean_z(10, 1.0), mean_z_upper(10, 1.0), variance(10), variance_upper(10),
         mean_diff_z(10, 10, 1.0, 1.0), mean_diff_z_upper(10, 10, 1.0, 1.0),
         variance_ratio(10, 10), variance_ratio_upper(10, 10), mean_t(10), mean_t_upper(10),
     ]
-    _COVERAGE = [1887, 1901, 1907, 1874, 1909, 1910, 1912, 1904, 1908, 1895]
-    _SIZE = [94, 100, 82, 91, 92, 99, 88, 98, 91, 107]
-    _CURVE = [199, 746, 1658, 2619, 3349, 3745, 3916, 3968]
+    _COVERAGE = [1897, 1888, 1902, 1891, 1897, 1894, 1881, 1900, 1889, 1899]
+    _SIZE = [105, 89, 111, 94, 91, 101, 99, 90, 127, 93]
+    _CURVE = [206, 735, 1618, 2633, 3371, 3737, 3902, 3971]
 
     def test_catalog_coverage_and_size(self):
         one = State(0.0, 1.0)
