@@ -6,7 +6,8 @@ file, ``ci`` prints the matching confidence interval, and
 The test names, and what each test needs (one or two data columns,
 known sigmas, a positive null), come from ``framework.CATALOG``.
 Decisions always live in the payload; the exit code only distinguishes
-"ran" (0) from "could not run" (2).
+"ran" (0) from "could not run" (2).  A call that names a subcommand builds
+and parses with that subcommand's parser alone (see ``main``).
 
 Data files (``test`` and ``ci``) are UTF-8 text, with or without a byte
 order mark, holding one or two columns of reals.  A row with a comma is
@@ -357,6 +358,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise CliError(f"--grid must be a comma-separated list of reals, got {args.grid!r}")
     if not thetas:
         raise CliError("--grid is empty")
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise CliError(f"--grid values must be finite, got {theta!r}")
     if problem.quantity.positive and any(theta <= 0.0 for theta in thetas):
         raise CliError(f"--grid values must be positive for {name}")
     truth = _experiment_truth(name, args)
@@ -433,53 +437,52 @@ class _HelpFormatter(argparse.HelpFormatter):
         return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for a call with arguments ``argv``.
-
-    A call only ever parses with the subparser its first argument names, so
-    when ``argv[0]`` is ``test``, ``ci`` or ``experiment`` only that
-    subcommand is registered.  Its choices list is given the fixed metavar
-    ``{test,ci,experiment}``, so the top-level usage line in the errors the
-    top parser prints ("unrecognized arguments") reads as with all three.
-    Any other ``argv`` (``None``, empty, ``-h``, ``--``, an unknown word)
-    registers all three, so its help and errors are argparse's own.
-    Looking at ``argv[0]`` alone is right only while the top parser has no
-    option but ``-h``: then a first argument that names a command is that
-    command.
-    """
+def _formatter():
     # argparse makes a formatter, and so a terminal-size lookup, for every
     # add_argument; one lookup gives each of them the width it would compute.
-    formatter = functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    return functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command`` on its own, as ``build_parser`` copies it."""
+    _, add_arguments, handler = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"semidist {command}", formatter_class=_formatter())
+    # A metavar lets argparse wrap the names, which it never breaks in a
+    # {choice,...} list.
+    names = dict(choices=tuple(CATALOG), metavar="NAME", help=f"catalog test: {', '.join(CATALOG)}")
+    add_arguments(parser, names)
+    parser.set_defaults(func=handler, command=command)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: ``semidist`` with its three subcommands."""
     parser = argparse.ArgumentParser(
         prog="semidist",
         description="Catalog hypothesis tests, confidence intervals, and "
         "Monte Carlo coverage/size experiments for the normal model.",
-        formatter_class=formatter,
+        formatter_class=_formatter(),
     )
-    if argv and argv[0] in _COMMANDS:
-        commands = [argv[0]]
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-    else:
-        commands, metavar = list(_COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    # A metavar lets argparse wrap the names, which it never breaks in a
-    # {choice,...} list.
-    names = dict(
-        choices=tuple(CATALOG), metavar="NAME", help=f"catalog test: {', '.join(CATALOG)}"
-    )
-    for command in commands:
-        help_line, add_arguments, handler = _COMMANDS[command]
-        p = sub.add_parser(command, help=help_line, formatter_class=formatter)
-        add_arguments(p, names)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (line, _, _) in _COMMANDS.items():
+        sub.add_parser(command, help=line, parents=[_command_parser(command)], add_help=False,
+                       formatter_class=parser.formatter_class)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    While the top parser has no option but -h, a first argument that names a
+    command is that command, so its parser alone parses the rest.  The full
+    parser parses any other call, and reports what one leaves over."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        alone = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else None
+        args, rest = alone.parse_known_args(argv[1:]) if alone else (None, True)
+        if rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,7 +9,12 @@ Everything here is computed from scratch: regularized incomplete gamma
 regularized incomplete beta (continued fraction) backs t and F.  One
 safeguarded Newton/bisection inversion, ``_invert``, serves both the
 quantiles (a CDF) and the two-sided log radius (the mass of a log
-interval).  All functions are pure and reentrant.
+interval).  Each solve starts next to its root, from a closed form: a
+rational normal quantile (Abramowitz & Stegun 26.2.23), Hill's t quantile
+(CACM Algorithm 396), Wilson & Hilferty's chi-squared, Paulson's
+cube-root F, the lower-tail asymptotes of the incomplete gamma and beta,
+and for the log radius the normal approximation of log chi-squared and
+log F.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -292,64 +297,155 @@ def cdf(spec: DistributionSpec, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _invert(f, slope, target: float, lo: float, hi: float) -> float:
-    """The x with f(x) = target, for f nondecreasing with derivative slope.
+def _invert(f, slope, target: float, x: float, lo: float = -math.inf) -> float:
+    """The x with f(x) = target, for f nondecreasing with derivative slope,
+    from the start x.
 
-    [lo, hi] grows outward by doubling until it encloses the root (an end
-    at 0 stays there); Newton steps then run inside it, bisecting whenever
-    a step leaves it.  The stop is a residual within 8e-16 * target or a
-    step within 2e-16 * |x|; ValueError if neither comes in 200 steps.
+    f is 0 at ``lo``, the lower end of its support.  Each evaluation of f
+    shrinks the bracket (lo, hi) of the root, whose upper end starts
+    unknown (infinite).  The steps are Newton's on the log of the tail the
+    target lies in, log f below 1/2 and log(1 - f) above it (slopes f'/f
+    and -f'/(1 - f)); in a far tail, where f is near exponential or a power,
+    they converge quadratically where Newton on f moves by a fixed fraction.
+    A step that leaves the bracket bisects it, or moves out by max(|x|, 1)
+    while the end on its side is infinite.  The stop is a residual within
+    8e-16 * target, where x takes the Newton step it already has, or a step
+    within 2e-16 * |x|; ValueError if neither comes in 200 steps.
     """
-    while f(hi) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError(f"tail underflow inverting p={target!r}")
-    while lo < 0.0 and f(lo) > target:
-        lo *= 2.0
-        if lo < -1e300:
-            raise ValueError(f"tail underflow inverting p={target!r}")
-    x = 0.5 * (lo + hi)
+    hi = math.inf
     for _ in range(200):
-        r = f(x) - target
-        if r > 0.0:
+        fx = f(x)
+        if fx > target:
             hi = x
         else:
             lo = x
-        if abs(r) <= 8.0 * _EPS * target:
-            break
         try:
             d = slope(x)
         except ValueError:
             d = 0.0
-        if d > 0.0 and math.isfinite(d):
-            nxt = x - r / d
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
+        tail, goal, sign = (fx, target, 1.0) if target < 0.5 else (1.0 - fx, 1.0 - target, -1.0)
+        nxt = math.nan
+        if tail > 0.0 and 0.0 < d < math.inf:
+            nxt = x - sign * math.log(tail / goal) * tail / d
+        if abs(fx - target) <= 8.0 * _EPS * target:
+            # Converged; the last Newton step costs no evaluation of f.
+            return nxt if lo <= nxt <= hi else x
+        if lo < nxt < hi or abs(nxt - x) <= 2.0 * _EPS * abs(nxt):
+            pass  # a Newton step, or one that converges without moving x
+        elif hi == math.inf:
+            nxt = x + max(abs(x), 1.0)
+        elif lo == -math.inf:
+            nxt = x - max(abs(x), 1.0)
         else:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= 2.0 * _EPS * abs(nxt):
-            x = nxt
-            break
+            return nxt
         x = nxt
+    raise ValueError(f"no convergence inverting p={target!r} in 200 steps")
+
+
+def _normal_start(p: float) -> float:
+    """The normal quantile at p to within 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    x = t - (2.515517 + (0.802853 + 0.010328 * t) * t) / (
+        1.0 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t
+    )
+    return x if p > 0.5 else -x
+
+
+def _t_start(p: float, k: int) -> float:
+    """The t quantile at p by Hill's approximation (CACM Algorithm 396, 1970),
+    which is exact for k <= 2."""
+    q = 2.0 * min(p, 1.0 - p)  # the two-tailed probability
+    if k == 1:
+        x = 1.0 / math.tan(0.5 * math.pi * q)
+    elif k == 2:
+        x = math.sqrt(2.0 / (q * (2.0 - q)) - 2.0)
     else:
-        raise ValueError(f"no convergence inverting p={target!r} in 200 steps")
-    return x
+        a = 1.0 / (k - 0.5)
+        b = 48.0 / (a * a)
+        c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+        d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * k
+        y = (d * q) ** (2.0 / k)
+        if y > 0.05 + a:
+            # An expansion about the normal quantile.
+            z = _normal_start(0.5 * q)
+            y = z * z
+            if k < 5:
+                c += 0.3 * (k - 4.5) * (z + 0.6)
+            c += (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + b
+            y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * z
+            y = math.expm1(a * y * y)
+        else:
+            # The far tail.
+            y = (
+                (1.0 / (((k + 6.0) / (k * y) - 0.089 * d - 0.822) * (k + 2.0) * 3.0)
+                 + 0.5 / (k + 4.0)) * y - 1.0
+            ) * (k + 1.0) / (k + 2.0) + 1.0 / y
+        x = math.sqrt(k * y)
+    return x if p > 0.5 else -x
+
+
+def _chi2_start(p: float, k: int) -> float:
+    """The chi-squared quantile at p by Wilson & Hilferty (1931), or, where
+    larger, by the lower-tail bound P(k/2, x/2) <= (x/2)^(k/2) / Gamma(k/2 + 1)."""
+    h = 2.0 / (9.0 * k)
+    cube = k * (1.0 - h + _normal_start(p) * math.sqrt(h)) ** 3
+    return max(cube, 2.0 * math.exp((math.log(p) + math.lgamma(0.5 * k + 1.0)) * 2.0 / k))
+
+
+def _f_start(p: float, d1: int, d2: int) -> float:
+    """The F quantile at p by Paulson's cube-root approximation (1942), or,
+    where that has no root, by the lower tail I_u(a, b) ~ u^a / (a B(a, b))
+    of the incomplete beta, an upper one being one over the lower one of
+    F(d2, d1)."""
+    z = _normal_start(p)
+    h1, h2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
+    a1, a2 = 1.0 - h1, 1.0 - h2
+    disc = a2 * a2 * h1 + a1 * a1 * h2 - z * z * h1 * h2
+    if disc > 0.0:
+        # The root w = x^(1/3) of (a2 w - a1)^2 = z^2 (h2 w^2 + h1) on the
+        # side of z, in the form that does not cancel.
+        root = z * math.sqrt(disc)
+        if z < 0.0:
+            num, den = a1 * a1 - z * z * h1, a1 * a2 - root
+        else:
+            num, den = a1 * a2 + root, a2 * a2 - z * z * h2
+        if num > 0.0 and den > 0.0:
+            return (num / den) ** 3
+    if p > 0.5:
+        return 1.0 / _f_start(1.0 - p, d2, d1)
+    a, b = 0.5 * d1, 0.5 * d2
+    u = math.exp((math.log(p * a) + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / a)
+    return d2 * u / (d1 * (1.0 - u)) if u < 1.0 else 1.0
 
 
 def quantile(spec: DistributionSpec, p: float) -> float:
     """Inverse CDF: the x with cdf(spec, x) = p, for p in (0, 1).
 
-    ``_invert`` drives the residual |cdf(x) - p| to 8e-16 p: relative
-    precision below p = 1/2, about 1e-15 absolute above it (so the relative
-    error grows as 1 - p shrinks).  Raises ValueError if it cannot.
+    ``_invert`` starts from a closed-form approximation and drives the
+    residual |cdf(x) - p| to 8e-16 p: relative precision below p = 1/2,
+    about 1e-15 absolute above it (so the relative error grows as 1 - p
+    shrinks).  Raises ValueError if it cannot.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if spec.kind is Family.NORMAL or spec.kind is Family.STUDENT_T:
-        lo, hi = -2.0, 2.0
+    if spec.kind is Family.NORMAL:
+        x, lo = _normal_start(p), -math.inf
+    elif spec.kind is Family.STUDENT_T:
+        x, lo = _t_start(p, spec.dof1), -math.inf
+    elif spec.kind is Family.CHI_SQUARED:
+        x, lo = _chi2_start(p, spec.dof1), 0.0
     else:
-        lo, hi = 0.0, float(spec.dof1) if spec.kind is Family.CHI_SQUARED else 4.0
-    return _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), p, lo, hi)
+        x, lo = _f_start(p, spec.dof1, spec.dof2), 0.0
+    x = _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), p, x, lo)
+    if p > 0.5 and lo < 0.0:
+        # cdf(x) near 1 is rounded to multiples of 1.1e-16, but the lower
+        # tail cdf(-x) of z and t, the symmetric laws on the whole line, keeps
+        # its relative precision: one Newton step on it puts x where the
+        # upper tail is 1 - p (exact).
+        x += (cdf(spec, -x) - (1.0 - p)) / pdf(spec, x)
+    return x
 
 
 def z_alpha(alpha: float, tails: Tails) -> float:
@@ -396,7 +492,21 @@ def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> 
         up, down = s * math.exp(2.0 * eta), s * math.exp(-2.0 * eta)
         return 2.0 * (up * pdf(dist, up) + down * pdf(dist, down))
 
-    return _invert(mass, slope, 1.0 - alpha, 0.0, 0.5)
+    # Y = log(X / s) / 2 is near normal: log(chi-squared(k) / k) has mean
+    # psi(k/2) - log(k/2) ~ -1/k - 1/(3k^2) and variance psi'(k/2) ~
+    # 2/k + 2/k^2 + 4/(3k^3), and log F is a difference of two such logs.
+    # For Y ~ N(mu, sd^2), P(|Y| <= eta) = 1 - alpha at eta ~ z sd (1 + mu^2 / (2 sd^2)).
+    def moments(k):
+        return -(1.0 + 1.0 / (3.0 * k)) / k, (2.0 + (2.0 + 4.0 / (3.0 * k)) / k) / k
+
+    m1, v1 = moments(dist.dof1)
+    if dist.kind is Family.FISHER_F:
+        m2, v2 = moments(dist.dof2)
+        mu, var = 0.5 * (m1 - m2), 0.25 * (v1 + v2)
+    else:
+        mu, var = 0.5 * (m1 + math.log(dist.dof1 / s)), 0.25 * v1
+    start = -_normal_start(0.5 * alpha) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
+    return _invert(mass, slope, 1.0 - alpha, start, 0.0)
 
 
 def upper_tail_log_eta(dist: DistributionSpec, n: int, alpha: float) -> float:

@@ -494,6 +494,7 @@ def eta_alpha(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _refuse_lost_target(problem, alpha, f"alpha={alpha!r} is too small")
     return _radius(problem, omega, alpha)
 
 
@@ -504,7 +505,22 @@ def eta_gamma(
     identical to eta_alpha at alpha = 1 - gamma (continuous laws)."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
-    return eta_alpha(problem, omega, 1.0 - gamma)
+    alpha = 1.0 - gamma
+    if alpha == 1.0:
+        raise ValueError(
+            f"gamma={gamma!r} is too small for double precision: 1 - gamma rounds to 1"
+        )
+    _refuse_lost_target(problem, alpha, f"gamma={gamma!r} is too close to 1")
+    return _radius(problem, omega, alpha)
+
+
+def _refuse_lost_target(problem: TestProblem, alpha: float, level: str) -> None:
+    # The radius solves for mass 1 - alpha, or 1 - alpha/2 in one tail for
+    # a two-sided quantile; where that rounds to 1 it has no finite root.
+    kind = problem.distance_kind
+    half = "" if kind.half_line or kind.log_scale else "/2"
+    if 1.0 - (alpha / 2.0 if half else alpha) == 1.0:
+        raise ValueError(f"{level} for double precision: 1 - {alpha!r}{half} rounds to 1")
 
 
 # ---------------------------------------------------------------------------

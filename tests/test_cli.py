@@ -1,7 +1,6 @@
 """Command-line interface: parsing, exit codes, JSON schema, and golden
 agreement with direct library calls."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -213,6 +212,38 @@ class TestTestCommand:
         assert cli.main(["test", "mean-t", path, "--null", "0"]) == 2
 
 
+class TestLevelsBeyondDoublePrecision:
+    """A level whose radius solve would target a mass that rounds to 1 is
+    refused with an error naming the level the user gave."""
+
+    @pytest.fixture()
+    def x_file(self, tmp_path):
+        path = tmp_path / "x"
+        path.write_text("1\n2\n3\n4.5\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["test", "var", "--null", "1", "--alpha", "1e-17", "--json"], "alpha=1e-17"),
+            (["test", "mean-t", "--null", "1", "--alpha", "1e-17"], "alpha=1e-17"),
+            (["ci", "mean-t", "--gamma", "1e-300"], "gamma=1e-300"),
+        ],
+    )
+    def test_is_refused_by_name(self, x_file, capsys, argv, named):
+        assert cli.main([*argv[:2], x_file, *argv[2:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} is too small")
+        assert "rounds to 1" in captured.err
+
+    def test_gamma_whose_half_tail_rounds_away_is_refused(self, x_file, capsys):
+        assert cli.main(["ci", "mean-t", x_file, "--gamma", "0.9999999999999999"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: gamma=0.9999999999999999 is too close to 1"
+        )
+
+
 class TestCiCommand:
     def test_json_schema_and_golden_agreement(self, ten_draws, capsys):
         path, x = ten_draws
@@ -337,6 +368,13 @@ class TestExperimentCommand:
         rates = [p["rate"] for p in payloads]
         assert rates[0] < rates[1] < rates[2]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_power_grid_value_must_be_finite(self, capsys, bad):
+        code = cli.main(["experiment", "power", "--test", "var", "--null", "1",
+                         "--grid", f"1,{bad}", "--reps", "10"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --grid values must be finite, got {bad}\n"
+
     def test_power_requires_grid(self, capsys):
         assert cli.main(["experiment", "power", "--test", "mean-z", "--null", "0",
                          "--reps", "10"]) == 2
@@ -433,16 +471,25 @@ _PARSER_CORPUS = [
     ["experiment", "coverage", "--test", "mean-t", "--seed", "3"],
     ["experiment", "size", "--test", "var", "--null", "1", "--reps", "50"],
     ["experiment", "power", "--test", "mean-z", "--null", "0", "--grid", "0,1"],
+    ["test", "var", _DATA, "--null=1", "--json", "--json"],
     ["-h"],
     ["test", "-h"],
     ["ci", "--help"],
     ["experiment", "-h"],
+    ["test", "-h", "extra"],
+    ["test", "var", _DATA, "--null", "1", "--he"],
+    ["-h", "test"],
     [],
+    ["test"],
     ["nope"],
     ["--"],
+    ["test", "--", "var", _DATA, "--null", "1"],
     ["test", "var", _DATA, "--null", "1", "extra"],
+    ["experiment", "coverage", "--test", "mean-t", "a", "b"],
     ["ci", "mean-t", _DATA, "--bogus"],
+    ["test", "nope", _DATA, "--null", "1"],
     ["test", "var", _DATA, "--null", "x"],
+    ["test", "var", _DATA, "--null", "1", "--alpha"],
     ["test", "var", _DATA],
     ["test", "var", _DATA, "--nu", "1"],
     ["experiment", "size", "--tes", "var", "--null", "1"],
@@ -459,42 +506,56 @@ def _parse(parser, argv, capsys):
     return code, captured.out, captured.err, namespace
 
 
-class TestScopedParser:
+class TestCommandParser:
+    @pytest.fixture()
+    def handed(self, monkeypatch):
+        """The namespaces ``main`` hands the commands, which do nothing else."""
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        commands = {name: (line, add, record) for name, (line, add, _) in cli._COMMANDS.items()}
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        return seen
+
     @pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
-    def test_scoped_parser_acts_as_the_full_one(self, monkeypatch, capsys, argv):
-        for columns in (60, 200):
+    def test_main_parses_as_the_full_parser(self, monkeypatch, capsys, handed, argv):
+        for columns in (60, 80, 200):
             monkeypatch.setenv("COLUMNS", str(columns))
-            scoped = _parse(cli.build_parser(argv), argv, capsys)
-            assert scoped == _parse(cli.build_parser(), argv, capsys)
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            got = (code, captured.out, captured.err, handed.pop() if handed else None)
+            assert got == _parse(cli.build_parser(), argv, capsys)
+            assert not handed
 
-    @pytest.mark.parametrize(
-        "argv, commands",
-        [
-            (["ci", "mean-t", _DATA], ["ci"]),
-            (["experiment", "-h"], ["experiment"]),
-            (["-h", "ci"], ["test", "ci", "experiment"]),
-            (None, ["test", "ci", "experiment"]),
-        ],
-    )
-    def test_only_the_named_command_is_registered(self, argv, commands):
-        parser = cli.build_parser(argv)
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == commands
-
-    def test_console_call_scopes_the_parser_from_sys_argv(self, monkeypatch, one_col, capsys):
+    def test_console_call_parses_sys_argv_with_the_command_parser_alone(
+        self, monkeypatch, one_col, capsys
+    ):
         argv = ["test", "var", one_col, "--null", "1", "--json"]
         assert cli.main(argv) == 0
         expected = capsys.readouterr().out
         seen = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda a=None: seen.append(a) or build(a))
+        command_parser = cli._command_parser
+        monkeypatch.setattr(cli, "_command_parser", lambda c: seen.append(c) or command_parser(c))
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("full parser built"))
         monkeypatch.setattr(sys, "argv", ["semidist", *argv])
         assert cli.main() == 0
         assert capsys.readouterr().out == expected
-        assert seen == [argv]
+        assert seen == ["test"]
 
     def test_python_dash_m_prints_what_main_prints(self, one_col, capsys):
         argv = ["test", "var", one_col, "--null", "1", "--json"]
         assert cli.main(argv) == 0
         done = _python_dash_m(argv)
         assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_import_loads_neither_scipy_nor_statistics(self):
+        src = os.path.dirname(os.path.dirname(semidist.__file__))
+        code = "import sys, semidist.cli; print(sorted({'scipy', 'statistics'} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

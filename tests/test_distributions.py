@@ -148,14 +148,45 @@ class TestQuantile:
     def test_lower_tail_relative_precision(self, spec, law, p):
         assert quantile(spec, p) == pytest.approx(law.ppf(p), rel=1e-13, abs=0.0)
 
-    def test_lower_tail_beyond_reach_is_exact_or_raises(self):
-        # chi-squared(5) at 1e-300 lies near 1e-120: either the exact
-        # quantile or a ValueError, never a plausible wrong number.
-        try:
-            q = quantile(chi_squared(5), 1e-300)
-        except ValueError:
-            return
-        assert q == pytest.approx(stats.chi2(5).ppf(1e-300), rel=1e-13, abs=0.0)
+    @pytest.mark.parametrize(
+        "spec, reference",
+        [
+            (normal(), -37.0470962993612),
+            (chi_squared(5), 3.233407780583128e-120),
+            (fisher_f(4, 7), 6.236095644623236e-151),
+        ],
+        ids=["z", "chi2_5", "f4_7"],
+    )
+    def test_lower_tail_beyond_reach_is_exact(self, spec, reference):
+        # References: mpmath at 50 digits, the root in log |x| of the log of
+        # its regularized incomplete gamma or beta; scipy's F ppf is nan here.
+        assert quantile(spec, 1e-300) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "spec, p",
+        [
+            *[(spec, 1e-100) for spec in (normal(), student_t(3), chi_squared(5), fisher_f(4, 7))],
+            *[(spec, 1e-300) for spec in (normal(), chi_squared(5), fisher_f(4, 7))],
+        ],
+        ids=["z-1e-100", "t3-1e-100", "chi2_5-1e-100", "f4_7-1e-100", "z-1e-300", "chi2_5-1e-300",
+             "f4_7-1e-300"],
+    )
+    def test_far_lower_tail_takes_few_cdf_calls(self, monkeypatch, spec, p):
+        # Newton on log F converges quadratically here, where Newton on F
+        # moves by about a fixed fraction a step.
+        calls = []
+        real = distributions.cdf
+        monkeypatch.setattr(distributions, "cdf", lambda s, x: calls.append(x) or real(s, x))
+        quantile(spec, p)
+        assert len(calls) <= 30
+
+    @pytest.mark.parametrize("spec", [normal(), student_t(1), student_t(4), student_t(1000)])
+    @pytest.mark.parametrize("tail", [1e-4, 1e-8, 1e-10])
+    def test_symmetric_upper_tail_is_the_reflected_lower_tail(self, spec, tail):
+        # 1 - p is exact for p > 1/2, and the upper quantile of a symmetric
+        # law is minus the lower one, which has relative precision.
+        p = 1.0 - tail
+        assert quantile(spec, p) == pytest.approx(-quantile(spec, 1.0 - p), rel=1e-13)
 
 
 class TestInvariants:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semidist import distributions, framework
 from semidist.framework import (
     Hypothesis,
     SemiDistance,
@@ -207,6 +208,66 @@ class TestCalibratedRadii:
         closed = eta_alpha(problem, omega, 0.05)
         generic = eta_alpha_generic(problem, omega, 0.05, anchor=hypothesis.value)
         assert generic == pytest.approx(closed, rel=1e-10)
+
+
+    @pytest.mark.parametrize(
+        "problem, alpha, message",
+        [
+            (variance(5), 1e-17, "^alpha=1e-17 is too small .*: 1 - 1e-17 rounds to 1$"),
+            (mean_t(5), 1e-17, "^alpha=1e-17 is too small .*: 1 - 1e-17/2 rounds to 1$"),
+            (mean_z_upper(5, 1.0), 1e-17, ": 1 - 1e-17 rounds to 1$"),
+        ],
+    )
+    def test_alpha_whose_target_rounds_to_1_is_refused(self, problem, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            eta_alpha(problem, None, alpha)
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            (1e-300, "^gamma=1e-300 is too small .*: 1 - gamma rounds to 1$"),
+            (1.0 - 2**-53, "^gamma=0.9999999999999999 is too close to 1 "),
+        ],
+    )
+    def test_gamma_whose_target_rounds_to_1_is_refused(self, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            eta_gamma(mean_z(5, 1.0), None, gamma)
+
+
+# Mean cdf calls per cold radius solve over the grid of cold CLI calls (each
+# entry and its -upper variant x {test, ci} x alpha in _GRID_ALPHAS), per n,
+# when every solve started from a fixed bracket.  The two normal entries
+# shared one figure.
+_GRID_ALPHAS = (0.1, 0.05, 0.01, 1e-4, 1e-8)
+_BRACKET_CDF_CALLS = {
+    "mean-z": (13.3, 13.3, 13.3, 13.3),
+    "diff-means": (13.3, 13.3, 13.3, 13.3),
+    "mean-t": (11.8, 13.1, 15.0, 19.8),
+    "var": (16.5, 14.2, 22.0, 29.7),
+    "var-ratio": (16.9, 13.9, 21.4, 27.6),
+}
+
+
+@pytest.mark.parametrize("column, n", enumerate((5, 30, 1000, 10000)))
+def test_cold_radius_solves_take_half_the_cdf_calls(monkeypatch, column, n):
+    calls = []
+    cdf = distributions.cdf
+    monkeypatch.setattr(distributions, "cdf", lambda spec, x: calls.append(x) or cdf(spec, x))
+    for base, bracket in _BRACKET_CDF_CALLS.items():
+        solves = 0
+        calls.clear()
+        for name in (base, f"{base}-upper"):
+            entry = framework.CATALOG[name]
+            sigmas = {flag: 1.0 for flag in entry.estimator.known_sigmas}
+            m = n if entry.quantity.two_sample else None
+            problem = framework.TestProblem(*entry, n, m, **sigmas)
+            for alpha in _GRID_ALPHAS:
+                for radius, level in ((eta_alpha, alpha), (eta_gamma, 1.0 - alpha)):
+                    framework._radius.cache_clear()
+                    radius(problem, None, level)
+                    solves += 1
+        assert len(calls) / solves <= bracket[column] / 2, base
+    framework._radius.cache_clear()
 
 
 def _rng_samples(problem, seed, count, truth=None):
