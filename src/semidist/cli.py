@@ -6,8 +6,10 @@ file, ``ci`` prints the matching confidence interval, and
 The test names, and what each test needs (one or two data columns,
 known sigmas, a positive null), come from ``framework.CATALOG``.
 Decisions always live in the payload; the exit code only distinguishes
-"ran" (0) from "could not run" (2).  A call that names a subcommand builds
-and parses with that subcommand's parser alone (see ``main``).
+"ran" (0) from "could not run" (2).  One table lists each subcommand's
+arguments.  A plain call is read from it without building argparse; any
+other call, and so every help text, usage line and parse error, goes
+through the full argparse parser built from it (see ``main``).
 
 Data files (``test`` and ``ci``) are UTF-8 text, with or without a byte
 order mark, holding one or two columns of reals.  A row with a comma is
@@ -378,54 +380,50 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=float, help="known population sd (known-sigma mean tests)")
-    parser.add_argument("--sigma1", type=float, help="known sd of the first sample")
-    parser.add_argument("--sigma2", type=float, help="known sd of the second sample")
+# The keywords of argparse's add_argument for each argument a subcommand
+# takes, in the order of its help; the one list of them that both parsers read.
+# A metavar lets argparse wrap the test names, which it never breaks in a
+# {choice,...} list.
+_NAMES = dict(choices=tuple(CATALOG), metavar="NAME", help=f"catalog test: {', '.join(CATALOG)}")
+_FILE_POSITIONALS = ("name", _NAMES), ("data", dict(help="data file (1 or 2 columns, CSV or whitespace)"))
+_NUISANCE = (
+    ("--sigma", dict(type=float, help="known population sd (known-sigma mean tests)")),
+    ("--sigma1", dict(type=float, help="known sd of the first sample")),
+    ("--sigma2", dict(type=float, help="known sd of the second sample")),
+    ("--json", dict(action="store_true", default=False, help="emit JSON")),
+)
 
-
-def _add_test_arguments(p: argparse.ArgumentParser, names: dict) -> None:
-    p.add_argument("name", **names)
-    p.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
-    p.add_argument("--null", type=float, required=True, help="null value")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    _add_nuisance_flags(p)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_ci_arguments(p: argparse.ArgumentParser, names: dict) -> None:
-    p.add_argument("name", **names)
-    p.add_argument("data", help="data file (1 or 2 columns, CSV or whitespace)")
-    p.add_argument("--gamma", type=float, default=0.95, help="confidence level")
-    _add_nuisance_flags(p)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_experiment_arguments(p: argparse.ArgumentParser, names: dict) -> None:
-    p.add_argument("kind", choices=("coverage", "size", "power"))
-    p.add_argument("--test", required=True, **names)
-    p.add_argument("--n", type=int, default=10, help="first sample size")
-    p.add_argument("--m", type=int, help="second sample size (two-sample tests)")
-    p.add_argument("--mu", type=float, default=0.0, help="true mean")
-    p.add_argument("--sd", type=float, default=1.0, help="true sd")
-    p.add_argument("--mu2", type=float, help="true mean, second sample")
-    p.add_argument("--sd2", type=float, help="true sd, second sample")
-    p.add_argument("--gamma", type=float, default=0.95, help="confidence level (coverage)")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level (size/power)")
-    p.add_argument("--null", type=float, help="null value (size/power)")
-    p.add_argument("--grid", help="comma-separated quantity values (power)")
-    p.add_argument("--reps", type=int, default=10000, help="replications")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
-    _add_nuisance_flags(p)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-# Each subcommand: its help line, the adder of its arguments and its handler.
+# Each subcommand: its help line, its handler and its arguments.
 _COMMANDS = {
-    "test": ("run a hypothesis test on a data file", _add_test_arguments, _cmd_test),
-    "ci": ("confidence interval from a data file", _add_ci_arguments, _cmd_ci),
-    "experiment": ("Monte Carlo coverage/size/power", _add_experiment_arguments, _cmd_experiment),
+    "test": ("run a hypothesis test on a data file", _cmd_test, (
+        *_FILE_POSITIONALS,
+        ("--null", dict(type=float, required=True, help="null value")),
+        ("--alpha", dict(type=float, default=0.05, help="significance level")),
+        *_NUISANCE,
+    )),
+    "ci": ("confidence interval from a data file", _cmd_ci, (
+        *_FILE_POSITIONALS,
+        ("--gamma", dict(type=float, default=0.95, help="confidence level")),
+        *_NUISANCE,
+    )),
+    "experiment": ("Monte Carlo coverage/size/power", _cmd_experiment, (
+        ("kind", dict(choices=("coverage", "size", "power"))),
+        ("--test", dict(required=True, **_NAMES)),
+        ("--n", dict(type=int, default=10, help="first sample size")),
+        ("--m", dict(type=int, help="second sample size (two-sample tests)")),
+        ("--mu", dict(type=float, default=0.0, help="true mean")),
+        ("--sd", dict(type=float, default=1.0, help="true sd")),
+        ("--mu2", dict(type=float, help="true mean, second sample")),
+        ("--sd2", dict(type=float, help="true sd, second sample")),
+        ("--gamma", dict(type=float, default=0.95, help="confidence level (coverage)")),
+        ("--alpha", dict(type=float, default=0.05, help="significance level (size/power)")),
+        ("--null", dict(type=float, help="null value (size/power)")),
+        ("--grid", dict(help="comma-separated quantity values (power)")),
+        ("--reps", dict(type=int, default=10000, help="replications")),
+        ("--seed", dict(type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")),
+        ("--workers", dict(type=int, default=1, help="parallel workers")),
+        *_NUISANCE,
+    )),
 }
 
 
@@ -445,14 +443,49 @@ def _formatter():
 
 def _command_parser(command: str) -> argparse.ArgumentParser:
     """The parser of ``command`` on its own, as ``build_parser`` copies it."""
-    _, add_arguments, handler = _COMMANDS[command]
+    _, handler, arguments = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"semidist {command}", formatter_class=_formatter())
-    # A metavar lets argparse wrap the names, which it never breaks in a
-    # {choice,...} list.
-    names = dict(choices=tuple(CATALOG), metavar="NAME", help=f"catalog test: {', '.join(CATALOG)}")
-    add_arguments(parser, names)
+    for name, keywords in arguments:
+        parser.add_argument(name, **keywords)
     parser.set_defaults(func=handler, command=command)
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace the full parser returns for a plain call, read from the
+    command's arguments without argparse; None for any other call.
+
+    A plain call is a command, then exactly its positionals, then only its
+    flags, spelled out; every value passes its type and choices, none starts
+    with '-' (argparse versions read those differently), and no required
+    flag is missing.  Help, abbreviations, '=' forms and '--' are not plain."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    table = dict(arguments)
+    values = {name.lstrip("-"): kw.get("default") for name, kw in arguments}
+    words = iter(argv[1:])
+    try:
+        # A missing positional or value reads as "-", which is refused.
+        for name in [name for name in table if name[0] != "-"]:
+            values[name] = _plain_value(table[name], next(words, "-"))
+        for word in words:
+            if word not in table or word[0] != "-":
+                return None
+            values[word[2:]] = "action" in table[word] or _plain_value(table[word], next(words, "-"))
+    except ValueError:
+        return None
+    if any(kw.get("required") and values[name[2:]] is None for name, kw in arguments):
+        return None
+    return argparse.Namespace(**values, func=handler, command=argv[0])
+
+
+def _plain_value(keywords: dict, word: str):
+    """``word`` as argparse converts it; ValueError where a plain call refuses it."""
+    value = keywords.get("type", str)(word)
+    if word[:1] == "-" or value not in keywords.get("choices", (value,)):
+        raise ValueError(word)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,16 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``); return its exit code.
 
-    While the top parser has no option but -h, a first argument that names a
-    command is that command, so its parser alone parses the rest.  The full
-    parser parses any other call, and reports what one leaves over."""
+    A plain call (see ``_plain_args``) is read from its command's table
+    without argparse.  The full parser parses any other call, and so prints
+    every help text, usage and parse error."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        alone = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else None
-        args, rest = alone.parse_known_args(argv[1:]) if alone else (None, True)
-        if rest:
-            args = build_parser().parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -43,6 +43,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 600
+_MAX_STEPS = 100_000
 
 
 class Family(Enum):
@@ -103,27 +104,49 @@ def fisher_f(dof1: int, dof2: int) -> DistributionSpec:
 # ---------------------------------------------------------------------------
 
 
+def _steps(what: str, x: float, *shapes: float) -> int:
+    """The step cap of a series or continued fraction at ``x`` with shape
+    parameters ``shapes`` (a, or a and b).  Near x = a the incomplete gamma
+    series needs about 8 sqrt(a) terms (580 at a = 5000, 5,493 at a = 5e5);
+    the continued fractions need fewer.  A shape whose cap would pass
+    ``_MAX_STEPS`` (near a = 1e8) is refused before the loop: the loop could
+    run for seconds, and the prefactor exp(a log x - x - lgamma(a)) has lost
+    about a log(a) 1e-16 to rounding there (2e-7 at a = 1e8, 0.2 at 5e13)."""
+    cap = _MAX_ITER + int(10.0 * math.sqrt(max(shapes)))
+    if cap > _MAX_STEPS:
+        raise _unconverged(what, "is out of reach", **dict(zip("ab", shapes)), x=x)
+    return cap
+
+
+def _unconverged(what: str, why: str = "did not converge", **params: float) -> ValueError:
+    named = ", ".join(f"{name}={value!r}" for name, value in params.items())
+    return ValueError(f"{what} {why} for {named}")
+
+
 def _gamma_p_series(a: float, x: float) -> float:
     # Lower series, converges for x < a + 1.
     ap = a
     total = 1.0 / a
     term = total
-    for _ in range(_MAX_ITER):
+    for _ in range(_steps("incomplete gamma series", x, a)):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise _unconverged("incomplete gamma series", a=a, x=x)
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def _gamma_q_cf(a: float, x: float) -> float:
     # Upper-tail continued fraction (modified Lentz), converges for x >= a + 1.
+    steps = _steps("incomplete gamma continued fraction", x, a)
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, steps + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -137,6 +160,8 @@ def _gamma_q_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise _unconverged("incomplete gamma continued fraction", a=a, x=x)
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
@@ -160,7 +185,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    for m in range(1, _steps("incomplete beta continued fraction", x, a, b) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -183,6 +208,8 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise _unconverged("incomplete beta continued fraction", a=a, b=b, x=x)
     return h
 
 
@@ -280,16 +307,39 @@ def cdf(spec: DistributionSpec, x: float) -> float:
             return 0.0
         return _gamma_p(0.5 * spec.dof1, 0.5 * x)
     if spec.kind is Family.STUDENT_T:
-        k = spec.dof1
         if x == 0.0:
             return 0.5
-        tail = 0.5 * _beta_inc(0.5 * k, 0.5, k / (k + x * x), x * x / (k + x * x))
+        tail = _t_tail(spec.dof1, x)
         return 1.0 - tail if x > 0.0 else tail
     d1, d2 = spec.dof1, spec.dof2
     if x <= 0.0:
         return 0.0
     u = d1 * x
     return _beta_inc(0.5 * d1, 0.5 * d2, u / (u + d2), d2 / (u + d2))
+
+
+def _t_tail(k: int, x: float) -> float:
+    """P(T > |x|) for Student t with k dof: I_z(k/2, 1/2) / 2 at
+    z = k/(k + x^2) = r^2/(1 + r^2), r = sqrt(k)/|x|.
+
+    Where x^2 overflows, z < k * 5.6e-309, and z^(k/2)/(k B(k/2, 1/2)), the
+    leading term of I_z(k/2, 1/2) / 2 with relative error O(z), is exact; it
+    is taken in logs, as it may underflow.  A k so large that z is not
+    negligible there is refused."""
+    xx = x * x
+    if xx < math.inf:
+        return 0.5 * _beta_inc(0.5 * k, 0.5, k / (k + xx), xx / (k + xx))
+    log_r = 0.5 * math.log(k) - math.log(abs(x))
+    if log_r > -20.0:
+        raise ValueError(f"Student t tail with {k} dof out of reach at x={x!r}")
+    log_z = 2.0 * log_r - math.log1p(math.exp(2.0 * log_r))
+    return math.exp(
+        0.5 * k * log_z
+        + math.lgamma(0.5 * (k + 1))
+        - math.lgamma(0.5 * k)
+        - 0.5 * math.log(math.pi)
+        - math.log(k)
+    )
 
 
 # ---------------------------------------------------------------------------

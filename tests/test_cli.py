@@ -1,12 +1,14 @@
 """Command-line interface: parsing, exit codes, JSON schema, and golden
 agreement with direct library calls."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semidist
 from semidist import cli
@@ -462,15 +464,26 @@ def _python_dash_m(argv):
 
 
 _DATA = "data.csv"
-# Argument lists that parse (abbreviated flags too), print help, or stop in
-# argparse on an unknown word or flag, an extra argument, a bad value or a
-# missing option.
-_PARSER_CORPUS = [
+# Plain calls of every command, which ``main`` reads without argparse.
+_PLAIN = [
     ["test", "var", _DATA, "--null", "1", "--json"],
+    ["test", "mean-z", _DATA, "--sigma", "2", "--null", "nan", "--alpha", "0.1", "--alpha", "0.2"],
+    ["test", "var", "", "--null", "1"],
     ["ci", "var-ratio", _DATA, "--gamma", "0.9", "--sigma", "2"],
+    ["ci", "diff-means", _DATA, "--sigma1", "1", "--sigma2", "2", "--json", "--json"],
     ["experiment", "coverage", "--test", "mean-t", "--seed", "3"],
     ["experiment", "size", "--test", "var", "--null", "1", "--reps", "50"],
     ["experiment", "power", "--test", "mean-z", "--null", "0", "--grid", "0,1"],
+    ["experiment", "power", "--test", "var-ratio", "--n", "8", "--m", "9", "--mu", "0.5",
+     "--sd", "2", "--mu2", "1", "--sd2", "3", "--gamma", "0.9", "--alpha", "0.1", "--null",
+     "1", "--grid", "1,2", "--reps", "20", "--seed", "4", "--workers", "2", "--sigma", "1",
+     "--sigma1", "1", "--sigma2", "2", "--json"],
+]
+# Argument lists that argparse alone reads: abbreviated or '=' flags, values
+# that start with '-', flags before positionals, help, and every way to stop
+# in argparse on an unknown word or flag, an extra argument, a bad value or a
+# missing option.
+_PARSER_CORPUS = _PLAIN + [
     ["test", "var", _DATA, "--null=1", "--json", "--json"],
     ["-h"],
     ["test", "-h"],
@@ -493,17 +506,71 @@ _PARSER_CORPUS = [
     ["test", "var", _DATA],
     ["test", "var", _DATA, "--nu", "1"],
     ["experiment", "size", "--tes", "var", "--null", "1"],
+    ["test", "var", _DATA, "--null", "-1"],
+    ["test", "var", _DATA, "--null", "-.5"],
+    ["test", "var", _DATA, "--null", "-inf"],
+    ["test", "var", _DATA, "--null", "--json"],
+    ["test", "--null", "1", "var", _DATA],
+    ["experiment", "--test", "var", "size", "--null", "1"],
+    ["test", "var", _DATA, "--null", "1", "--alpha", "x", "--alpha", "0.2"],
+    ["test", "var", "-data.csv", "--null", "1"],
+    ["ci", "mean-z", _DATA, "--sigma=2"],
+    ["ci", "mean-z", _DATA, "--sig", "2"],
+    ["experiment", "coverage", "--test", "mean-t", "--n", "1.5"],
+    ["experiment", "spread", "--test", "mean-t"],
+    ["experiment", "size", "--test", "mean-w", "--null", "1"],
+    ["experiment", "coverage"],
+    ["ci", "var", _DATA, "data", _DATA],
 ]
 
 
 def _parse(parser, argv, capsys):
     """Exit code, stdout, stderr and namespace of one parse."""
     try:
-        namespace, code = vars(parser.parse_args(argv)), 0
+        namespace, code = _comparable(parser.parse_args(argv)), 0
     except SystemExit as exc:
         namespace, code = None, exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err, namespace
+
+
+def _comparable(args):
+    """A namespace's attributes, with floats by their repr so nan equals nan."""
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(args).items()}
+
+
+# Words to build argument lists from: every command, positional and flag,
+# values of each type, and the shapes argparse alone reads.
+_WORDS = [
+    *cli._COMMANDS, "coverage", "size", "power", "var", "mean-z", "var-ratio", "nope",
+    _DATA, "", "-data.csv", "1", "0.5", "nan", "x", "1,2", "-1", "-.5", "-inf",
+    "--sigma=2", "--sig", "--he", "-h", "--help", "--", "--bogus",
+    *sorted({name for _, _, table in cli._COMMANDS.values() for name, _ in table}),
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, its positionals, its required flags and some others, with
+    values that mostly pass their type and choices, and now and then a stray
+    word anywhere."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, table = cli._COMMANDS[command]
+    positionals = [arg for arg in table if arg[0][0] != "-"]
+    flags = [arg for arg in table if arg[0][0] == "-"]
+    required = [arg for arg in flags if arg[1].get("required") and draw(st.integers(0, 5))]
+    argv = [command]
+    for name, keywords in [*positionals, *required, *draw(st.lists(st.sampled_from(flags), max_size=4))]:
+        if name[0] == "-":
+            argv.append(name)
+            if "action" in keywords:
+                continue
+        values = {float: ["1", "0.5", "nan", "-1", "x"], int: ["1", "3", "-1", "1.5"]}
+        pool = values.get(keywords.get("type")) or [*keywords.get("choices", [_DATA, "0,1"])[:3], ""]
+        argv.append(draw(st.sampled_from([*pool, "-x"])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_WORDS)))
+    return argv
 
 
 class TestCommandParser:
@@ -513,10 +580,10 @@ class TestCommandParser:
         seen = []
 
         def record(args):
-            seen.append(vars(args))
+            seen.append(args)
             return 0
 
-        commands = {name: (line, add, record) for name, (line, add, _) in cli._COMMANDS.items()}
+        commands = {name: (line, record, table) for name, (line, _, table) in cli._COMMANDS.items()}
         monkeypatch.setattr(cli, "_COMMANDS", commands)
         return seen
 
@@ -526,24 +593,34 @@ class TestCommandParser:
             monkeypatch.setenv("COLUMNS", str(columns))
             code = cli.main(argv)
             captured = capsys.readouterr()
-            got = (code, captured.out, captured.err, handed.pop() if handed else None)
+            got = (code, captured.out, captured.err, _comparable(handed.pop()) if handed else None)
             assert got == _parse(cli.build_parser(), argv, capsys)
             assert not handed
 
-    def test_console_call_parses_sys_argv_with_the_command_parser_alone(
-        self, monkeypatch, one_col, capsys
-    ):
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+    @given(argv=_argvs())
+    def test_generated_calls_parse_as_the_full_parser(self, capsys, handed, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        got = (code, captured.out, captured.err, _comparable(handed.pop()) if handed else None)
+        assert got == _parse(cli.build_parser(), argv, capsys)
+        assert not handed
+
+    @pytest.mark.parametrize("argv", _PLAIN, ids=" ".join)
+    def test_plain_calls_build_no_parser(self, monkeypatch, handed, argv):
+        expected = _comparable(cli.build_parser().parse_args(argv))
+        monkeypatch.setattr(argparse, "ArgumentParser", lambda *a, **k: pytest.fail("parser built"))
+        assert cli.main(argv) == 0
+        assert [_comparable(args) for args in handed] == [expected]
+
+    def test_console_call_reads_sys_argv_without_argparse(self, monkeypatch, one_col, capsys):
         argv = ["test", "var", one_col, "--null", "1", "--json"]
         assert cli.main(argv) == 0
         expected = capsys.readouterr().out
-        seen = []
-        command_parser = cli._command_parser
-        monkeypatch.setattr(cli, "_command_parser", lambda c: seen.append(c) or command_parser(c))
-        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("full parser built"))
+        monkeypatch.setattr(argparse, "ArgumentParser", lambda *a, **k: pytest.fail("parser built"))
         monkeypatch.setattr(sys, "argv", ["semidist", *argv])
         assert cli.main() == 0
         assert capsys.readouterr().out == expected
-        assert seen == ["test"]
 
     def test_python_dash_m_prints_what_main_prints(self, one_col, capsys):
         argv = ["test", "var", one_col, "--null", "1", "--json"]

@@ -189,6 +189,96 @@ class TestQuantile:
         assert quantile(spec, p) == pytest.approx(-quantile(spec, 1.0 - p), rel=1e-13)
 
 
+class TestLargeDof:
+    """Chi-squared at 10^5 and 10^6 dof, where the incomplete gamma series
+    needs thousands of terms near x = a, its switch to the continued fraction."""
+
+    @pytest.mark.parametrize("dof", [10**5, 10**6])
+    @pytest.mark.parametrize("p", [0.025, 0.5, 0.975])
+    def test_chi2_quantile(self, dof, p):
+        assert quantile(chi_squared(dof), p) == pytest.approx(stats.chi2.ppf(p, dof), rel=1e-9)
+
+    @pytest.mark.parametrize("dof", [10**5, 10**6])
+    def test_chi2_cdf_is_continuous_where_the_series_meets_the_fraction(self, dof):
+        x = dof + 2.0  # the switch, a + 1 = dof/2 + 1, in chi-squared units
+        below, above = (cdf(chi_squared(dof), x * (1.0 + s * 1e-12)) for s in (-1, 1))
+        # The rounding of exp(a log x - lgamma(a)) is about 1e-9 at a = 5e5;
+        # a truncated series once made this step 0.2.
+        assert abs(above - below) < 5e-9
+        for side in (below, above):
+            assert side == pytest.approx(stats.chi2.cdf(x, dof), abs=5e-9)
+
+    @pytest.mark.parametrize(
+        "spec, x, message",
+        [
+            (chi_squared(10), 8.0, r"incomplete gamma series did not converge for a=5\.0, x=4\.0"),
+            (chi_squared(10), 20.0, r"incomplete gamma continued fraction did not converge for a=5\.0, x=10\.0"),
+            (student_t(5), 1.0, r"incomplete beta continued fraction did not converge for a=0\.5, b=2\.5, x=0\.16"),
+        ],
+        ids=["gamma-series", "gamma-fraction", "beta-fraction"],
+    )
+    def test_unconverged_expansion_raises_naming_its_parameters(self, monkeypatch, spec, x, message):
+        monkeypatch.setattr(distributions, "_steps", lambda what, x, *shapes: 2)
+        with pytest.raises(ValueError, match=message):
+            cdf(spec, x)
+
+    @pytest.mark.parametrize(
+        "spec, x, message",
+        [
+            (chi_squared(10**14), 0.5e14, r"incomplete gamma series is out of reach for a=50000000000000\.0, x=25000000000000\.0"),
+            (chi_squared(10**14), 2e14, r"incomplete gamma continued fraction is out of reach for a=50000000000000\.0, x=100000000000000\.0"),
+            (chi_squared(10**300), 1e300, r"incomplete gamma continued fraction is out of reach for a=5e\+299"),
+            (fisher_f(10**9, 10**9), 1.0, r"incomplete beta continued fraction is out of reach for a=500000000\.0"),
+            (student_t(10**9), 1.0, r"incomplete beta continued fraction is out of reach for a=0\.5, b=500000000\.0"),
+        ],
+        ids=["gamma-series", "gamma-fraction", "gamma-1e300", "beta-f", "beta-t"],
+    )
+    def test_shape_beyond_the_step_ceiling_is_refused(self, spec, x, message):
+        # Near a = 1e8 the step cap reaches its ceiling; larger shapes are
+        # refused before any step, as the prefactor's rounding error, about
+        # a log(a) 1e-16, is no longer small there.
+        with pytest.raises(ValueError, match=message):
+            cdf(spec, x)
+        with pytest.raises(ValueError, match="is out of reach"):
+            quantile(spec, 0.5)
+
+    def test_shape_below_the_step_ceiling_is_solved(self):
+        assert cdf(chi_squared(10**8), 10**8) == pytest.approx(stats.chi2.cdf(10**8, 10**8), rel=1e-6)
+
+
+class TestStudentTFarTail:
+    """|x| beyond 1.34e154, where x^2 overflows."""
+
+    @pytest.mark.parametrize(
+        "k, x, want",
+        [
+            # 50 digits of P(T > x) = I_z(k/2, 1/2) / 2, z = k/(k + x^2), from
+            # mpmath's regularized betainc, rounded to double.
+            (1, 1e160, 3.1830988618379067e-161),
+            (1, 1e300, 3.1830988618379065e-301),
+            (2, 1e160, 5e-321),
+            (2, 1e300, 0.0),
+            (3, 1e160, 0.0),
+            (3, 1e300, 0.0),
+        ],
+    )
+    def test_cdf_matches_mpmath(self, k, x, want):
+        # Relative 1e-12, or one step apart where the tail is subnormal.
+        assert abs(cdf(student_t(k), -x) - want) <= 1e-12 * want + 2.0**-1074
+        assert cdf(student_t(k), x) == 1.0
+
+    @pytest.mark.parametrize("x", [1e160, 1e200, 1e300])
+    def test_cauchy_cdf_is_the_closed_form(self, x):
+        assert cdf(student_t(1), -x) == pytest.approx(math.atan(1.0 / x) / math.pi, rel=1e-12, abs=0.0)
+
+    def test_cauchy_quantile_far_below(self):
+        assert quantile(student_t(1), 1e-300) == pytest.approx(-1.0 / (math.pi * 1e-300), rel=1e-12)
+
+    def test_dof_too_large_for_the_leading_term_is_refused(self):
+        with pytest.raises(ValueError, match=r"x=2e\+154"):
+            cdf(student_t(10**300), 2e154)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("dof", [1, 5, 19])
     def test_chi2_density_mass_and_mean(self, dof):
