@@ -5,11 +5,12 @@ Student-t and Fisher-F families, plus the log-scale interval and tail
 radii that the variance tests calibrate against.
 
 Everything here is computed from scratch: regularized incomplete gamma
-(series + continued fraction) backs the normal/chi-squared CDFs, and
-regularized incomplete beta (continued fraction) backs t and F.  One
-safeguarded Newton/bisection inversion, ``_invert``, serves both the
-quantiles (a CDF) and the two-sided log radius (the mass of a log
-interval).  Each solve starts next to its root, from a closed form: a
+(series + continued fraction) backs chi-squared, and regularized
+incomplete beta (continued fraction) backs t and F; each law has an upper
+tail, ``_sf``, beside its CDF.  One safeguarded Newton inversion,
+``_invert``, solves every quantile and radius on a tail mass, never on
+1 - mass: a lower tail, an upper tail, or the two tails outside a log
+interval.  Each solve starts next to its root, from a closed form: a
 rational normal quantile (Abramowitz & Stegun 26.2.23), Hill's t quantile
 (CACM Algorithm 396), Wilson & Hilferty's chi-squared, Paulson's
 cube-root F, the lower-tail asymptotes of the incomplete gamma and beta,
@@ -318,6 +319,20 @@ def cdf(spec: DistributionSpec, x: float) -> float:
     return _beta_inc(0.5 * d1, 0.5 * d2, u / (u + d2), d2 / (u + d2))
 
 
+def _sf(spec: DistributionSpec, x: float) -> float:
+    """P(X > x) for ``spec``, with the relative precision of its own tail
+    rather than that of 1 - cdf(spec, x)."""
+    if spec.kind is Family.NORMAL or spec.kind is Family.STUDENT_T:
+        return cdf(spec, -x)
+    if x <= 0.0:
+        return 1.0
+    if spec.kind is Family.FISHER_F:
+        u, d2 = spec.dof1 * x, spec.dof2
+        return _beta_inc(0.5 * d2, 0.5 * spec.dof1, d2 / (u + d2), u / (u + d2))
+    a, x = 0.5 * spec.dof1, 0.5 * x
+    return _gamma_q_cf(a, x) if x >= a + 1.0 else 1.0 - _gamma_p_series(a, x)
+
+
 def _t_tail(k: int, x: float) -> float:
     """P(T > |x|) for Student t with k dof: I_z(k/2, 1/2) / 2 at
     z = k/(k + x^2) = r^2/(1 + r^2), r = sqrt(k)/|x|.
@@ -347,22 +362,25 @@ def _t_tail(k: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _invert(f, slope, target: float, x: float, lo: float = -math.inf) -> float:
-    """The x with f(x) = target, for f nondecreasing with derivative slope,
-    from the start x.
+def _invert(
+    f, slope, target: float, x: float, lo: float = -math.inf, hi: float = math.inf
+) -> float:
+    """The x in (lo, hi) with f(x) = target, for a tail mass f nondecreasing
+    from 0 at ``lo``, with derivative slope, from the start x.  An upper
+    tail, falling in its variable, is passed as a function of y = -x.
 
-    f is 0 at ``lo``, the lower end of its support.  Each evaluation of f
-    shrinks the bracket (lo, hi) of the root, whose upper end starts
-    unknown (infinite).  The steps are Newton's on the log of the tail the
-    target lies in, log f below 1/2 and log(1 - f) above it (slopes f'/f
-    and -f'/(1 - f)); in a far tail, where f is near exponential or a power,
-    they converge quadratically where Newton on f moves by a fixed fraction.
-    A step that leaves the bracket bisects it, or moves out by max(|x|, 1)
-    while the end on its side is infinite.  The stop is a residual within
-    8e-16 * target, where x takes the Newton step it already has, or a step
-    within 2e-16 * |x|; ValueError if neither comes in 200 steps.
+    Each evaluation of f shrinks the bracket (lo, hi), whose ends may start
+    infinite.  The steps are Newton's on log f (slope f'/f): in a far tail,
+    where f is near exponential or a power, they converge quadratically
+    where Newton on f moves by a fixed fraction.  A step that leaves the
+    bracket goes to its midpoint instead, or out by max(|x|, 1) while the
+    end on its side is infinite.  The stop is a residual within 8e-16 *
+    target, or within 1e-9 * target with a Newton step in the bracket: from
+    a relative residual r, Newton on log f leaves about K r^2, K =
+    |(log f)''| / (2 (log f)'^2) being at most about 1 in these laws'
+    tails.  x then takes that step without evaluating f.  A step within
+    4e-16 * |x| stops too; ValueError if nothing stops in 200 steps.
     """
-    hi = math.inf
     for _ in range(200):
         fx = f(x)
         if fx > target:
@@ -373,14 +391,14 @@ def _invert(f, slope, target: float, x: float, lo: float = -math.inf) -> float:
             d = slope(x)
         except ValueError:
             d = 0.0
-        tail, goal, sign = (fx, target, 1.0) if target < 0.5 else (1.0 - fx, 1.0 - target, -1.0)
         nxt = math.nan
-        if tail > 0.0 and 0.0 < d < math.inf:
-            nxt = x - sign * math.log(tail / goal) * tail / d
-        if abs(fx - target) <= 8.0 * _EPS * target:
+        if fx > 0.0 and 0.0 < d < math.inf:
+            nxt = x - math.log(fx / target) * fx / d
+        newton = lo <= nxt <= hi
+        if abs(fx - target) <= (1e-9 if newton else 8.0 * _EPS) * target:
             # Converged; the last Newton step costs no evaluation of f.
-            return nxt if lo <= nxt <= hi else x
-        if lo < nxt < hi or abs(nxt - x) <= 2.0 * _EPS * abs(nxt):
+            return nxt if newton else x
+        if lo < nxt < hi or abs(nxt - x) <= 4.0 * _EPS * abs(nxt):
             pass  # a Newton step, or one that converges without moving x
         elif hi == math.inf:
             nxt = x + max(abs(x), 1.0)
@@ -388,25 +406,25 @@ def _invert(f, slope, target: float, x: float, lo: float = -math.inf) -> float:
             nxt = x - max(abs(x), 1.0)
         else:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 2.0 * _EPS * abs(nxt):
+        if abs(nxt - x) <= 4.0 * _EPS * abs(nxt):
             return nxt
         x = nxt
     raise ValueError(f"no convergence inverting p={target!r} in 200 steps")
 
 
 def _normal_start(p: float) -> float:
-    """The normal quantile at p to within 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
-    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    """The normal quantile at p <= 1/2 to within 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
+    t = math.sqrt(-2.0 * math.log(p))
     x = t - (2.515517 + (0.802853 + 0.010328 * t) * t) / (
         1.0 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t
     )
-    return x if p > 0.5 else -x
+    return -x
 
 
 def _t_start(p: float, k: int) -> float:
-    """The t quantile at p by Hill's approximation (CACM Algorithm 396, 1970),
-    which is exact for k <= 2."""
-    q = 2.0 * min(p, 1.0 - p)  # the two-tailed probability
+    """The t quantile at p <= 1/2 by Hill's approximation (CACM Algorithm
+    396, 1970), which is exact for k <= 2."""
+    q = 2.0 * p  # the two-tailed probability
     if k == 1:
         x = 1.0 / math.tan(0.5 * math.pi * q)
     elif k == 2:
@@ -433,76 +451,80 @@ def _t_start(p: float, k: int) -> float:
                  + 0.5 / (k + 4.0)) * y - 1.0
             ) * (k + 1.0) / (k + 2.0) + 1.0 / y
         x = math.sqrt(k * y)
-    return x if p > 0.5 else -x
+    return -x
 
 
-def _chi2_start(p: float, k: int) -> float:
-    """The chi-squared quantile at p by Wilson & Hilferty (1931), or, where
-    larger, by the lower-tail bound P(k/2, x/2) <= (x/2)^(k/2) / Gamma(k/2 + 1)."""
+def _chi2_start(z: float, log_p: float, k: int) -> float:
+    """The chi-squared quantile at the lower mass p = e^log_p, whose normal
+    quantile is z, by Wilson & Hilferty (1931), or, where larger, by the
+    lower-tail bound P(k/2, x/2) <= (x/2)^(k/2) / Gamma(k/2 + 1)."""
     h = 2.0 / (9.0 * k)
-    cube = k * (1.0 - h + _normal_start(p) * math.sqrt(h)) ** 3
-    return max(cube, 2.0 * math.exp((math.log(p) + math.lgamma(0.5 * k + 1.0)) * 2.0 / k))
+    cube = k * (1.0 - h + z * math.sqrt(h)) ** 3
+    return max(cube, 2.0 * math.exp((log_p + math.lgamma(0.5 * k + 1.0)) * 2.0 / k))
 
 
 def _f_start(p: float, d1: int, d2: int) -> float:
-    """The F quantile at p by Paulson's cube-root approximation (1942), or,
-    where that has no root, by the lower tail I_u(a, b) ~ u^a / (a B(a, b))
-    of the incomplete beta, an upper one being one over the lower one of
-    F(d2, d1)."""
+    """The F quantile at p <= 1/2 by Paulson's cube-root approximation
+    (1942), or, where that has no root, by the lower tail
+    I_u(a, b) ~ u^a / (a B(a, b)) of the incomplete beta."""
     z = _normal_start(p)
     h1, h2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
     a1, a2 = 1.0 - h1, 1.0 - h2
     disc = a2 * a2 * h1 + a1 * a1 * h2 - z * z * h1 * h2
     if disc > 0.0:
         # The root w = x^(1/3) of (a2 w - a1)^2 = z^2 (h2 w^2 + h1) on the
-        # side of z, in the form that does not cancel.
-        root = z * math.sqrt(disc)
-        if z < 0.0:
-            num, den = a1 * a1 - z * z * h1, a1 * a2 - root
-        else:
-            num, den = a1 * a2 + root, a2 * a2 - z * z * h2
+        # side of z, in the form that does not cancel for z <= 0.
+        num, den = a1 * a1 - z * z * h1, a1 * a2 - z * math.sqrt(disc)
         if num > 0.0 and den > 0.0:
             return (num / den) ** 3
-    if p > 0.5:
-        return 1.0 / _f_start(1.0 - p, d2, d1)
     a, b = 0.5 * d1, 0.5 * d2
     u = math.exp((math.log(p * a) + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / a)
     return d2 * u / (d1 * (1.0 - u)) if u < 1.0 else 1.0
 
 
+def _solve(spec: DistributionSpec, q: float, upper: bool = False) -> float:
+    """The x with P(X <= x) = q, or with ``upper`` P(X > x) = q, by
+    ``_invert`` from a closed-form start; an upper start is the reflected
+    lower one for z and t, and one over the lower one of F(d2, d1) for F.
+    A start whose lower-tail asymptote is below the smallest double, where
+    the quantile lies too, is refused."""
+    if q > 0.5:
+        return _solve(spec, 1.0 - q, not upper)  # the smaller tail; 1 - q is exact
+    z, lo = _normal_start(q), 0.0
+    if spec.kind is Family.CHI_SQUARED:
+        k = spec.dof1
+        x = _chi2_start(-z, math.log1p(-q), k) if upper else _chi2_start(z, math.log(q), k)
+    elif spec.kind is Family.FISHER_F:
+        x = 1.0 / _f_start(q, spec.dof2, spec.dof1) if upper else _f_start(q, spec.dof1, spec.dof2)
+    else:
+        x, lo = z if spec.kind is Family.NORMAL else _t_start(q, spec.dof1), -math.inf
+        x = -x if upper else x
+    if x <= lo:
+        dofs = ", ".join(str(d) for d in (spec.dof1, spec.dof2) if d is not None)
+        raise ValueError(f"the {spec.kind.value}({dofs}) quantile at p={q!r} underflows float64")
+    if upper:
+        return -_invert(lambda y: _sf(spec, -y), lambda y: pdf(spec, -y), q, -x, hi=-lo)
+    return _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), q, x, lo)
+
+
 def quantile(spec: DistributionSpec, p: float) -> float:
     """Inverse CDF: the x with cdf(spec, x) = p, for p in (0, 1).
 
-    ``_invert`` starts from a closed-form approximation and drives the
-    residual |cdf(x) - p| to 8e-16 p: relative precision below p = 1/2,
-    about 1e-15 absolute above it (so the relative error grows as 1 - p
-    shrinks).  Raises ValueError if it cannot.
+    Above p = 1/2 it is the x whose upper tail is 1 - p, which is exact
+    there.  Each tail is solved on its own mass to the rounding of that
+    mass, so the quantile has relative precision at either end.  Raises
+    ValueError if it cannot.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if spec.kind is Family.NORMAL:
-        x, lo = _normal_start(p), -math.inf
-    elif spec.kind is Family.STUDENT_T:
-        x, lo = _t_start(p, spec.dof1), -math.inf
-    elif spec.kind is Family.CHI_SQUARED:
-        x, lo = _chi2_start(p, spec.dof1), 0.0
-    else:
-        x, lo = _f_start(p, spec.dof1, spec.dof2), 0.0
-    x = _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), p, x, lo)
-    if p > 0.5 and lo < 0.0:
-        # cdf(x) near 1 is rounded to multiples of 1.1e-16, but the lower
-        # tail cdf(-x) of z and t, the symmetric laws on the whole line, keeps
-        # its relative precision: one Newton step on it puts x where the
-        # upper tail is 1 - p (exact).
-        x += (cdf(spec, -x) - (1.0 - p)) / pdf(spec, x)
-    return x
+    return _solve(spec, p)
 
 
 def z_alpha(alpha: float, tails: Tails) -> float:
     """Normal critical value: mass alpha/2 per tail (TWO) or alpha in one (ONE)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return quantile(normal(), 1.0 - alpha / tails.value)
+    return _solve(normal(), alpha / tails.value, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +549,18 @@ def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> 
 
     For a chi-squared dist the interval is scaled by s = n (and dist must
     be chi-squared with n - 1 dof); for Fisher-F the scale is s = 1 and n
-    must match dof1 + 1.  The map eta -> interval mass is strictly
-    increasing from 0 to 1, with derivative
-    2s (e^(2 eta) f(s e^(2 eta)) + e^(-2 eta) f(s e^(-2 eta))) for the
-    density f, and :func:`quantile`'s Newton solve drives its residual
-    to about 1e-15.
+    must match dof1 + 1.  The mass outside, the sum of the two tails,
+    falls strictly from 1 to 0 as eta grows, with derivative
+    -2s (e^(2 eta) f(s e^(2 eta)) + e^(-2 eta) f(s e^(-2 eta))) for the
+    density f; ``_invert`` solves it for alpha in y = -eta.
     """
     s = _log_scale(dist, n, alpha)
 
-    def mass(eta: float) -> float:
-        return cdf(dist, s * math.exp(2.0 * eta)) - cdf(dist, s * math.exp(-2.0 * eta))
+    def outside(y: float) -> float:
+        return cdf(dist, s * math.exp(2.0 * y)) + _sf(dist, s * math.exp(-2.0 * y))
 
-    def slope(eta: float) -> float:
-        up, down = s * math.exp(2.0 * eta), s * math.exp(-2.0 * eta)
+    def slope(y: float) -> float:
+        down, up = s * math.exp(2.0 * y), s * math.exp(-2.0 * y)
         return 2.0 * (up * pdf(dist, up) + down * pdf(dist, down))
 
     # Y = log(X / s) / 2 is near normal: log(chi-squared(k) / k) has mean
@@ -555,18 +576,18 @@ def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> 
         mu, var = 0.5 * (m1 - m2), 0.25 * (v1 + v2)
     else:
         mu, var = 0.5 * (m1 + math.log(dist.dof1 / s)), 0.25 * v1
-    start = -_normal_start(0.5 * alpha) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
-    return _invert(mass, slope, 1.0 - alpha, start, 0.0)
+    start = _normal_start(0.5 * alpha) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
+    return -_invert(outside, slope, alpha, start, hi=0.0)
 
 
 def upper_tail_log_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
     """Radius eta' with upper-tail mass alpha beyond s*e^(2 eta').
 
     Scale s as in :func:`symmetric_log_interval_eta`.  Equivalent to half
-    the log of the upper-alpha quantile over s, so the quantile inversion
-    does the work.  The result is positive for the small alpha these
-    tests use; for large alpha the defining equation's (negative) root is
-    returned as-is.
+    the log of the point whose upper tail is alpha, over s, so the upper
+    tail's solve does the work.  The result is positive for the small
+    alpha these tests use; for large alpha the defining equation's
+    (negative) root is returned as-is.
     """
     s = _log_scale(dist, n, alpha)
-    return 0.5 * math.log(quantile(dist, 1.0 - alpha) / s)
+    return 0.5 * math.log(_solve(dist, alpha, upper=True) / s)

@@ -22,11 +22,11 @@ values below the anchor theta0 up to it, else no clamp), ``log_scale``
 sigma_bar_prime / sqrt(n), else 1).  Each problem's pivot has one of
 four laws: normal, at scale sigma / sqrt(n) or
 sqrt(sigma1^2 / n + sigma2^2 / m); chi-squared(n - 1) at scale n;
-F(n - 1, m - 1) at scale 1; or Student-t(n - 1).  The radius is the
-(1 - alpha) point of that law, as a symmetric interval or an upper tail,
-and both ends of an interval are g^-1(g(e) -+ s * eta).  The estimates
-and the formula are defined on rows, one measured value per row, so a
-single measured value and a Monte Carlo block share one arithmetic.
+F(n - 1, m - 1) at scale 1; or Student-t(n - 1).  The radius leaves mass
+alpha of that law outside it, in the upper tail or in both, and both
+ends of an interval are g^-1(g(e) -+ s * eta).  The estimates and the
+formula are defined on rows, one measured value per row, so a single
+measured value and a Monte Carlo block share one arithmetic.
 
 ``CATALOG`` holds the ten catalog entries, keyed by their command-line
 names, each as its (estimator, quantity, kind): one- and two-sided tests
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec, quantile, student_t, chi_squared, fisher_f
+from .distributions import DistributionSpec, student_t, chi_squared, fisher_f
 from .measurement import Sample, State, TwoSampleState, _Rows
 
 __all__ = [
@@ -471,15 +471,15 @@ def _pivot(
 def _radius(
     problem: TestProblem, omega: State | TwoSampleState | None, alpha: float
 ) -> float:
-    # The (1 - alpha) point of the pivot law: an upper tail for half-line
-    # kinds, a symmetric interval for two-sided ones.
+    # The point of the pivot law with mass alpha beyond it: an upper tail
+    # for half-line kinds, a symmetric interval for two-sided ones.
     law, scale = _pivot(problem, omega)
     kind = problem.distance_kind
     if kind.log_scale:
         solve = dist.upper_tail_log_eta if kind.half_line else dist.symmetric_log_interval_eta
         return solve(law, problem.n, alpha)
     tails = 1.0 if kind.half_line else 2.0
-    return scale * quantile(law, 1.0 - alpha / tails)
+    return scale * dist._solve(law, alpha / tails, upper=True)
 
 
 def eta_alpha(
@@ -494,7 +494,6 @@ def eta_alpha(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    _refuse_lost_target(problem, alpha, f"alpha={alpha!r} is too small")
     return _radius(problem, omega, alpha)
 
 
@@ -510,17 +509,7 @@ def eta_gamma(
         raise ValueError(
             f"gamma={gamma!r} is too small for double precision: 1 - gamma rounds to 1"
         )
-    _refuse_lost_target(problem, alpha, f"gamma={gamma!r} is too close to 1")
     return _radius(problem, omega, alpha)
-
-
-def _refuse_lost_target(problem: TestProblem, alpha: float, level: str) -> None:
-    # The radius solves for mass 1 - alpha, or 1 - alpha/2 in one tail for
-    # a two-sided quantile; where that rounds to 1 it has no finite root.
-    kind = problem.distance_kind
-    half = "" if kind.half_line or kind.log_scale else "/2"
-    if 1.0 - (alpha / 2.0 if half else alpha) == 1.0:
-        raise ValueError(f"{level} for double precision: 1 - {alpha!r}{half} rounds to 1")
 
 
 # ---------------------------------------------------------------------------
@@ -673,38 +662,40 @@ def sure_region(
 # ---------------------------------------------------------------------------
 
 
-def _statistic_law_cdf(
-    problem: TestProblem,
-    omega: State | TwoSampleState,
-    anchor: float | None,
-    eta: float,
-) -> float:
-    """P_omega(d^x(E(x), pi(omega)) < eta), from the exact sampling law."""
+def _statistic_law_tail(problem: TestProblem, omega: State | TwoSampleState, anchor: float | None):
+    """P_omega(d^x(E(x), pi(omega)) >= eta) from the exact sampling law, and
+    its derivative, as functions of y = -eta (both nondecreasing in y)."""
     kind = problem.distance_kind
     law, scale = _pivot(problem, omega)
-    if not kind.half_line:
-        if kind.log_scale:
-            return dist.cdf(law, scale * math.exp(2.0 * eta)) - dist.cdf(
-                law, scale * math.exp(-2.0 * eta)
+    shift = 0.0
+    if kind.half_line:
+        theta = quantity_value(problem, omega)
+        # Half-line studentized: the law at interior null states is
+        # noncentral-t, outside this library's four families.
+        if kind.studentized and anchor != theta:
+            raise ValueError(
+                "generic inversion of the one-sided studentized radius is only "
+                "available at the null boundary"
             )
-        return dist.cdf(law, eta / scale) - dist.cdf(law, -eta / scale)
-    theta = quantity_value(problem, omega)
-    # Half-line studentized: the law at interior null states is
-    # noncentral-t, outside this library's four families.
-    if kind.studentized and anchor != theta:
-        raise ValueError(
-            "generic inversion of the one-sided studentized radius is only "
-            "available at the null boundary"
-        )
-    if kind.log_scale:
-        ratio = anchor / theta
-        if ratio < 1.0:
+        shift = math.log(anchor / theta) if kind.log_scale else anchor - theta
+        if shift < 0.0:
             raise ValueError("state lies outside the lower-half-line null")
-        return dist.cdf(law, scale * math.exp(2.0 * eta) * ratio**2)
-    shift = anchor - theta
-    if shift < 0.0:
-        raise ValueError("state lies outside the lower-half-line null")
-    return dist.cdf(law, (eta + shift) / scale)
+
+    # d >= eta where the pivot lies above point(eta), or on a two-sided
+    # kind also below point(-eta).
+    def point(eta: float) -> float:
+        return scale * math.exp(2.0 * (eta + shift)) if kind.log_scale else (eta + shift) / scale
+
+    def tail(y: float) -> float:
+        return dist._sf(law, point(-y)) + (0.0 if kind.half_line else dist.cdf(law, point(y)))
+
+    def slope(y: float) -> float:
+        # The density at each end times |d point / d eta| there: 2 point on
+        # the log scale, 1 / scale otherwise.
+        ends = (point(-y),) if kind.half_line else (point(-y), point(y))
+        return sum((2.0 * u if kind.log_scale else 1.0 / scale) * dist.pdf(law, u) for u in ends)
+
+    return tail, slope
 
 
 def eta_alpha_generic(
@@ -713,8 +704,9 @@ def eta_alpha_generic(
     alpha: float,
     anchor: float | None = None,
 ) -> float:
-    """The radius by direct bisection on the statistic's sampling law,
-    with no catalog algebra: cross-validates the closed forms.
+    """The radius by direct inversion of the statistic's sampling law,
+    with no catalog algebra: cross-validates the closed forms.  Its tail
+    mass is solved for alpha by ``_invert`` from eta = 1.
 
     ``anchor`` is the half-line reference (the hypothesis value); it is
     ignored by two-sided kinds.
@@ -723,24 +715,10 @@ def eta_alpha_generic(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if problem.distance_kind.half_line and anchor is None:
         raise ValueError("half-line kinds need the hypothesis anchor")
-    target = 1.0 - alpha
-    if _statistic_law_cdf(problem, omega, anchor, 0.0) >= target:
+    tail, slope = _statistic_law_tail(problem, omega, anchor)
+    if tail(0.0) <= alpha:
         return 0.0
-    hi = 1.0
-    while _statistic_law_cdf(problem, omega, anchor, hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("failed to bracket the radius")
-    lo = 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if _statistic_law_cdf(problem, omega, anchor, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return -dist._invert(tail, slope, alpha, -1.0, hi=0.0)
 
 
 def eta_alpha_over_null_grid(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+from . import distributions as dist
 from .framework import Hypothesis, HypothesisKind
 from .measurement import State, mu_bar, sigma_bar
 
@@ -231,12 +232,9 @@ def lrt_lambda(theta: float, model: GaussianMeanModel, hypothesis: Hypothesis) -
     return math.exp(-0.5 * z * z)
 
 
-def _exceedance(model: GaussianMeanModel, hypothesis: Hypothesis, eps: float) -> float:
-    # Worst-case null probability of the estimate landing where the
-    # profile likelihood is <= eps; attained at the null boundary.
-    if eps >= 1.0:
-        return 1.0
-    r = math.sqrt(-2.0 * math.log(eps))
+def _exceedance(hypothesis: Hypothesis, r: float) -> float:
+    # Worst-case null probability of the estimate landing r or more standard
+    # errors beyond the null value; attained at the null boundary.
     # The upper normal tail straight from erfc: 1 - cdf(r) would cancel
     # to a few digits at small alpha.
     upper = 0.5 * math.erfc(r / math.sqrt(2.0))
@@ -263,24 +261,24 @@ class LrtRegion:
 def lrt_region(
     hypothesis: Hypothesis, alpha: float, model: GaussianMeanModel
 ) -> LrtRegion:
-    """Calibrate the cutoff by root-finding on the exceedance probability.
+    """Calibrate the cutoff on the exceedance probability.
 
-    The exceedance is continuous and increasing in epsilon, so bisection
-    lands on the supremal epsilon whose worst-case null probability stays
-    <= alpha; the region boundary then sits at ``radius`` from the null
-    value in estimate space.
+    The exceedance falls continuously from 1 (1/2 on a half-line null) as
+    the radius r grows, so ``_invert`` solves it for alpha in y = -r, and
+    epsilon = exp(-r^2 / 2), kept below 1 (which would reject the null's own
+    estimates), is the supremal cutoff whose worst-case null probability
+    stays <= alpha; the region boundary then sits at ``radius`` from the
+    null value in estimate space.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _exceedance(model, hypothesis, mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-18:
-            break
-    eps = lo
-    radius = model.scale * math.sqrt(-2.0 * math.log(eps))
-    return LrtRegion(model, hypothesis, alpha, eps, radius)
+    top = _exceedance(hypothesis, 0.0)
+    r = 0.0
+    if alpha < top:
+        def slope(y: float) -> float:
+            return 2.0 * top * dist.pdf(dist.normal(), y)
+
+        start = dist._normal_start(0.5 * alpha / top)
+        r = -dist._invert(lambda y: _exceedance(hypothesis, -y), slope, alpha, start, hi=0.0)
+    eps = min(math.exp(-0.5 * r * r), math.nextafter(1.0, 0.0))
+    return LrtRegion(model, hypothesis, alpha, eps, model.scale * r)

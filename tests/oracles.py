@@ -3,7 +3,8 @@
 Nothing here shares arithmetic with the library: log-gamma is a local
 Lanczos sum (the library leans on math.lgamma), CDFs come from adaptive
 quadrature of locally written densities, and quantiles from plain
-bisection on those quadrature CDFs.
+bisection on those quadrature CDFs (or, for upper quantiles, on the
+quadrature upper tails).
 """
 
 from __future__ import annotations
@@ -123,6 +124,34 @@ def oracle_cdf(spec: DistributionSpec, x: float) -> float:
     if x <= 4.0:
         return _quad(lambda u: 2.0 * u * f_pdf(u * u, d1, d2), 0.0, math.sqrt(x))
     return 1.0 - _quad(lambda u: f_pdf(u, d1, d2), x, math.inf)
+
+
+def oracle_sf(spec: DistributionSpec, x: float) -> float:
+    """P(X > x) by adaptive quadrature of the density from x to infinity,
+    the far-side integral of ``oracle_cdf`` without its ``1 -``, to a
+    relative tolerance alone (the tail may be far below 1e-13)."""
+    if spec.kind in (Family.CHI_SQUARED, Family.FISHER_F) and x <= 0.0:
+        return 1.0
+    value, _ = quad(lambda u: oracle_pdf(spec, u), x, math.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+    return value
+
+
+def oracle_upper_quantile(spec: DistributionSpec, q: float) -> float:
+    """The x with upper tail q < 1/2, by bisection on ``oracle_sf``."""
+    if not 0.0 < q < 0.5:
+        raise ValueError(f"q must lie in (0, 1/2), got {q!r}")
+    lo, hi = 0.0, 1.0
+    while oracle_sf(spec, hi) > q:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        if oracle_sf(spec, mid) > q:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 8.0 * math.ulp(hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def oracle_quantile(spec: DistributionSpec, p: float) -> float:

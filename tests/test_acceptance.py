@@ -79,7 +79,8 @@ def _report(criterion: int, label: str) -> None:
 
 
 def test_criterion_1_quantile_correctness():
-    """Library quantiles vs the quadrature+bisection oracle, |diff| <= 1e-8."""
+    """Library quantiles vs the quadrature+bisection oracle, |diff| <= 1e-8,
+    and to 1e-12 relative at upper tails 1e-8 and 1e-12."""
     worst = 0.0
     for p in PROBS:
         worst = max(worst, abs(quantile(normal(), p) - orc.oracle_quantile(normal(), p)))
@@ -97,7 +98,15 @@ def test_criterion_1_quantile_correctness():
                     worst, abs(quantile(spec, p) - orc.oracle_quantile(spec, p))
                 )
     assert worst <= 1e-8, f"worst quantile deviation {worst:.3e}"
-    _report(1, f"quantiles match the oracle (worst |diff| = {worst:.2e})")
+    # Far upper tails, against bisection on the quadrature upper tail at
+    # the exact complement 1 - p: relative, as the quadrature resolves it.
+    upper = 0.0
+    for spec in (normal(), student_t(3), chi_squared(5), fisher_f(4, 7)):
+        for p in (1.0 - 1e-8, 1.0 - 1e-12):
+            want = orc.oracle_upper_quantile(spec, 1.0 - p)
+            upper = max(upper, abs(quantile(spec, p) / want - 1.0))
+    assert upper <= 1e-12, f"worst relative upper-tail quantile deviation {upper:.3e}"
+    _report(1, f"quantiles match the oracle (worst |diff| = {worst:.2e}, upper tails {upper:.1e})")
 
 
 def test_criterion_2_threshold_identities():

@@ -3,6 +3,7 @@ agreement with direct library calls."""
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -215,35 +216,45 @@ class TestTestCommand:
 
 
 class TestLevelsBeyondDoublePrecision:
-    """A level whose radius solve would target a mass that rounds to 1 is
-    refused with an error naming the level the user gave."""
+    """A level whose 1 - alpha (or 1 - alpha/2) rounds to 1 is solved on its
+    tail; only a gamma whose 1 - gamma rounds to 1 is refused, by name."""
 
     @pytest.fixture()
     def x_file(self, tmp_path):
         path = tmp_path / "x"
-        path.write_text("1\n2\n3\n4.5\n", encoding="utf-8")
+        path.write_text("1\n2\n3\n4.5\n0.25\n", encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize(
-        "argv, named",
+        "argv, reference",
         [
-            (["test", "var", "--null", "1", "--alpha", "1e-17", "--json"], "alpha=1e-17"),
-            (["test", "mean-t", "--null", "1", "--alpha", "1e-17"], "alpha=1e-17"),
-            (["ci", "mean-t", "--gamma", "1e-300"], "gamma=1e-300"),
+            # scipy: t(4).isf(alpha / 2); for var, Brent on
+            # chi2(4).sf(5 e^(2 eta)) + chi2(4).cdf(5 e^(-2 eta)) = alpha.
+            (["test", "mean-t", "--null", "0", "--alpha", "1e-15", "--json"], 8801.117178564038),
+            (["test", "mean-t", "--null", "0", "--alpha", "1e-17", "--json"], 27831.576777253387),
+            (["test", "var", "--null", "1", "--alpha", "1e-17", "--json"], 10.07084521527643),
         ],
     )
-    def test_is_refused_by_name(self, x_file, capsys, argv, named):
-        assert cli.main([*argv[:2], x_file, *argv[2:]]) == 2
+    def test_radius_is_the_reference(self, x_file, capsys, argv, reference):
+        assert cli.main([*argv[:2], x_file, *argv[2:]]) == 0
+        # --json prints 12 significant digits.
+        assert json.loads(capsys.readouterr().out)["eta"] == pytest.approx(reference, rel=1e-11)
+
+    def test_gamma_next_to_1_is_the_reference(self, x_file, capsys):
+        assert cli.main(["ci", "mean-t", x_file, "--gamma", "0.9999999999999999", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # 1 - gamma = 2^-53; scipy: t(4).isf(2^-54) = 15247.029902217893, times
+        # the sample sd over sqrt(5), 0.748331..., on each side of the mean 2.15.
+        half = 15247.029902217893 * math.sqrt(sum((v - 2.15) ** 2 for v in (1, 2, 3, 4.5, 0.25)) / 20)
+        assert payload["lo"] == pytest.approx(2.15 - half, rel=1e-11)
+        assert payload["hi"] == pytest.approx(2.15 + half, rel=1e-11)
+
+    def test_gamma_whose_complement_rounds_to_1_is_refused_by_name(self, x_file, capsys):
+        assert cli.main(["ci", "mean-t", x_file, "--gamma", "1e-300"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {named} is too small")
+        assert captured.err.startswith("error: gamma=1e-300 is too small")
         assert "rounds to 1" in captured.err
-
-    def test_gamma_whose_half_tail_rounds_away_is_refused(self, x_file, capsys):
-        assert cli.main(["ci", "mean-t", x_file, "--gamma", "0.9999999999999999"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: gamma=0.9999999999999999 is too close to 1"
-        )
 
 
 class TestCiCommand:

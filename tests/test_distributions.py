@@ -180,6 +180,31 @@ class TestQuantile:
         quantile(spec, p)
         assert len(calls) <= 30
 
+    @pytest.mark.parametrize(
+        "spec, name",
+        [(chi_squared(1), r"chi_squared\(1\)"), (fisher_f(1, 4), r"fisher_f\(1, 4\)"),
+         (fisher_f(1, 7), r"fisher_f\(1, 7\)")],
+        ids=["chi2_1", "f1_4", "f1_7"],
+    )
+    def test_lower_tail_below_the_smallest_double_is_refused_at_once(self, monkeypatch, spec, name):
+        # The chi2_1 quantile at 1e-300 is about pi/2 * p^2 = 1.6e-600; the
+        # lower-tail asymptote of the start shows it before any solve.
+        calls = []
+        real = distributions.cdf
+        monkeypatch.setattr(distributions, "cdf", lambda s, x: calls.append(x) or real(s, x))
+        with pytest.raises(ValueError, match=rf"^the {name} quantile at p=1e-300 underflows float64$"):
+            quantile(spec, 1e-300)
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize(
+        "spec, reference",
+        # -2 log(1 - p) for chi2_2; F(2, 4) has cdf 1 - (2 / (x + 2))^2 = x + O(x^2).
+        [(chi_squared(2), 2e-300), (fisher_f(2, 4), 1e-300)],
+        ids=["chi2_2", "f2_4"],
+    )
+    def test_lower_tail_just_above_the_smallest_double_is_solved(self, spec, reference):
+        assert quantile(spec, 1e-300) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("spec", [normal(), student_t(1), student_t(4), student_t(1000)])
     @pytest.mark.parametrize("tail", [1e-4, 1e-8, 1e-10])
     def test_symmetric_upper_tail_is_the_reflected_lower_tail(self, spec, tail):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import optimize, stats
 
 from semidist import distributions, framework
 from semidist.framework import (
@@ -211,27 +212,64 @@ class TestCalibratedRadii:
 
 
     @pytest.mark.parametrize(
-        "problem, alpha, message",
+        "problem, alpha, reference",
         [
-            (variance(5), 1e-17, "^alpha=1e-17 is too small .*: 1 - 1e-17 rounds to 1$"),
-            (mean_t(5), 1e-17, "^alpha=1e-17 is too small .*: 1 - 1e-17/2 rounds to 1$"),
-            (mean_z_upper(5, 1.0), 1e-17, ": 1 - 1e-17 rounds to 1$"),
+            # scipy: Brent on chi2(4).sf(5 e^(2 eta)) + chi2(4).cdf(5 e^(-2 eta)) = alpha,
+            # t(4).isf(alpha / 2) and norm.isf(alpha) / sqrt(5).
+            (variance(5), 1e-17, 10.07084521527643),
+            (mean_t(5), 1e-17, 27831.576777253387),
+            (mean_z_upper(5, 1.0), 1e-17, 3.7985398071872334),
         ],
     )
-    def test_alpha_whose_target_rounds_to_1_is_refused(self, problem, alpha, message):
-        with pytest.raises(ValueError, match=message):
-            eta_alpha(problem, None, alpha)
+    def test_alpha_whose_complement_rounds_to_1_is_solved_on_its_tail(self, problem, alpha, reference):
+        # 1 - alpha (and 1 - alpha/2) round to 1 here; the tail alpha does not.
+        assert eta_alpha(problem, None, alpha) == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "gamma, message",
-        [
-            (1e-300, "^gamma=1e-300 is too small .*: 1 - gamma rounds to 1$"),
-            (1.0 - 2**-53, "^gamma=0.9999999999999999 is too close to 1 "),
-        ],
-    )
-    def test_gamma_whose_target_rounds_to_1_is_refused(self, gamma, message):
-        with pytest.raises(ValueError, match=message):
-            eta_gamma(mean_z(5, 1.0), None, gamma)
+    def test_gamma_whose_complement_rounds_to_1_is_refused(self):
+        with pytest.raises(ValueError, match="^gamma=1e-300 is too small .*: 1 - gamma rounds to 1$"):
+            eta_gamma(mean_z(5, 1.0), None, 1e-300)
+
+    def test_gamma_next_to_1_is_solved_on_its_tail(self):
+        # 1 - gamma = 2^-53 exactly; scipy: t(4).isf(2^-54) and norm.isf(2^-54) / sqrt(5).
+        gamma = 1.0 - 2**-53
+        assert eta_gamma(mean_t(5), None, gamma) == pytest.approx(15247.029902217893, rel=1e-12)
+        assert eta_gamma(mean_z(5, 1.0), None, gamma) == pytest.approx(3.7084566118984976, rel=1e-12)
+
+
+def _scipy_radius(name, n, alpha):
+    """The radius of catalog entry ``name`` at n = m rows and unit sigmas,
+    from scipy: isf for z, t and chi-squared; one over F(d2, d1).ppf for an
+    upper F tail (scipy's f.isf is itself off there); Brent on the two-tail
+    mass for the two-sided log radii."""
+    base, upper = name.removesuffix("-upper"), name.endswith("-upper")
+    tail = alpha if upper else alpha / 2.0
+    if base in ("mean-z", "diff-means"):
+        return math.sqrt((1.0 if base == "mean-z" else 2.0) / n) * stats.norm.isf(tail)
+    if base == "mean-t":
+        return stats.t.isf(tail, n - 1)
+    if base == "var":
+        law, s, sf = stats.chi2(n - 1), float(n), stats.chi2(n - 1).sf
+    else:
+        law, s, sf = stats.f(n - 1, n - 1), 1.0, lambda x: stats.f(n - 1, n - 1).cdf(1.0 / x)
+    if upper:
+        point = law.isf(alpha) if base == "var" else 1.0 / law.ppf(alpha)
+        return 0.5 * math.log(point / s)
+
+    def excess(eta):
+        return sf(s * math.exp(2.0 * eta)) + law.cdf(s * math.exp(-2.0 * eta)) - alpha
+
+    return optimize.brentq(excess, 0.0, 64.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-12, 1e-15])
+@pytest.mark.parametrize("n", [5, 30])
+def test_far_radii_are_the_scipy_ones(n, alpha):
+    # Solved at 1 - alpha/2 instead of alpha, mean-t at n = 5 was 2.6e-2 off at 1e-15.
+    for name, entry in framework.CATALOG.items():
+        sigmas = {flag: 1.0 for flag in entry.estimator.known_sigmas}
+        problem = framework.TestProblem(*entry, n, n if entry.quantity.two_sample else None, **sigmas)
+        want = _scipy_radius(name, n, alpha)
+        assert eta_alpha(problem, None, alpha) == pytest.approx(want, rel=1e-12), name
 
 
 # Mean cdf calls per cold radius solve over the grid of cold CLI calls (each
@@ -250,9 +288,23 @@ _BRACKET_CDF_CALLS = {
 
 @pytest.mark.parametrize("column, n", enumerate((5, 30, 1000, 10000)))
 def test_cold_radius_solves_take_half_the_cdf_calls(monkeypatch, column, n):
-    calls = []
-    cdf = distributions.cdf
-    monkeypatch.setattr(distributions, "cdf", lambda spec, x: calls.append(x) or cdf(spec, x))
+    # Every tail evaluation counts, lower (cdf) or upper (_sf), once: the
+    # upper tail of z and t is itself a cdf call, which is not counted again.
+    calls, depth = [], []
+
+    def counting(tail):
+        def call(spec, x):
+            if not depth:
+                calls.append(x)
+            depth.append(x)
+            try:
+                return tail(spec, x)
+            finally:
+                depth.pop()
+        return call
+
+    for name in ("cdf", "_sf"):
+        monkeypatch.setattr(distributions, name, counting(getattr(distributions, name)))
     for base, bracket in _BRACKET_CDF_CALLS.items():
         solves = 0
         calls.clear()
