@@ -298,6 +298,81 @@ class TestCiCommand:
         assert payload["lo"] == float(f"{direct.lo:.12g}")
 
 
+# The whole stdout of experiment calls, plain and --json: each kind, one- and
+# two-sample (the second sample's defaults and overrides), power points at
+# rates 0 and 1, and a grid argparse reads ('=' form, a leading '-').
+_GOLDEN_EXPERIMENTS = [
+    (
+        "experiment coverage --test mean-t --n 10 --reps 300 --seed 5",
+        "coverage experiment: mean-t  gamma: 0.95\n"
+        "rate: 0.93  hits: 279/300  band: (0.899668, 1)  pass: yes  seed: 5\n",
+        '{"rate": 0.93, "hits": 279, "J": 300, "band": [0.899667770432, 1.0], "pass": true, '
+        '"seed": 5, "stream_contract": 3}\n',
+    ),
+    (
+        "experiment coverage --test var-ratio --n 8 --m 12 --mu2 1 --sd2 2 --gamma 0.9 "
+        "--reps 300 --seed 6",
+        "coverage experiment: var-ratio  gamma: 0.9\n"
+        "rate: 0.9  hits: 270/300  band: (0.830718, 0.969282)  pass: yes  seed: 6\n",
+        '{"rate": 0.9, "hits": 270, "J": 300, "band": [0.830717967697, 0.969282032303], '
+        '"pass": true, "seed": 6, "stream_contract": 3}\n',
+    ),
+    (
+        "experiment size --test var --n 6 --null 1 --reps 300 --seed 7",
+        "size experiment: var  alpha: 0.05\n"
+        "rate: 0.0433333  hits: 13/300  band: (0, 0.100332)  pass: yes  seed: 7\n",
+        '{"rate": 0.0433333333333, "hits": 13, "J": 300, "band": [0.0, 0.100332229568], '
+        '"pass": true, "seed": 7, "stream_contract": 3}\n',
+    ),
+    (
+        "experiment size --test diff-means --n 8 --null 0 --alpha 0.1 --reps 300 --seed 8",
+        "size experiment: diff-means  alpha: 0.1\n"
+        "rate: 0.0933333  hits: 28/300  band: (0.030718, 0.169282)  pass: yes  seed: 8\n",
+        '{"rate": 0.0933333333333, "hits": 28, "J": 300, "band": [0.0307179676972, '
+        '0.169282032303], "pass": true, "seed": 8, "stream_contract": 3}\n',
+    ),
+    (
+        "experiment power --test mean-z-upper --n 10 --null 0 --grid=-0.5,0,0.5,1,3 "
+        "--reps 300 --seed 9",
+        "power experiment: mean-z-upper  alpha: 0.05\n"
+        "theta: -0.5  rate: 0  hits: 0/300  band: (0, 0)  pass: yes  seed: 9\n"
+        "theta: 0  rate: 0.0533333  hits: 16/300  band: (0.00144171, 0.105225)  pass: yes  "
+        "seed: 9\n"
+        "theta: 0.5  rate: 0.48  hits: 144/300  band: (0.364622, 0.595378)  pass: yes  "
+        "seed: 9\n"
+        "theta: 1  rate: 0.936667  hits: 281/300  band: (0.880419, 0.992915)  pass: yes  "
+        "seed: 9\n"
+        "theta: 3  rate: 1  hits: 300/300  band: (1, 1)  pass: yes  seed: 9\n",
+        '[{"rate": 0.0, "hits": 0, "J": 300, "band": [0.0, 0.0], "pass": true, "seed": 9, '
+        '"stream_contract": 3}, {"rate": 0.0533333333333, "hits": 16, "J": 300, '
+        '"band": [0.00144170837573, 0.105224958291], "pass": true, "seed": 9, '
+        '"stream_contract": 3}, {"rate": 0.48, "hits": 144, "J": 300, '
+        '"band": [0.364622359185, 0.595377640815], "pass": true, "seed": 9, '
+        '"stream_contract": 3}, {"rate": 0.936666666667, "hits": 281, "J": 300, '
+        '"band": [0.880418539126, 0.992914794208], "pass": true, "seed": 9, '
+        '"stream_contract": 3}, {"rate": 1.0, "hits": 300, "J": 300, "band": [1.0, 1.0], '
+        '"pass": true, "seed": 9, "stream_contract": 3}]\n',
+    ),
+    (
+        "experiment power --test var-ratio-upper --n 8 --m 9 --sd2 2 --null 1 "
+        "--grid 1,1.5,2.25 --reps 300 --seed 10",
+        "power experiment: var-ratio-upper  alpha: 0.05\n"
+        "theta: 1  rate: 0.0766667  hits: 23/300  band: (0.0152223, 0.138111)  pass: yes  "
+        "seed: 10\n"
+        "theta: 1.5  rate: 0.276667  hits: 83/300  band: (0.173356, 0.379978)  pass: yes  "
+        "seed: 10\n"
+        "theta: 2.25  rate: 0.673333  hits: 202/300  band: (0.565024, 0.781643)  pass: yes  "
+        "seed: 10\n",
+        '[{"rate": 0.0766666666667, "hits": 23, "J": 300, "band": [0.0152223226844, '
+        '0.138111010649], "pass": true, "seed": 10, "stream_contract": 3}, '
+        '{"rate": 0.276666666667, "hits": 83, "J": 300, "band": [0.173355557946, '
+        '0.379977775388], "pass": true, "seed": 10, "stream_contract": 3}, '
+        '{"rate": 0.673333333333, "hits": 202, "J": 300, "band": [0.56502376329, '
+        '0.781642903377], "pass": true, "seed": 10, "stream_contract": 3}]\n',
+    ),
+]
+
+
 class TestExperimentCommand:
     def test_coverage_golden_and_schema(self, capsys):
         code = cli.main(
@@ -401,6 +476,15 @@ class TestExperimentCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["J"] == 400
+
+    @pytest.mark.parametrize(
+        "argv, plain, payload", _GOLDEN_EXPERIMENTS,
+        ids=[" ".join(argv.split()[1:4:2]) for argv, _, _ in _GOLDEN_EXPERIMENTS],
+    )
+    def test_golden_output(self, capsys, argv, plain, payload):
+        for flags, expected in (([], plain), (["--json"], payload)):
+            assert cli.main([*argv.split(), *flags]) == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestUnusedFlags:
