@@ -26,11 +26,9 @@ value each stop the command (exit 2) with a message naming the line.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
-import shutil
 import sys
 import textwrap
 from itertools import repeat
@@ -57,10 +55,6 @@ def _json_number(x: float):
     if not math.isfinite(x):
         return None
     return float(f"{x:.12g}")
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
 
 
 def read_columns(path: str) -> tuple[list[float], list[float]]:
@@ -167,9 +161,10 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _build_problem(name: str, n: int, m: int | None, args: argparse.Namespace) -> TestProblem:
+def _build_problem(name: str, n: int, m: int | None, given: dict) -> TestProblem:
+    """The problem of test ``name``, its known sigmas read from ``given``."""
     entry = CATALOG[name]
-    sigmas = {flag: getattr(args, flag) for flag in entry.estimator.known_sigmas}
+    sigmas = {flag: given[flag] for flag in entry.estimator.known_sigmas}
     if None in sigmas.values():
         flags = " and ".join(f"--{flag}" for flag in sigmas)
         studentized = next(
@@ -220,19 +215,17 @@ def _load_sample(name: str, path: str) -> Sample:
 def _cmd_test(args: argparse.Namespace) -> int:
     _refuse_unused_flags(args.name, args)
     x = _load_sample(args.name, args.data)
-    problem = _build_problem(args.name, x.n, x.m, args)
+    problem = _build_problem(args.name, x.n, x.m, vars(args))
     hypothesis = _build_hypothesis(args.name, args.null)
     result = framework.run_test(problem, hypothesis, args.alpha, x)
     if args.json:
-        _emit_json(
-            {
-                "test": args.name,
-                "statistic": _json_number(result.statistic),
-                "eta": _json_number(result.eta),
-                "alpha": _json_number(result.alpha),
-                "reject": result.reject,
-            }
-        )
+        print(json.dumps({
+            "test": args.name,
+            "statistic": _json_number(result.statistic),
+            "eta": _json_number(result.eta),
+            "alpha": _json_number(result.alpha),
+            "reject": result.reject,
+        }))
     else:
         print(f"test: {args.name}")
         print(f"n: {x.n}" + (f"  m: {x.m}" if x.m is not None else ""))
@@ -248,17 +241,15 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_ci(args: argparse.Namespace) -> int:
     _refuse_unused_flags(args.name, args)
     x = _load_sample(args.name, args.data)
-    problem = _build_problem(args.name, x.n, x.m, args)
+    problem = _build_problem(args.name, x.n, x.m, vars(args))
     region = framework.confidence_region(problem, x, args.gamma)
     if args.json:
-        _emit_json(
-            {
-                "lo": _json_number(region.lo),
-                "hi": _json_number(region.hi),
-                "gamma": _json_number(region.gamma),
-                "estimator": _json_number(region.estimate),
-            }
-        )
+        print(json.dumps({
+            "lo": _json_number(region.lo),
+            "hi": _json_number(region.hi),
+            "gamma": _json_number(region.gamma),
+            "estimator": _json_number(region.estimate),
+        }))
     else:
         hi = _fmt(region.hi) if math.isfinite(region.hi) else "inf"
         print(f"test: {args.name}")
@@ -281,40 +272,37 @@ def _report_payload(report: montecarlo.ExperimentReport) -> dict:
     }
 
 
-def _print_report(report: montecarlo.ExperimentReport, prefix: str = "") -> None:
-    print(
-        f"{prefix}rate: {_fmt(report.rate)}  hits: {report.hits}/{report.replications}"
-        f"  band: ({_fmt(report.band[0])}, {_fmt(report.band[1])})"
-        f"  pass: {'yes' if report.passed else 'no'}  seed: {report.seed}"
-    )
-
-
-def _experiment_truth(name: str, args: argparse.Namespace) -> State | TwoSampleState:
-    first = State(args.mu, args.sd)
-    if CATALOG[name].quantity.two_sample:
-        return TwoSampleState(first, State(args.mu2, args.sd2))
-    return first
-
-
-def _experiment_problem(name: str, args: argparse.Namespace) -> TestProblem:
-    # In an experiment the truth's sigma is available, so the known-sigma
-    # tests default their nuisance values to it.
-    for flag, sd in (("sigma", args.sd), ("sigma1", args.sd), ("sigma2", args.sd2)):
-        if getattr(args, flag) is None:
-            setattr(args, flag, sd)
-    m = args.m if CATALOG[name].quantity.two_sample else None
-    return _build_problem(name, args.n, m, args)
+def _grid_values(grid: str | None, name: str) -> list[float]:
+    """The quantity values of ``--grid``: finite reals, positive where the
+    quantity is."""
+    if not grid:
+        raise CliError("--grid is required for power experiments")
+    try:
+        thetas = [float(v) for v in grid.split(",") if v.strip()]
+    except ValueError:
+        raise CliError(f"--grid must be a comma-separated list of reals, got {grid!r}") from None
+    if not thetas:
+        raise CliError("--grid is empty")
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise CliError(f"--grid values must be finite, got {theta!r}")
+    if CATALOG[name].quantity.positive and any(theta <= 0.0 for theta in thetas):
+        raise CliError(f"--grid values must be positive for {name}")
+    return thetas
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    name = args.test
+    name, kind = args.test, args.kind
     _refuse_unused_flags(name, args)
-    if CATALOG[name].quantity.two_sample:
-        # The second sample defaults to the first one's size and to N(0, 1).
-        for flag, default in (("m", args.n), ("mu2", 0.0), ("sd2", 1.0)):
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-    problem = _experiment_problem(name, args)
+    two_sample = CATALOG[name].quantity.two_sample
+    # The second sample defaults to the first one's size and to N(0, 1).  The
+    # truth's sigmas are known, so the known-sigma tests default to them.
+    m = args.n if args.m is None else args.m
+    sd2 = 1.0 if args.sd2 is None else args.sd2
+    defaults = {"sigma": args.sd, "sigma1": args.sd, "sigma2": sd2}
+    given = {flag: sd if getattr(args, flag) is None else getattr(args, flag)
+             for flag, sd in defaults.items()}
+    problem = _build_problem(name, args.n, m if two_sample else None, given)
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
@@ -322,61 +310,40 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             seed = int(raw)
         except ValueError:
             raise CliError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if args.kind == "coverage":
-        plan = montecarlo.ExperimentPlan(
-            problem, _experiment_truth(name, args), args.gamma, args.reps, seed
-        )
-        report = montecarlo.coverage_experiment(plan, workers=args.workers)
-        if args.json:
-            _emit_json(_report_payload(report))
-        else:
-            print(f"coverage experiment: {name}  gamma: {_fmt(args.gamma)}")
-            _print_report(report)
-        return 0
-    if args.null is None:
-        raise CliError(f"--null is required for {args.kind} experiments")
-    hypothesis = _build_hypothesis(name, args.null)
-    if args.kind == "size":
-        plan = montecarlo.ExperimentPlan(
-            problem,
-            _experiment_truth(name, args),
-            args.alpha,
-            args.reps,
-            seed,
-            hypothesis,
-        )
-        report = montecarlo.size_experiment(plan, workers=args.workers)
-        if args.json:
-            _emit_json(_report_payload(report))
-        else:
-            print(f"size experiment: {name}  alpha: {_fmt(args.alpha)}")
-            _print_report(report)
-        return 0
-    if not args.grid:
-        raise CliError("--grid is required for power experiments")
-    try:
-        thetas = [float(v) for v in args.grid.split(",") if v.strip()]
-    except ValueError:
-        raise CliError(f"--grid must be a comma-separated list of reals, got {args.grid!r}")
-    if not thetas:
-        raise CliError("--grid is empty")
-    for theta in thetas:
-        if not math.isfinite(theta):
-            raise CliError(f"--grid values must be finite, got {theta!r}")
-    if problem.quantity.positive and any(theta <= 0.0 for theta in thetas):
-        raise CliError(f"--grid values must be positive for {name}")
-    truth = _experiment_truth(name, args)
-    truths = [framework.state_with_quantity(problem, truth, theta) for theta in thetas]
-    plan = montecarlo.ExperimentPlan(
-        problem, truths[0], args.alpha, args.reps, seed, hypothesis
-    )
-    reports = montecarlo.power_curve(plan, truths, workers=args.workers)
-    if args.json:
-        print(json.dumps([_report_payload(r) for r in reports]))
+    level_name = "gamma" if kind == "coverage" else "alpha"
+    level = getattr(args, level_name)
+    hypothesis = None
+    if kind != "coverage":
+        if args.null is None:
+            raise CliError(f"--null is required for {kind} experiments")
+        hypothesis = _build_hypothesis(name, args.null)
+    # Power runs one point per grid value; coverage and size, the truth alone.
+    thetas = _grid_values(args.grid, name) if kind == "power" else [None]
+    truth = State(args.mu, args.sd)
+    if two_sample:
+        truth = TwoSampleState(truth, State(0.0 if args.mu2 is None else args.mu2, sd2))
+    truths = [
+        truth if theta is None else framework.state_with_quantity(problem, truth, theta)
+        for theta in thetas
+    ]
+    plan = montecarlo.ExperimentPlan(problem, truths[0], level, args.reps, seed, hypothesis)
+    if kind == "power":
+        reports = montecarlo.power_curve(plan, truths, workers=args.workers)
     else:
-        print(f"power experiment: {name}  alpha: {_fmt(args.alpha)}")
-        for theta, report in zip(thetas, reports):
-            _print_report(report, prefix=f"theta: {_fmt(theta)}  ")
+        run = montecarlo.coverage_experiment if kind == "coverage" else montecarlo.size_experiment
+        reports = [run(plan, workers=args.workers)]
+    if args.json:
+        payloads = [_report_payload(report) for report in reports]
+        print(json.dumps(payloads if kind == "power" else payloads[0]))
+        return 0
+    print(f"{kind} experiment: {name}  {level_name}: {_fmt(level)}")
+    for theta, report in zip(thetas, reports):
+        print(
+            ("" if theta is None else f"theta: {_fmt(theta)}  ")
+            + f"rate: {_fmt(report.rate)}  hits: {report.hits}/{report.replications}"
+            f"  band: ({_fmt(report.band[0])}, {_fmt(report.band[1])})"
+            f"  pass: {'yes' if report.passed else 'no'}  seed: {report.seed}"
+        )
     return 0
 
 
@@ -435,22 +402,6 @@ class _HelpFormatter(argparse.HelpFormatter):
         return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
-def _formatter():
-    # argparse makes a formatter, and so a terminal-size lookup, for every
-    # add_argument; one lookup gives each of them the width it would compute.
-    return functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of ``command`` on its own, as ``build_parser`` copies it."""
-    _, handler, arguments = _COMMANDS[command]
-    parser = argparse.ArgumentParser(prog=f"semidist {command}", formatter_class=_formatter())
-    for name, keywords in arguments:
-        parser.add_argument(name, **keywords)
-    parser.set_defaults(func=handler, command=command)
-    return parser
-
-
 def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace the full parser returns for a plain call, read from the
     command's arguments without argparse; None for any other call.
@@ -494,12 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semidist",
         description="Catalog hypothesis tests, confidence intervals, and "
         "Monte Carlo coverage/size experiments for the normal model.",
-        formatter_class=_formatter(),
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (line, _, _) in _COMMANDS.items():
-        sub.add_parser(command, help=line, parents=[_command_parser(command)], add_help=False,
-                       formatter_class=parser.formatter_class)
+    for command, (line, handler, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=line, formatter_class=_HelpFormatter)
+        for name, keywords in arguments:
+            command_parser.add_argument(name, **keywords)
+        command_parser.set_defaults(func=handler)
     return parser
 
 

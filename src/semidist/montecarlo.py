@@ -5,8 +5,12 @@ Stream contract 3 (``measurement.STREAM_CONTRACT``, carried by every
 ``sample(truth, n, m, rng=stream(seed, j))``, from the Philox counters
 whose low 64 bits are j, so reports are reproducible and independent of
 how the replications are partitioned across workers.  Gates use 4-sigma
-binomial bands around the nominal level, clamped to [0, 1], which keeps
-the false-alarm probability of a passing implementation below 1e-4.
+(Wald) binomial bands around the nominal level, clamped to [0, 1].  The
+chance that a correct implementation fails one is below 1e-4 only where
+p * J is large (3.7e-5 at gamma = 0.95, J = 10**5); at J = 100 it is
+3.4e-3 for gamma = 0.99 and 9.9e-3 for gamma = 0.9999 (exact binomial
+sums).  ROADMAP.md item 2, "exact binomial gates", replaces the band with
+the exact Clopper-Pearson interval.
 
 Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
 rows, so memory stays bounded at any J.  ``measurement._std_block``
@@ -299,6 +303,15 @@ def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
             raise
 
 
+def _report(plan: ExperimentPlan, hits: int, center: float) -> ExperimentReport:
+    """The report of ``hits`` under ``plan``, its band around ``center``: a
+    coverage rate fails below the band, a size or power rate above it."""
+    rate = hits / plan.replications
+    band = _binomial_band(center, plan.replications)
+    passed = rate >= band[0] if plan.hypothesis is None else rate <= band[1]
+    return ExperimentReport(hits, plan.replications, rate, band, passed, plan.seed)
+
+
 def coverage_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:
     """Fraction of replications whose confidence region covers the true
     quantity value; passes when the rate is no more than 4 binomial
@@ -307,11 +320,7 @@ def coverage_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentRep
     if plan.hypothesis is not None:
         raise ValueError("coverage plans take no hypothesis")
     (hits,) = _hit_counts([plan], workers)
-    rate = hits / plan.replications
-    band = _binomial_band(plan.level, plan.replications)
-    return ExperimentReport(
-        hits, plan.replications, rate, band, rate >= band[0], plan.seed
-    )
+    return _report(plan, hits, plan.level)
 
 
 def size_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:
@@ -325,11 +334,7 @@ def size_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentReport:
             f"truth has quantity value {truth_value!r}, outside the null"
         )
     (hits,) = _hit_counts([plan], workers)
-    rate = hits / plan.replications
-    band = _binomial_band(plan.level, plan.replications)
-    return ExperimentReport(
-        hits, plan.replications, rate, band, rate <= band[1], plan.seed
-    )
+    return _report(plan, hits, plan.level)
 
 
 def power_curve(
@@ -338,8 +343,8 @@ def power_curve(
     workers: int = 1,
 ) -> list[ExperimentReport]:
     """Rejection rate across a grid of true states (null or not); the
-    band is descriptive (4 sigmas around the observed rate) and every
-    report passes by construction.
+    band is descriptive (4 sigmas around the observed rate, so every report
+    passes).
 
     Every point uses the plan's seed, so the points are common random
     numbers: replication j draws the same standard normals at each point,
@@ -351,11 +356,7 @@ def power_curve(
     if not truth_grid:
         raise ValueError("empty truth grid")
     points = [replace(plan, truth=truth) for truth in truth_grid]
-    reports = []
-    for point, hits in zip(points, _hit_counts(points, workers)):
-        rate = hits / point.replications
-        band = _binomial_band(rate, point.replications) if 0.0 < rate < 1.0 else (rate, rate)
-        reports.append(
-            ExperimentReport(hits, point.replications, rate, band, True, point.seed)
-        )
-    return reports
+    return [
+        _report(point, hits, hits / point.replications)
+        for point, hits in zip(points, _hit_counts(points, workers))
+    ]
