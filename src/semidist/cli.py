@@ -52,9 +52,8 @@ def _fmt(x: float) -> str:
 
 
 def _json_number(x: float):
-    if not math.isfinite(x):
-        return None
-    return float(f"{x:.12g}")
+    """``x`` as --json prints it: its shortest round-trip repr, null if not finite."""
+    return float(x) if math.isfinite(x) else None
 
 
 def read_columns(path: str) -> tuple[list[float], list[float]]:

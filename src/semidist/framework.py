@@ -218,8 +218,9 @@ CATALOG: dict[str, CatalogEntry] = {
 
 @dataclass(frozen=True)
 class TestProblem:
-    """Estimator + quantity + semi-distance kind, with sample sizes and
-    any nuisance parameters the calibration needs."""
+    """Estimator + quantity + semi-distance kind, one of the ``CATALOG``
+    entries, with sample sizes and any nuisance parameters the calibration
+    needs."""
 
     estimator: EstimatorKind
     quantity: QuantityKind
@@ -231,6 +232,13 @@ class TestProblem:
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
+        # Only a catalog entry has a pivot law; any other triple is refused.
+        kind = self.distance_kind
+        entry = (self.estimator, self.quantity, kind)
+        name = next((k for k, v in CATALOG.items() if v == entry), None)
+        if name is None:
+            triple = ", ".join(member.value for member in entry)
+            raise ValueError(f"({triple}) is not a catalog test")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         two_sample = self.quantity.two_sample
@@ -238,15 +246,12 @@ class TestProblem:
             raise ValueError("two-sample problems need m >= 1")
         if not two_sample and self.m is not None:
             raise ValueError("m is only meaningful for two-sample problems")
-        for name in ("sigma", "sigma1", "sigma2"):
-            value = getattr(self, name)
+        for flag in ("sigma", "sigma1", "sigma2"):
+            value = getattr(self, flag)
             if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
+                raise ValueError(f"{flag} must be positive, got {value!r}")
         # A sample sd needs two values: its pivot has n - 1 (and m - 1) dof.
-        kind = self.distance_kind
         if (kind.log_scale or kind.studentized) and min(self.n, self.m or self.n) < 2:
-            entry = (self.estimator, self.quantity, kind)
-            name = next((k for k, v in CATALOG.items() if v == entry), kind.value)
             sizes = f"n={self.n}" + (f", m={self.m}" if two_sample else "")
             raise ValueError(f"{name} needs at least 2 observations per sample, got {sizes}")
 

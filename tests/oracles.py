@@ -10,6 +10,7 @@ quadrature upper tails).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from scipy.integrate import quad
 
@@ -29,6 +30,9 @@ _LANCZOS = (
 )
 
 
+# The densities call it at every quadrature point with a few fixed shapes;
+# cached, it is computed once per shape, to the same bits.
+@lru_cache(maxsize=None)
 def lanczos_lgamma(z: float) -> float:
     """Log-gamma for z > 0 by the Lanczos sum (g=7, n=9)."""
     if z <= 0.0:

@@ -2,14 +2,19 @@
 grid-truth inverse all read it; sizes are checked when a problem is built."""
 
 import argparse
+import itertools
 import math
+import re
 
 import pytest
 
 from semidist import cli, framework
 from semidist.framework import (
     CATALOG,
+    EstimatorKind,
     Hypothesis,
+    QuantityKind,
+    SemiDistanceKind,
     confidence_region,
     quantity_value,
     rejection_region,
@@ -49,6 +54,24 @@ class TestRegistry:
             quantity,
             kind,
         )
+
+    def test_only_the_catalog_triples_build(self):
+        # Any other triple has no pivot law; (mu_bar_studentized, mu, absolute)
+        # once built and compared the unstudentized |mean| with a t radius.
+        triples = list(itertools.product(EstimatorKind, QuantityKind, SemiDistanceKind))
+        assert len(triples) == 120
+        entries = set(CATALOG.values())
+        for triple in triples:
+            estimator, quantity, kind = triple
+            m = 6 if quantity.two_sample else None
+            sigmas = {flag: 1.5 for flag in estimator.known_sigmas}
+            if triple in entries:
+                assert framework.TestProblem(*triple, 5, m, **sigmas).distance_kind is kind
+                continue
+            named = f"({estimator.value}, {quantity.value}, {kind.value}) is not a catalog test"
+            with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+                framework.TestProblem(*triple, 5, m, **sigmas)
+        assert len(entries) == 10
 
     def test_parser_choices_are_the_registry_names(self):
         parser = cli.build_parser()

@@ -237,7 +237,6 @@ class TestLevelsBeyondDoublePrecision:
     )
     def test_radius_is_the_reference(self, x_file, capsys, argv, reference):
         assert cli.main([*argv[:2], x_file, *argv[2:]]) == 0
-        # --json prints 12 significant digits.
         assert json.loads(capsys.readouterr().out)["eta"] == pytest.approx(reference, rel=1e-11)
 
     def test_gamma_next_to_1_is_the_reference(self, x_file, capsys):
@@ -290,12 +289,20 @@ class TestCiCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["hi"] is None
 
-    def test_twelve_significant_digits(self, ten_draws, capsys):
+    def test_numbers_round_trip(self, ten_draws, capsys):
         path, x = ten_draws
         cli.main(["ci", "mean-t", path, "--json"])
         payload = json.loads(capsys.readouterr().out)
         direct = confidence_region(mean_t(10), x, 0.95)
-        assert payload["lo"] == float(f"{direct.lo:.12g}")
+        assert (payload["lo"], payload["hi"]) == (direct.lo, direct.hi)
+        assert payload["estimator"] == direct.estimate
+
+    def test_gamma_next_to_1_prints_as_given(self, ten_draws, capsys):
+        # Rounded to 12 digits, it printed as 1.0, a level the CLI refuses.
+        cli.main(["ci", "mean-t", ten_draws[0], "--gamma", "0.9999999999999999", "--json"])
+        out = capsys.readouterr().out
+        assert '"gamma": 0.9999999999999999,' in out
+        assert json.loads(out)["gamma"] == 1.0 - 2.0**-53
 
 
 # The whole stdout of experiment calls, plain and --json: each kind, one- and
@@ -306,30 +313,30 @@ _GOLDEN_EXPERIMENTS = [
         "experiment coverage --test mean-t --n 10 --reps 300 --seed 5",
         "coverage experiment: mean-t  gamma: 0.95\n"
         "rate: 0.93  hits: 279/300  band: (0.899668, 1)  pass: yes  seed: 5\n",
-        '{"rate": 0.93, "hits": 279, "J": 300, "band": [0.899667770432, 1.0], "pass": true, '
-        '"seed": 5, "stream_contract": 3}\n',
+        '{"rate": 0.93, "hits": 279, "J": 300, "band": [0.8996677704315282, 1.0], '
+        '"pass": true, "seed": 5, "stream_contract": 3}\n',
     ),
     (
         "experiment coverage --test var-ratio --n 8 --m 12 --mu2 1 --sd2 2 --gamma 0.9 "
         "--reps 300 --seed 6",
         "coverage experiment: var-ratio  gamma: 0.9\n"
         "rate: 0.9  hits: 270/300  band: (0.830718, 0.969282)  pass: yes  seed: 6\n",
-        '{"rate": 0.9, "hits": 270, "J": 300, "band": [0.830717967697, 0.969282032303], '
-        '"pass": true, "seed": 6, "stream_contract": 3}\n',
+        '{"rate": 0.9, "hits": 270, "J": 300, "band": [0.8307179676972449, '
+        '0.9692820323027551], "pass": true, "seed": 6, "stream_contract": 3}\n',
     ),
     (
         "experiment size --test var --n 6 --null 1 --reps 300 --seed 7",
         "size experiment: var  alpha: 0.05\n"
         "rate: 0.0433333  hits: 13/300  band: (0, 0.100332)  pass: yes  seed: 7\n",
-        '{"rate": 0.0433333333333, "hits": 13, "J": 300, "band": [0.0, 0.100332229568], '
-        '"pass": true, "seed": 7, "stream_contract": 3}\n',
+        '{"rate": 0.043333333333333335, "hits": 13, "J": 300, "band": [0.0, '
+        '0.10033222956847167], "pass": true, "seed": 7, "stream_contract": 3}\n',
     ),
     (
         "experiment size --test diff-means --n 8 --null 0 --alpha 0.1 --reps 300 --seed 8",
         "size experiment: diff-means  alpha: 0.1\n"
         "rate: 0.0933333  hits: 28/300  band: (0.030718, 0.169282)  pass: yes  seed: 8\n",
-        '{"rate": 0.0933333333333, "hits": 28, "J": 300, "band": [0.0307179676972, '
-        '0.169282032303], "pass": true, "seed": 8, "stream_contract": 3}\n',
+        '{"rate": 0.09333333333333334, "hits": 28, "J": 300, "band": [0.030717967697244913, '
+        '0.1692820323027551], "pass": true, "seed": 8, "stream_contract": 3}\n',
     ),
     (
         "experiment power --test mean-z-upper --n 10 --null 0 --grid=-0.5,0,0.5,1,3 "
@@ -344,12 +351,12 @@ _GOLDEN_EXPERIMENTS = [
         "seed: 9\n"
         "theta: 3  rate: 1  hits: 300/300  band: (1, 1)  pass: yes  seed: 9\n",
         '[{"rate": 0.0, "hits": 0, "J": 300, "band": [0.0, 0.0], "pass": true, "seed": 9, '
-        '"stream_contract": 3}, {"rate": 0.0533333333333, "hits": 16, "J": 300, '
-        '"band": [0.00144170837573, 0.105224958291], "pass": true, "seed": 9, '
+        '"stream_contract": 3}, {"rate": 0.05333333333333334, "hits": 16, "J": 300, '
+        '"band": [0.0014417083757282748, 0.10522495829093839], "pass": true, "seed": 9, '
         '"stream_contract": 3}, {"rate": 0.48, "hits": 144, "J": 300, '
-        '"band": [0.364622359185, 0.595377640815], "pass": true, "seed": 9, '
-        '"stream_contract": 3}, {"rate": 0.936666666667, "hits": 281, "J": 300, '
-        '"band": [0.880418539126, 0.992914794208], "pass": true, "seed": 9, '
+        '"band": [0.36462235918515234, 0.5953776408148477], "pass": true, "seed": 9, '
+        '"stream_contract": 3}, {"rate": 0.9366666666666666, "hits": 281, "J": 300, '
+        '"band": [0.8804185391258156, 0.9929147942075177], "pass": true, "seed": 9, '
         '"stream_contract": 3}, {"rate": 1.0, "hits": 300, "J": 300, "band": [1.0, 1.0], '
         '"pass": true, "seed": 9, "stream_contract": 3}]\n',
     ),
@@ -363,12 +370,12 @@ _GOLDEN_EXPERIMENTS = [
         "seed: 10\n"
         "theta: 2.25  rate: 0.673333  hits: 202/300  band: (0.565024, 0.781643)  pass: yes  "
         "seed: 10\n",
-        '[{"rate": 0.0766666666667, "hits": 23, "J": 300, "band": [0.0152223226844, '
-        '0.138111010649], "pass": true, "seed": 10, "stream_contract": 3}, '
-        '{"rate": 0.276666666667, "hits": 83, "J": 300, "band": [0.173355557946, '
-        '0.379977775388], "pass": true, "seed": 10, "stream_contract": 3}, '
-        '{"rate": 0.673333333333, "hits": 202, "J": 300, "band": [0.56502376329, '
-        '0.781642903377], "pass": true, "seed": 10, "stream_contract": 3}]\n',
+        '[{"rate": 0.07666666666666666, "hits": 23, "J": 300, "band": [0.01522232268443012, '
+        '0.1381110106489032], "pass": true, "seed": 10, "stream_contract": 3}, '
+        '{"rate": 0.27666666666666667, "hits": 83, "J": 300, "band": [0.17335555794555585, '
+        '0.3799777753877775], "pass": true, "seed": 10, "stream_contract": 3}, '
+        '{"rate": 0.6733333333333333, "hits": 202, "J": 300, "band": [0.5650237632900404, '
+        '0.7816429033766262], "pass": true, "seed": 10, "stream_contract": 3}]\n',
     ),
 ]
 
