@@ -26,9 +26,11 @@ value each stop the command (exit 2) with a message naming the line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 import textwrap
 from itertools import repeat
@@ -440,15 +442,17 @@ def _plain_value(keywords: dict, word: str):
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: ``semidist`` with its three subcommands."""
+    # argparse's default width, looked up once, not once per formatter it makes.
+    formatter = functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="semidist",
         description="Catalog hypothesis tests, confidence intervals, and "
         "Monte Carlo coverage/size experiments for the normal model.",
-        formatter_class=_HelpFormatter,
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (line, handler, arguments) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=line, formatter_class=_HelpFormatter)
+        command_parser = sub.add_parser(command, help=line, formatter_class=formatter)
         for name, keywords in arguments:
             command_parser.add_argument(name, **keywords)
         command_parser.set_defaults(func=handler)

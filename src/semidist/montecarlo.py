@@ -305,7 +305,8 @@ def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
 
 def _report(plan: ExperimentPlan, hits: int, center: float) -> ExperimentReport:
     """The report of ``hits`` under ``plan``, its band around ``center``: a
-    coverage rate fails below the band, a size or power rate above it."""
+    coverage rate fails below the band, a size rate above it; a power band
+    is centred on the rate itself, so a power report always passes."""
     rate = hits / plan.replications
     band = _binomial_band(center, plan.replications)
     passed = rate >= band[0] if plan.hypothesis is None else rate <= band[1]

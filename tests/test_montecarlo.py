@@ -232,6 +232,16 @@ class TestPower:
         # two-sided symmetry
         assert abs(rates[1] - rates[3]) < 4.0 * math.sqrt(2 * 0.17 * 0.83 / 2500)
 
+    def test_every_point_passes_at_rates_zero_one_and_between(self):
+        # A power band is descriptive: centred on the point's own rate.
+        base = ExperimentPlan(
+            mean_z(10, 1.0), State(0.0, 1.0), 1e-6, 200, 3, Hypothesis.point(0.0)
+        )
+        reports = power_curve(base, [State(mu, 1.0) for mu in (0.0, 1.5, 100.0)])
+        assert [r.rate for r in reports] == [0.0, 0.41, 1.0]
+        assert [r.band[0] for r in reports] == [0.0, pytest.approx(0.27089, abs=1e-5), 1.0]
+        assert all(r.passed for r in reports)
+
     def test_empty_grid_rejected(self):
         base = ExperimentPlan(
             mean_z(10, 1.0), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
