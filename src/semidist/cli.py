@@ -386,7 +386,8 @@ _COMMANDS = {
         ("--gamma", dict(type=float, default=0.95, help="confidence level (coverage)")),
         ("--alpha", dict(type=float, default=0.05, help="significance level (size/power)")),
         ("--null", dict(type=float, help="null value (size/power)")),
-        ("--grid", dict(help="comma-separated quantity values (power)")),
+        ("--grid", dict(help="comma-separated quantity values (power); write a grid "
+                             "that starts with a negative value as --grid=-0.5,0,1")),
         ("--reps", dict(type=int, default=10000, help="replications")),
         ("--seed", dict(type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")),
         ("--workers", dict(type=int, default=1, help="parallel workers")),

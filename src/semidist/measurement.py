@@ -172,10 +172,11 @@ def _std_normal(words: np.ndarray) -> np.ndarray:
     """Phi^-1(u) for u = (2 (w >> 12) + 1) 2^-53, one raw 64-bit word w per
     value: u is exact, symmetric about 1/2 and never 0 or 1, so the extreme
     words give finite values near +-8.2.  u is formed exactly as
-    1 + (w >> 12) 2^-52 (by its bits) minus 1 - 2^-53."""
-    bits = words >> _SHIFT12
-    bits |= _ONE_BITS
-    u = bits.view(np.float64)
+    1 + (w >> 12) 2^-52 (by its bits) minus 1 - 2^-53, in place: the
+    C-contiguous ``words`` become the returned float64 array."""
+    words >>= _SHIFT12
+    words |= _ONE_BITS
+    u = words.view(np.float64)
     u -= 1.0 - 2.0**-53
     return (_ndtri or _load_ndtri())(u, out=u)
 
@@ -187,13 +188,14 @@ def _counter_words(bitgen, count: int, rows: int) -> np.ndarray:
 
     Each call of ``random_raw`` reads one group of four values for every
     row (one Philox block per replication), and ``advance`` then moves the
-    counter's high part on to the next group.
+    counter's high part on to the next group.  The array is C-contiguous
+    (the last group copies only its kept words) for ``_std_normal``.
     """
-    words = np.empty((rows, -(-count // 4) * 4), np.uint64)
+    words = np.empty((rows, count), np.uint64)
     for g in range(0, count, 4):
-        words[:, g : g + 4] = bitgen.random_raw(4 * rows).reshape(rows, 4)
+        words[:, g : g + 4] = bitgen.random_raw(4 * rows).reshape(rows, 4)[:, : count - g]
         bitgen.advance((1 << 64) - rows)
-    return words[:, :count]
+    return words
 
 
 def _std_block(seed: int, count: int, start: int, stop: int) -> np.ndarray:
@@ -290,8 +292,16 @@ def sample(
 
 
 def _scale(z: np.ndarray, state: State) -> np.ndarray:
-    # mu + sigma * z as a new array, rounded twice (product, then sum) on
-    # every path, so block rows equal ``sample``'s values bit for bit.
+    """mu + sigma * z, rounded twice (product, then sum), so block rows
+    equal ``sample``'s values bit for bit; ``z`` is never written.
+
+    A step that changes no bit is skipped.  u is never 1/2, so every
+    |z| >= 2.7e-16, and for sigma >= 1e-290 no product underflows to +-0:
+    adding a zero mu (+0 or -0) to a nonzero value leaves it as it is, and
+    so does a product by sigma = 1.  For N(0, 1) ``z`` itself is returned.
+    """
+    if state.mu == 0.0 and state.sigma >= 1e-290:
+        return z if state.sigma == 1.0 else z * state.sigma
     out = z * state.sigma
     out += state.mu
     return out

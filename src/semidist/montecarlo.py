@@ -12,16 +12,18 @@ p * J is large (3.7e-5 at gamma = 0.95, J = 10**5); at J = 100 it is
 sums).  ROADMAP.md item 2, "exact binomial gates", replaces the band with
 the exact Clopper-Pearson interval.
 
-Block kernel: replications run in blocks of ``_BLOCK_VALUES // (n + m)``
-rows, so memory stays bounded at any J.  ``measurement._std_block``
-draws the block's words with numpy's Philox, one call per four columns
-of every row, and maps them to standard normals;
+Block kernel: a chunk of J replications runs in
+min(J, max(1, round(J (n + m) / ``_BLOCK_VALUES``))) blocks whose sizes
+differ by at most one row, so a block holds at most 1.5 ``_BLOCK_VALUES``
+values plus one row at any J.  ``measurement._std_block`` draws the
+block's words with numpy's Philox, one call per four columns of every
+row, into one array that it maps to standard normals in place;
 ``measurement._scale_side`` scales the columns of one side into a
 (rows, n) array (side 0) or a (rows, m) array (side 1, two-sample only)
-of one state's draws, which ``_Rows`` holds with their estimators.  The
-framework's estimates and semi-distance
-|clamp(g(E(x))) - clamp(g(anchor))| / s are defined on such rows, and
-decide the whole block at once.
+of one state's draws (the columns themselves for N(0, 1)), which
+``_Rows`` holds with their estimators.  The framework's estimates and
+semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are defined on
+such rows, and decide the whole block at once.
 
 A single measured value is a batch of one row, so the block decision is
 the scalar ``Region.contains`` / ``ConfidenceRegion.contains`` decision on
@@ -152,8 +154,8 @@ def _binomial_band(p: float, j: int) -> tuple[float, float]:
     return max(0.0, p - half), min(1.0, p + half)
 
 
-# Values drawn per block; a block holds _BLOCK_VALUES // (n + m) rows, so
-# the kernel's memory stays bounded whatever the replication count.
+# Values drawn per block, about: ``_hits`` splits a chunk into equal blocks
+# near this size, so the kernel's memory stays bounded at any J.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -196,7 +198,8 @@ def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
     first = plans[0]
     n, m = first.problem.n, first.problem.m or 0
     rules = [_Rule.of(plan) for plan in plans]
-    rows = max(1, _BLOCK_VALUES // (n + m))
+    span = stop - start
+    blocks = min(span, max(1, round(span * (n + m) / _BLOCK_VALUES)))
     # Each plan's sides as cache keys.  A key holds mu's sign as well:
     # State(-0.0, s) == State(0.0, s), but their draws can differ in the
     # sign of a zero.
@@ -210,10 +213,11 @@ def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
     # set outgrew the cache.
     shared = {key for key, count in Counter(chain.from_iterable(keys)).items() if count > 1}
     hits = [0] * len(plans)
-    for lo in range(start, stop, rows):
+    for b in range(blocks):
         # The block's shared rows, dropped before the next block is drawn.
         built: dict[tuple[int, State, float], _Rows] = {}
-        z = _std_block(first.seed, n + m, lo, min(lo + rows, stop))
+        lo, hi = start + b * span // blocks, start + (b + 1) * span // blocks
+        z = _std_block(first.seed, n + m, lo, hi)
 
         def rows_of(key: tuple[int, State, float]) -> _Rows:
             if key in built:

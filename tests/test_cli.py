@@ -549,6 +549,20 @@ class TestHelp:
         # argparse wraps to two columns less than the terminal
         assert widest[60] <= 58 < widest[200] <= 198
 
+    def test_grid_help_gives_the_form_for_a_negative_first_value(self, capsys):
+        # argparse reads "--grid -0.5,0,1" as a flag with no value, so the
+        # help line says how such a grid is written, and that form runs.
+        assert cli.main(["experiment", "--help"]) == 0
+        assert (
+            "--grid GRID comma-separated quantity values (power); write a grid that "
+            "starts with a negative value as --grid=-0.5,0,1"
+        ) in " ".join(capsys.readouterr().out.split())
+        argv = ["experiment", "power", "--test", "mean-z", "--null", "0", "--grid=-0.5,0,1",
+                "--reps", "20", "--seed", "3"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in lines[1:]] == ["theta: -0.5", "theta: 0", "theta: 1"]
+
     def test_python_dash_m_runs_the_cli(self):
         done = _python_dash_m(["--help"])
         assert done.returncode == 0, done.stderr

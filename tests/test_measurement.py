@@ -16,6 +16,8 @@ from semidist.measurement import (
     State,
     TwoSampleState,
     _sample_block,
+    _scale,
+    _std_block,
     _std_normal,
     image_prob_mean,
     image_prob_ss,
@@ -411,6 +413,37 @@ class TestBlockKernel:
         # Neighbouring values within a row are uncorrelated.
         r = np.corrcoef(xs[:, :-1].ravel(), xs[:, 1:].ravel())[0, 1]
         assert abs(r) < 4.0 / math.sqrt(xs[:, 1:].size)
+
+
+class TestInPlaceKernel:
+    """What drawing in place and skipping exact scaling rely on."""
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 10, 17, 100])
+    def test_block_is_contiguous_and_equals_the_stream(self, count):
+        # ndtri over a strided view such as (rows, 12)[:, :10] runs row by
+        # row, so a block is one C-contiguous array.
+        z = _std_block(29, count, 5, 45)
+        assert z.shape == (40, count) and z.flags.c_contiguous
+        ref = [sample(State(0.0, 1.0), count, rng=stream(29, j)).values for j in range(5, 45)]
+        assert z.tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize(
+        "mu,sigma",
+        [(0.0, 1.0), (-0.0, 1.0), (-0.0, 1.5), (0.0, 1.5), (0.0, 1e-300), (0.0, 5e-324),
+         (0.3, 1.0), (0.3, 1.5)],
+    )
+    def test_scale_is_two_roundings_and_leaves_z_alone(self, mu, sigma):
+        # The block, the extreme words and the two words nearest u = 1/2
+        # (the smallest |z|, whose product with a tiny sigma underflows).
+        words = np.array([0, _MASK64, 1 << 63, (1 << 63) - (1 << 12)], np.uint64)
+        z = np.concatenate([_std_block(3, 40, 0, 50).ravel(), _std_normal(words)])
+        before = z.copy()
+        ref = np.add(np.multiply(z, sigma), mu)
+        x = _scale(z, State(mu, sigma))
+        assert x.tobytes() == ref.tobytes()
+        assert z.tobytes() == before.tobytes()
+        # Only N(0, 1) hands back the normals themselves.
+        assert (x is z) == (mu == 0.0 and sigma == 1.0)
 
 
 def test_import_leaves_scipy_optimize_out():

@@ -538,6 +538,27 @@ class TestBatchedDecisions:
         monkeypatch.setattr(mc, "_BLOCK_VALUES", 37)
         assert coverage_experiment(plan) == whole
 
+    @pytest.mark.parametrize("block_values", [1 << 16, 1000, 15])
+    @pytest.mark.parametrize("reps", [1, 2, 301, 4000])
+    def test_blocks_are_equal_and_none_is_empty(self, monkeypatch, reps, block_values):
+        # 15 values a block is fewer than the n + m = 17 of one row.
+        plan = ExperimentPlan(variance_ratio(10, 7), _truth(True), 0.95, reps, 5)
+        whole = mc._hits([plan], 7, 7 + reps)
+        blocks, draw = [], mc._std_block
+
+        def spy(seed, count, start, stop):
+            blocks.append((start, stop))
+            return draw(seed, count, start, stop)
+
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(mc, "_std_block", spy)
+        assert mc._hits([plan], 7, 7 + reps) == whole
+        sizes = [stop - start for start, stop in blocks]
+        assert [start for start, _ in blocks] == [7] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == 7 + reps
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) * 17 <= 1.5 * block_values + 17
+
     def test_hits_is_a_python_int(self):
         assert type(coverage_experiment(_coverage_plan(reps=50)).hits) is int
 
@@ -824,7 +845,8 @@ class TestSharedDraws:
         monkeypatch.setattr(mc, "_BLOCK_VALUES", 1000)
         monkeypatch.setattr(mc, "_std_block", spy)
         assert [r.hits for r in power_curve(base, grid)] == whole
-        assert blocks == [(0, 100), (100, 200), (200, 300), (300, 301)]
+        # 301 rows of 10 values at 1000 values a block: three equal blocks.
+        assert blocks == [(0, 100), (100, 200), (200, 301)]
 
     def test_each_distinct_side_is_scaled_and_estimated_once_per_block(self, monkeypatch):
         problem = variance_ratio_upper(10, 10)
@@ -860,9 +882,9 @@ class TestSharedDraws:
             (0, 0.0, 1.0, 2.0), (1, 0.5, 1.0, 2.0), (0, 0.0, 1.0, 3.0),
             (0, 0.0, 1.0, 4.0), (0, -0.0, -1.0, 2.0),
         ]
-        assert len(blocks) == 4
-        assert scaled == [(b,) + side for b in range(1, 5) for side in sides]
-        assert estimated == [b for b in range(1, 5) for _ in sides]
+        assert len(blocks) == 3
+        assert scaled == [(b,) + side for b in range(1, 4) for side in sides]
+        assert estimated == [b for b in range(1, 4) for _ in sides]
 
     def test_plans_with_different_seeds_are_refused(self):
         plan = ExperimentPlan(
