@@ -1,6 +1,12 @@
 """Confidence intervals and hypothesis tests as two sides of one
 semi-distance construction on the normal model, with exact special-function
-numerics and a Monte Carlo coverage/size harness."""
+numerics and a Monte Carlo coverage/size harness.
+
+``import semidist`` loads ``distributions``, ``framework`` and
+``measurement``.  ``montecarlo`` and ``inference``, which no ``test`` or
+``ci`` call runs, load on first use: the first access to either module or
+to one of the names below that it exports, including through
+``from semidist import ...`` and ``from semidist import *``."""
 
 from .distributions import (
     DistributionSpec,
@@ -46,15 +52,6 @@ from .framework import (
     variance_ratio_upper,
     variance_upper,
 )
-from .inference import (
-    GaussianMeanModel,
-    LikelihoodValue,
-    ParameterRegion,
-    lrt_lambda,
-    lrt_region,
-    mle_normal,
-    normalized_likelihood,
-)
 from .measurement import (
     Sample,
     State,
@@ -69,12 +66,39 @@ from .measurement import (
     ss_bar,
     stream,
 )
-from .montecarlo import (
-    ExperimentPlan,
-    ExperimentReport,
-    coverage_experiment,
-    power_curve,
-    size_experiment,
-)
 
 __version__ = "0.1.0"
+
+# The module of each name that loads on first use.
+_LAZY = {
+    "montecarlo": "montecarlo",
+    "ExperimentPlan": "montecarlo",
+    "ExperimentReport": "montecarlo",
+    "coverage_experiment": "montecarlo",
+    "power_curve": "montecarlo",
+    "size_experiment": "montecarlo",
+    "inference": "inference",
+    "GaussianMeanModel": "inference",
+    "LikelihoodValue": "inference",
+    "ParameterRegion": "inference",
+    "lrt_lambda": "inference",
+    "lrt_region": "inference",
+    "mle_normal": "inference",
+    "normalized_likelihood": "inference",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = sorted({*(name for name in globals() if name[0] != "_"), *_LAZY})

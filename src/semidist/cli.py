@@ -25,20 +25,23 @@ value each stop the command (exit 2) with a message naming the line.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
-import shutil
 import sys
-import textwrap
 from itertools import repeat
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
-from . import framework, montecarlo
+from . import framework
 from .framework import CATALOG, Hypothesis, TestProblem
 from .measurement import Sample, State, TwoSampleState
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .montecarlo import ExperimentReport
 
 __all__ = ["main"]
 
@@ -261,7 +264,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_payload(report: montecarlo.ExperimentReport) -> dict:
+def _report_payload(report: ExperimentReport) -> dict:
     return {
         "rate": _json_number(report.rate),
         "hits": report.hits,
@@ -293,6 +296,8 @@ def _grid_values(grid: str | None, name: str) -> list[float]:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     name, kind = args.test, args.kind
     _refuse_unused_flags(name, args)
     two_sample = CATALOG[name].quantity.two_sample
@@ -396,17 +401,10 @@ _COMMANDS = {
 }
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, except that help text never breaks a line
-    inside a hyphenated word such as a test name."""
-
-    def _split_lines(self, text: str, width: int) -> list[str]:
-        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
-
-
-def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace the full parser returns for a plain call, read from the
-    command's arguments without argparse; None for any other call.
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes of the namespace the full parser returns for a plain
+    call, read from the command's arguments without importing argparse;
+    None for any other call.
 
     A plain call is a command, then exactly its positionals, then only its
     flags, spelled out; every value passes its type and choices, none starts
@@ -430,7 +428,7 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
         return None
     if any(kw.get("required") and values[name[2:]] is None for name, kw in arguments):
         return None
-    return argparse.Namespace(**values, func=handler, command=argv[0])
+    return SimpleNamespace(**values, func=handler, command=argv[0])
 
 
 def _plain_value(keywords: dict, word: str):
@@ -443,6 +441,17 @@ def _plain_value(keywords: dict, word: str):
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: ``semidist`` with its three subcommands."""
+    import argparse
+    import shutil
+    import textwrap
+
+    class _HelpFormatter(argparse.HelpFormatter):
+        """argparse's formatter, except that help text never breaks a line
+        inside a hyphenated word such as a test name."""
+
+        def _split_lines(self, text: str, width: int) -> list[str]:
+            return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
     # argparse's default width, looked up once, not once per formatter it makes.
     formatter = functools.partial(_HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(

@@ -153,9 +153,12 @@ _ndtri = None
 
 
 def _load_ndtri():
-    """Import and bind ``ndtri`` once.  ``montecarlo`` calls this just
-    before it opens its worker pool, which then lives for the rest of the
-    process, so that the forked workers inherit the import."""
+    """Import and bind ``ndtri`` once.  ``montecarlo`` calls this when it
+    opens its worker pool (and imports the pool's modules), before any
+    worker forks; the pool then lives for the rest of the process, so the
+    forked workers inherit the import: each worker importing it for itself
+    cost more memory over the pool and a slower first call than the
+    parent's one import."""
     global _ndtri
     if _ndtri is None:
         from scipy.special import ndtri

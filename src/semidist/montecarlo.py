@@ -50,7 +50,14 @@ its own; a pool broken by a dead worker is dropped, after its error has
 reached the caller, and the next call opens a fresh one.  Idle workers
 live until the process exits, when ``concurrent.futures`` joins them (a
 multiprocessing child process shuts its pool down in an exit finalizer);
-a worker whose process was killed ends itself within a second.
+a worker whose process was killed ends itself within a second.  The
+pool's modules (``concurrent.futures`` and ``multiprocessing``) are
+imported when the first pool opens, so a one-worker run never loads
+them.  ``scipy.special``'s ``ndtri`` is still loaded in the parent then
+(``measurement._load_ndtri``), before any worker forks, so the workers
+share its pages instead of each importing it: without the preload the parent
+measured 17 MiB smaller, but parent plus workers grew from 64 to 90 MiB
+proportional set size and the first curve ran about 120 ms slower.
 """
 
 from __future__ import annotations
@@ -61,12 +68,9 @@ import os
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import chain
-from multiprocessing.util import Finalize
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -88,6 +92,10 @@ from .measurement import (
     _std_block,
     _Z_MAX,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
 
 __all__ = [
     "ExperimentPlan",
@@ -272,6 +280,9 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     if _pool is not None and _pool[1:3] != (workers, os.getpid()):
         _drop_pool()
     if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing.util import Finalize
+
         # Forked workers inherit the import instead of each paying for it.
         _load_ndtri()
         pool = ProcessPoolExecutor(
@@ -297,6 +308,8 @@ def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
     spans = _chunks(replications, workers)
     if len(spans) == 1:
         return _hits(plans, 0, replications)
+    from concurrent.futures.process import BrokenProcessPool
+
     with _pool_lock:
         pool = _worker_pool(workers)
         try:

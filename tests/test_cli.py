@@ -569,14 +569,18 @@ class TestHelp:
         assert done.stdout.startswith("usage: semidist ")
 
 
-def _python_dash_m(argv):
+def _python(*args):
+    """Run ``python *args`` in a fresh interpreter on this checkout."""
     src = os.path.dirname(os.path.dirname(semidist.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "semidist", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def _python_dash_m(argv):
+    return _python("-m", "semidist", *argv)
 
 
 _DATA = "data.csv"
@@ -752,3 +756,122 @@ class TestCommandParser:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _fresh_python(code, *args):
+    """The stdout of ``python -c code *args``, which must succeed."""
+    done = _python("-c", code, *args)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Runs ``semidist`` with the script's arguments as its command line, then
+# prints its exit code, which of the modules in ``WATCHED`` are loaded and
+# whether a worker pool is open, as JSON on the last line.
+_CALL_AND_LIST = """
+import json, sys
+from semidist.cli import main
+code = main(sys.argv[1:])
+WATCHED = ("semidist.montecarlo", "semidist.inference", "argparse", "concurrent.futures",
+           "concurrent.futures.process", "multiprocessing", "multiprocessing.util")
+mc = sys.modules.get("semidist.montecarlo")
+print(json.dumps([code, [m for m in WATCHED if m in sys.modules], getattr(mc, "_pool", None) is not None]))
+"""
+_POOL_MODULES = ("concurrent.futures.process", "multiprocessing", "multiprocessing.util")
+
+# Every public name of the package by the module it comes from: the names
+# ``import semidist`` bound, all at once, before montecarlo and inference
+# loaded on first use.
+_EXPORTS = {
+    "distributions": (
+        "DistributionSpec", "Family", "Tails", "cdf", "chi_squared", "fisher_f", "normal",
+        "pdf", "quantile", "student_t", "symmetric_log_interval_eta", "upper_tail_log_eta",
+        "z_alpha",
+    ),
+    "framework": (
+        "ConfidenceRegion", "Hypothesis", "HypothesisKind", "Region", "SemiDistance",
+        "SemiDistanceKind", "SureRegion", "TestProblem", "TestResult", "confidence_region",
+        "estimate", "eta_alpha", "eta_gamma", "mean_diff_z", "mean_diff_z_upper", "mean_t",
+        "mean_t_upper", "mean_z", "mean_z_upper", "quantity_value", "rejection_region",
+        "run_test", "sure_region", "variance", "variance_ratio", "variance_ratio_upper",
+        "variance_upper",
+    ),
+    "inference": (
+        "GaussianMeanModel", "LikelihoodValue", "ParameterRegion", "lrt_lambda", "lrt_region",
+        "mle_normal", "normalized_likelihood",
+    ),
+    "measurement": (
+        "Sample", "State", "TwoSampleState", "image_prob_mean", "image_prob_ss", "mu_bar",
+        "normal_prob", "sample", "sigma_bar", "sigma_bar_prime", "ss_bar", "stream",
+    ),
+    "montecarlo": (
+        "ExperimentPlan", "ExperimentReport", "coverage_experiment", "power_curve",
+        "size_experiment",
+    ),
+}
+
+
+class TestImportSet:
+    """What a fresh ``semidist`` process imports: only what its call runs."""
+
+    @pytest.fixture()
+    def five_rows(self, tmp_path):
+        path = tmp_path / "five.txt"
+        path.write_text("x\n1.5\n2.0\n0.25\n3.0\n4.5\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "mean-t", "FILE", "--null", "0"],
+        ["ci", "var", "FILE", "--json"],
+    ], ids=" ".join)
+    def test_plain_test_and_ci_calls_load_no_experiment_module_or_argparse(self, five_rows, argv):
+        argv = [five_rows if word == "FILE" else word for word in argv]
+        code, loaded, pool = json.loads(_fresh_python(_CALL_AND_LIST, *argv).splitlines()[-1])
+        assert (code, loaded, pool) == (0, [], False)
+
+    def test_one_worker_experiment_loads_no_pool_module(self):
+        # scipy.special, which draws the normals, may import concurrent.futures
+        # itself (through numpy.testing); the pool's own modules stay out.
+        argv = ["experiment", "coverage", "--test", "mean-z", "--reps", "200", "--workers", "1"]
+        code, loaded, pool = json.loads(_fresh_python(_CALL_AND_LIST, *argv).splitlines()[-1])
+        by_scipy = json.loads(_fresh_python(
+            "import json, sys, scipy.special; print(json.dumps(sorted(sys.modules)))"
+        ))
+        assert (code, pool) == (0, False)
+        assert "semidist.montecarlo" in loaded
+        assert {m for m in loaded if m.startswith(("concurrent", "multiprocessing"))} <= set(by_scipy)
+        assert not set(_POOL_MODULES) & set(loaded)
+
+    def test_two_worker_experiment_opens_its_pool_and_exits(self):
+        argv = ["experiment", "power", "--test", "mean-z", "--null", "0", "--grid", "0,1",
+                "--reps", "200", "--seed", "3", "--workers", "2", "--json"]
+        # _fresh_python returns only once the interpreter, pool and all, has exited.
+        payload, listing = _fresh_python(_CALL_AND_LIST, *argv).splitlines()
+        code, loaded, pool = json.loads(listing)
+        assert (code, pool) == (0, True)
+        assert set(_POOL_MODULES) <= set(loaded)
+        assert len(json.loads(payload)) == 2
+
+    def test_public_names_resolve_as_before(self):
+        code = (
+            "import importlib, json, sys\n"
+            "import semidist\n"
+            "lazy = sorted({'semidist.montecarlo', 'semidist.inference'} & set(sys.modules))\n"
+            "exports = json.loads(sys.argv[1])\n"
+            "star = {}\n"
+            "exec('from semidist import *', star)\n"
+            "wrong = [\n"
+            "    name\n"
+            "    for home, names in exports.items()\n"
+            "    for module in [importlib.import_module('semidist.' + home)]\n"
+            "    for name, value in [(home, module), *((n, getattr(module, n)) for n in names)]\n"
+            "    if not getattr(semidist, name) is star[name] is value\n"
+            "]\n"
+            "print(json.dumps([lazy, sorted(set(star) - {'__builtins__'}), wrong,\n"
+            "                  sorted(set(star) - set(dir(semidist)))]))\n"
+        )
+        lazy, star, wrong, undirected = json.loads(_fresh_python(code, json.dumps(_EXPORTS)))
+        assert lazy == []
+        assert star == sorted({*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)})
+        assert wrong == []
+        assert undirected == []

@@ -109,12 +109,22 @@ class TestMle:
                 sigma_bar(x) ** 2 + (mu_bar(x) - anchor) ** 2
             ) + 0.5
             sigmas = np.linspace(0.02, sigma_top, 161)
+            n = len(x)
             best, best_state = -math.inf, None
-            for mu in mus:
+            for i, mu in enumerate(mus):
                 if not region.contains(State(mu, 1.0)):
                     continue
-                for sigma in sigmas:
-                    ll = log_likelihood(x, State(mu, sigma))
+                # log_likelihood's own expression, its sum of squares taken
+                # once per mu, not once per grid point: the same values bit
+                # for bit, as the check on one sigma per mu shows.
+                ssq = math.fsum((v - mu) ** 2 for v in x)
+                lls = [
+                    -0.5 * n * math.log(2.0 * math.pi * sigma**2) - ssq / (2.0 * sigma**2)
+                    for sigma in sigmas
+                ]
+                k = i * 7 % len(sigmas)
+                assert float(lls[k]).hex() == float(log_likelihood(x, State(mu, sigmas[k]))).hex()
+                for sigma, ll in zip(sigmas, lls):
                     if ll > best:
                         best, best_state = ll, State(mu, sigma)
             assert best_state is not None

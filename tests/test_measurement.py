@@ -485,7 +485,7 @@ def test_cli_test_and_ci_leave_scipy_special_out(tmp_path):
 def test_pool_workers_inherit_scipy_special():
     # The parent imports it before forking, so no worker pays for it.
     code = (
-        "import sys\n"
+        "import concurrent.futures, sys\n"
         "from concurrent.futures import ProcessPoolExecutor\n"
         "from semidist import montecarlo as mc\n"
         "from semidist.framework import Hypothesis, mean_z\n"
@@ -495,7 +495,7 @@ def test_pool_workers_inherit_scipy_special():
         "    def __init__(self, *args, **kwargs):\n"
         "        seen.append('scipy.special' in sys.modules)\n"
         "        super().__init__(*args, **kwargs)\n"
-        "mc.ProcessPoolExecutor = Counting\n"
+        "concurrent.futures.ProcessPoolExecutor = Counting\n"
         "plan = mc.ExperimentPlan(mean_z(10, 1.0), State(0.0, 1.0), 0.05, 40, 3,\n"
         "                         Hypothesis.point(0.0))\n"
         "mc.power_curve(plan, [State(0.0, 1.0), State(0.5, 1.0)], workers=2)\n"

@@ -2,6 +2,7 @@
 size sanity at modest replication counts (the full-size runs live in
 test_acceptance.py)."""
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -285,7 +286,9 @@ class TestWorkers:
                 opened.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", Counting)
+        # The pool's modules load with the first pool, so the class is
+        # looked up where the pool opens.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         base, grid = _small_curve()
         one = _curve_hits(base, grid, 1)
         assert _curve_hits(base, grid, 2) == one
