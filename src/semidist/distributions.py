@@ -124,7 +124,7 @@ def _unconverged(what: str, why: str = "did not converge", **params: float) -> V
     return ValueError(f"{what} {why} for {named}")
 
 
-def _gamma_p_series(a: float, x: float) -> float:
+def _gamma_series(a: float, x: float) -> float:
     # Lower series, converges for x < a + 1.
     ap = a
     total = 1.0 / a
@@ -137,10 +137,10 @@ def _gamma_p_series(a: float, x: float) -> float:
             break
     else:
         raise _unconverged("incomplete gamma series", a=a, x=x)
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
 
-def _gamma_q_cf(a: float, x: float) -> float:
+def _gamma_cf(a: float, x: float) -> float:
     # Upper-tail continued fraction (modified Lentz), converges for x >= a + 1.
     steps = _steps("incomplete gamma continued fraction", x, a)
     b = x + 1.0 - a
@@ -163,16 +163,17 @@ def _gamma_q_cf(a: float, x: float) -> float:
             break
     else:
         raise _unconverged("incomplete gamma continued fraction", a=a, x=x)
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    return h
 
 
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if x <= 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_cf(a, x)
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete gammas (P(a, x), Q(a, x)) for x > 0: the
+    series gives P below x = a + 1 and the continued fraction Q above, each
+    times the prefactor x^a e^-x / Gamma(a); the other is its complement."""
+    lower = x < a + 1.0
+    tail = (_gamma_series if lower else _gamma_cf)(a, x)
+    tail *= math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return (tail, 1.0 - tail) if lower else (1.0 - tail, tail)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -214,15 +215,13 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     return h
 
 
-def _beta_inc(a: float, b: float, x: float, xc: float | None = None) -> float:
+def _beta_inc(a: float, b: float, x: float, xc: float) -> float:
     """Regularized incomplete beta I_x(a, b).
 
-    ``xc`` is 1 - x; callers whose argument is a ratio u/(u+v) pass the
-    complement v/(u+v) directly, which keeps the far tails accurate where
-    the subtraction 1 - x would cancel.
+    ``xc`` is 1 - x; every argument is a ratio u/(u+v), and its caller
+    passes the complement v/(u+v) directly, which keeps the far tails
+    accurate where the subtraction 1 - x would cancel.
     """
-    if xc is None:
-        xc = 1.0 - x
     if x <= 0.0:
         return 0.0
     if xc <= 0.0:
@@ -306,7 +305,7 @@ def cdf(spec: DistributionSpec, x: float) -> float:
     if spec.kind is Family.CHI_SQUARED:
         if x <= 0.0:
             return 0.0
-        return _gamma_p(0.5 * spec.dof1, 0.5 * x)
+        return _gamma_tails(0.5 * spec.dof1, 0.5 * x)[0]
     if spec.kind is Family.STUDENT_T:
         if x == 0.0:
             return 0.5
@@ -329,8 +328,7 @@ def _sf(spec: DistributionSpec, x: float) -> float:
     if spec.kind is Family.FISHER_F:
         u, d2 = spec.dof1 * x, spec.dof2
         return _beta_inc(0.5 * d2, 0.5 * spec.dof1, d2 / (u + d2), u / (u + d2))
-    a, x = 0.5 * spec.dof1, 0.5 * x
-    return _gamma_q_cf(a, x) if x >= a + 1.0 else 1.0 - _gamma_p_series(a, x)
+    return _gamma_tails(0.5 * spec.dof1, 0.5 * x)[1]
 
 
 def _t_tail(k: int, x: float) -> float:

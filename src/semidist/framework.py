@@ -502,11 +502,10 @@ def eta_alpha(
     return _radius(problem, omega, alpha)
 
 
-def eta_gamma(
-    problem: TestProblem, omega: State | TwoSampleState | None, gamma: float
-) -> float:
-    """The radius the estimator stays within with probability >= gamma;
-    identical to eta_alpha at alpha = 1 - gamma (continuous laws)."""
+def _alpha_of(gamma: float) -> float:
+    """alpha = 1 - gamma, the one place a confidence level is checked and
+    turned into a test level: gamma must lie in (0, 1), and not so near 0
+    that 1 - gamma rounds to 1."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
     alpha = 1.0 - gamma
@@ -514,7 +513,15 @@ def eta_gamma(
         raise ValueError(
             f"gamma={gamma!r} is too small for double precision: 1 - gamma rounds to 1"
         )
-    return _radius(problem, omega, alpha)
+    return alpha
+
+
+def eta_gamma(
+    problem: TestProblem, omega: State | TwoSampleState | None, gamma: float
+) -> float:
+    """The radius the estimator stays within with probability >= gamma;
+    identical to eta_alpha at alpha = 1 - gamma (continuous laws)."""
+    return _radius(problem, omega, _alpha_of(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +649,10 @@ def confidence_region(problem: TestProblem, x: Sample, gamma: float) -> Confiden
     lies inside iff the corresponding point test at alpha = 1 - gamma
     does not reject it.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
+    alpha = _alpha_of(gamma)
     _check_sizes(problem, x)
     e = float(_estimates(problem, *x._rows, centres=True)[0])
-    eta = eta_gamma(problem, None, gamma)
+    eta = _radius(problem, None, alpha)
     kind = problem.distance_kind
     lo, hi = _endpoints(kind, e, eta, x)
     return ConfidenceRegion(problem, gamma, eta, e, lo, math.inf if kind.half_line else hi, x)
@@ -657,9 +663,7 @@ def sure_region(
 ) -> SureRegion:
     """Estimates compatible with the sure hypothesis at confidence gamma:
     the complement of the rejection region at alpha = 1 - gamma."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
-    return SureRegion(gamma, rejection_region(problem, hypothesis, 1.0 - gamma))
+    return SureRegion(gamma, rejection_region(problem, hypothesis, _alpha_of(gamma)))
 
 
 # ---------------------------------------------------------------------------

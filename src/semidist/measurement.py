@@ -25,14 +25,14 @@ values give the first block and the next m the second.  The counter's low
 2**64 replications have disjoint counters and a replication's values do
 not depend on n + m.  (Contract 1 drew with numpy's ziggurat; contract 2
 gave each replication a PCG64 stream spawned from a SeedSequence.)
-``_std_block`` draws a whole block of replications with numpy's own
-Philox, one ``random_raw`` call per group of four columns, then the same
-word -> normal map as ``sample``.  ``_scale_side`` turns the columns of
-one side (first or second block) into one state's draws with
-``sample``'s own two roundings, so a block drawn once serves every state
-with the same seed, and ``_sample_block`` (draw, then ``_scale_rows``
-both sides) gives rows equal to ``sample(..., rng=stream(seed, j))`` bit
-for bit.
+``_sides`` is the one place a truth's sides are read: the first block's
+state and, two-sample only, the second's.  ``_std_block`` draws a whole
+block of replications with numpy's own Philox, one ``random_raw`` call
+per group of four columns, and ``_scale_side`` turns the columns of one
+side into that side's draws.  ``sample`` is the same path for one row,
+so ``_sample_block`` (draw, then ``_scale_side`` for each side) gives
+rows equal to ``sample(..., rng=stream(seed, j))`` bit for bit, and a
+block drawn once serves every state with the same seed.
 
 ``scipy.special`` is imported on the first draw, not with the module.
 """
@@ -217,22 +217,18 @@ def _std_block(seed: int, count: int, start: int, stop: int) -> np.ndarray:
     return _std_normal(_counter_words(bitgen, count, stop - start))
 
 
+def _sides(truth: State | TwoSampleState) -> tuple[State, ...]:
+    """The states of a truth's sides: the first block's and, two-sample
+    only, the second's."""
+    return (truth.first, truth.second) if isinstance(truth, TwoSampleState) else (truth,)
+
+
 def _scale_side(z: np.ndarray, n: int, side: int, state: State) -> np.ndarray:
     """One side of rows of standard normals as draws of ``state``: side 0
     is the first n columns (each replication's first block), side 1 the
     rest (the second block, two-sample only).  ``z`` is left as it is, so
     one draw can serve several states."""
     return _scale(z[:, n:] if side else z[:, :n], state)
-
-
-def _scale_rows(
-    z: np.ndarray, state: State | TwoSampleState, n: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows of standard normals as draws of ``state``: the first n columns
-    scaled by its first state, the rest (two-sample only) by the second."""
-    if isinstance(state, TwoSampleState):
-        return _scale_side(z, n, 0, state.first), _scale_side(z, n, 1, state.second)
-    return _scale_side(z, n, 0, state), None
 
 
 def _sample_block(
@@ -247,8 +243,10 @@ def _sample_block(
     the values of ``sample(state, n, m, rng=stream(seed, start + i))``.
     Returns (first block, second block or None), shapes (rows, n), (rows, m).
     """
-    count = n + (m if isinstance(state, TwoSampleState) else 0)
-    return _scale_rows(_std_block(seed, count, start, stop), state, n)
+    sides = _sides(state)
+    z = _std_block(seed, n + (m if len(sides) > 1 else 0), start, stop)
+    x, *y = (_scale_side(z, n, side, s) for side, s in enumerate(sides))
+    return x, y[0] if y else None
 
 
 def sample(
@@ -282,16 +280,15 @@ def sample(
             f"rng must have a bit generator that can advance, as stream's "
             f"Philox does, got {type(bitgen).__name__}"
         )
-    if isinstance(state, TwoSampleState):
+    sides = _sides(state)
+    if len(sides) > 1:
         if m is None or m < 1:
             raise ValueError(f"two-sample draw needs m >= 1, got {m}")
-        z = _std_normal(_counter_words(bitgen, n + m, 1)[0])
-        x, y = _scale(z[:n], state.first), _scale(z[n:], state.second)
-        return Sample(tuple(x.tolist()), tuple(y.tolist()))
-    if m is not None:
+    elif m is not None:
         raise ValueError("m is only meaningful for a TwoSampleState")
-    x = _scale(_std_normal(_counter_words(bitgen, n, 1)[0]), state)
-    return Sample(tuple(x.tolist()))
+    z = _std_normal(_counter_words(bitgen, n + (m or 0), 1))
+    blocks = (_scale_side(z, n, side, s)[0].tolist() for side, s in enumerate(sides))
+    return Sample(*map(tuple, blocks))
 
 
 def _scale(z: np.ndarray, state: State) -> np.ndarray:
@@ -447,11 +444,7 @@ def image_prob_mean(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sd = state.sigma / math.sqrt(n)
-    return math.fsum(
-        _normal_interval_mass(state.mu, sd, lo, hi)
-        for lo, hi in _as_intervals(interval)
-    )
+    return normal_prob(State(state.mu, state.sigma / math.sqrt(n)), interval)
 
 
 def image_prob_ss(

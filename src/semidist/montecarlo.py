@@ -12,13 +12,16 @@ p * J is large (3.7e-5 at gamma = 0.95, J = 10**5); at J = 100 it is
 sums).  ROADMAP.md item 2, "exact binomial gates", replaces the band with
 the exact Clopper-Pearson interval.
 
-Block kernel: a chunk of J replications runs in
-min(J, max(1, round(J (n + m) / ``_BLOCK_VALUES``))) blocks whose sizes
-differ by at most one row, so a block holds at most 1.5 ``_BLOCK_VALUES``
-values plus one row at any J.  ``measurement._std_block`` draws the
-block's words with numpy's Philox, one call per four columns of every
-row, into one array that it maps to standard normals in place;
-``measurement._scale_side`` scales the columns of one side into a
+Block kernel: ``_split`` cuts replications into spans whose sizes differ
+by at most one, in integer arithmetic, so the spans tile their range at
+any J up to 2**64.  It gives a pooled run one chunk per worker, and a
+chunk of J replications
+min(J, max(1, round(J (n + m) / ``_BLOCK_VALUES``))) blocks, so a block
+holds at most 1.5 ``_BLOCK_VALUES`` values plus one row at any J.
+``measurement._std_block`` draws the block's words with numpy's Philox,
+one call per four columns of every row, into one array that it maps to
+standard normals in place; ``measurement._scale_side`` scales the columns
+of each side that ``measurement._sides`` reads off the truth into a
 (rows, n) array (side 0) or a (rows, m) array (side 1, two-sample only)
 of one state's draws (the columns themselves for N(0, 1)), which
 ``_Rows`` holds with their estimators.  The framework's estimates and
@@ -89,6 +92,7 @@ from .measurement import (
     _load_ndtri,
     _Rows,
     _scale_side,
+    _sides,
     _std_block,
     _Z_MAX,
 )
@@ -104,12 +108,6 @@ __all__ = [
     "size_experiment",
     "power_curve",
 ]
-
-
-def _sides(truth: State | TwoSampleState) -> tuple[State, ...]:
-    """The states of a truth's sides: the first block's and, two-sample
-    only, the second's."""
-    return (truth.first, truth.second) if isinstance(truth, TwoSampleState) else (truth,)
 
 
 @dataclass(frozen=True)
@@ -221,10 +219,9 @@ def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
     # set outgrew the cache.
     shared = {key for key, count in Counter(chain.from_iterable(keys)).items() if count > 1}
     hits = [0] * len(plans)
-    for b in range(blocks):
+    for lo, hi in _split(start, stop, blocks):
         # The block's shared rows, dropped before the next block is drawn.
         built: dict[tuple[int, State, float], _Rows] = {}
-        lo, hi = start + b * span // blocks, start + (b + 1) * span // blocks
         z = _std_block(first.seed, n + m, lo, hi)
 
         def rows_of(key: tuple[int, State, float]) -> _Rows:
@@ -240,10 +237,11 @@ def _hits(plans: Sequence[ExperimentPlan], start: int, stop: int) -> list[int]:
     return hits
 
 
-def _chunks(replications: int, workers: int) -> list[tuple[int, int]]:
-    if replications < 2 * workers:
-        return [(0, replications)]
-    bounds = [round(k * replications / workers) for k in range(workers + 1)]
+def _split(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
+    """start..stop as ``parts`` consecutive spans whose sizes differ by at
+    most one, in integer arithmetic, so they tile it at any size."""
+    span = stop - start
+    bounds = [start + k * span // parts for k in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -305,7 +303,7 @@ def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     replications = plans[0].replications
-    spans = _chunks(replications, workers)
+    spans = _split(0, replications, 1 if replications < 2 * workers else workers)
     if len(spans) == 1:
         return _hits(plans, 0, replications)
     from concurrent.futures.process import BrokenProcessPool

@@ -1,6 +1,7 @@
 """Semi-distance engine: axioms, calibrated radii, regions, duality."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -428,6 +429,35 @@ class TestRegionsAndDuality:
         reject = rejection_region(problem, hyp, 1.0 - 0.95)
         for x in _rng_samples(problem, 41, 60, _catalog_truth(problem)):
             assert sure.contains(x) == (not reject.contains(x))
+
+    @pytest.mark.parametrize("name,problem,make_hyp,theta0", CATALOG)
+    def test_sure_region_complement_has_the_eta_of_the_level_alpha(
+        self, name, problem, make_hyp, theta0
+    ):
+        # 1 - 0.95 is 0.05 plus 4.4e-17, so eta matches the region at
+        # exactly that alpha, and at alpha = 0.05 to within rounding.
+        hyp = make_hyp(theta0)
+        complement = sure_region(problem, hyp, 0.95).complement
+        assert complement == rejection_region(problem, hyp, 1.0 - 0.95)
+        assert complement.eta == eta_gamma(problem, None, 0.95)
+        assert complement.eta == pytest.approx(rejection_region(problem, hyp, 0.05).eta, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma,why", [
+        (0.0, "must lie in (0, 1)"),
+        (1.0, "must lie in (0, 1)"),
+        (math.nan, "must lie in (0, 1)"),
+        (1e-17, "too small for double precision"),
+    ])
+    def test_sure_region_refuses_a_gamma_as_eta_gamma_does(self, gamma, why):
+        # The gamma is named before the hypothesis is read, even one that
+        # does not pair with the problem.
+        problem, hyp = mean_z(5, 1.0), Hypothesis.point(0.0)
+        with pytest.raises(ValueError, match=re.escape(why)) as expected:
+            eta_gamma(problem, None, gamma)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            sure_region(problem, hyp, gamma)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            sure_region(problem, Hypothesis.lower_half_line(0.0), gamma)
 
     def test_confidence_region_grows_with_gamma(self):
         x = Sample(tuple(sample(State(0.0, 1.0), 10, seed=3).values))

@@ -45,7 +45,7 @@ from semidist.measurement import (
     TwoSampleState,
     _Rows,
     _sample_block,
-    _scale_rows,
+    _scale_side,
     sample,
     stream,
 )
@@ -277,6 +277,22 @@ class TestWorkers:
             size_experiment(size_plan, workers=workers)
         with pytest.raises(ValueError, match=re.escape(message)):
             power_curve(size_plan, [State(0.0, 1.0)], workers=workers)
+
+    @pytest.mark.parametrize("replications,parts", [
+        (j, parts)
+        for j in (1, 2, 7, 2**53 + 1, 2**60 + 3, 2**64 - 1, 2**64)
+        for parts in (1, 2, 3, 7)
+        if parts <= j
+    ])
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_split_tiles_the_span_in_near_equal_parts(self, replications, parts, start):
+        # Float bounds round(k J / parts) stop tiling 0..J above 2**53.
+        spans = mc._split(start, start + replications, parts)
+        assert len(spans) == parts
+        assert spans[0][0] == start and spans[-1][1] == start + replications
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = {hi - lo for lo, hi in spans}
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_power_curve_opens_one_pool(self, monkeypatch, no_pool):
         opened = []
@@ -732,7 +748,8 @@ class TestPositionIndependence:
     def test_rows_in_any_layout_and_alone(self, pinned_normals, problem, two):
         truth = _truth(two)
         z = pinned_normals if two else pinned_normals[:, : problem.n]
-        xs, ys = _scale_rows(z, truth, problem.n)
+        xs = _scale_side(z, problem.n, 0, truth.first if two else truth)
+        ys = _scale_side(z, problem.n, 1, truth.second) if two else None
         anchor = quantity_value(problem, truth)
 
         def rows(sl):
