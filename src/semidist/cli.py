@@ -168,7 +168,7 @@ def _is_header(line: str) -> bool:
 def _build_problem(name: str, n: int, m: int | None, given: dict) -> TestProblem:
     """The problem of test ``name``, its known sigmas read from ``given``."""
     entry = CATALOG[name]
-    sigmas = {flag: given[flag] for flag in entry.estimator.known_sigmas}
+    sigmas = {flag: given[flag] for flag in entry.known_sigmas}
     if None in sigmas.values():
         flags = " and ".join(f"--{flag}" for flag in sigmas)
         studentized = next(
@@ -187,7 +187,7 @@ def _refuse_unused_flags(name: str, args: argparse.Namespace) -> None:
     entry = CATALOG[name]
     unused = [
         flag for flag in ("sigma", "sigma1", "sigma2")
-        if getattr(args, flag) is not None and flag not in entry.estimator.known_sigmas
+        if getattr(args, flag) is not None and flag not in entry.known_sigmas
     ]
     if not entry.quantity.two_sample:
         unused += [flag for flag in ("m", "mu2", "sd2") if getattr(args, flag, None) is not None]

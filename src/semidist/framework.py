@@ -1,12 +1,15 @@
 """Semi-distance engine: confidence regions and rejection regions as two
 sides of one construction.
 
-A test problem bundles an estimator map, a quantity map from states to
-the inference target, and a semi-distance on the target space.  The
-calibrated radius eta is the smallest distance the estimator stays
-within (probability >= gamma) or strays beyond (probability <= alpha);
-the two radii coincide at alpha = 1 - gamma, which is what makes a
-confidence region and a rejection region complements of each other.
+A test problem bundles a quantity map from states to the inference
+target and a semi-distance on the target space; the quantity fixes the
+estimator: the mean for mu (under either distance), sigma_bar for sigma,
+the difference of means for mu1 - mu2 and the ratio of sigma_bar_primes
+for sigma1 / sigma2.  The calibrated radius eta is the smallest distance
+the estimator stays within (probability >= gamma) or strays beyond
+(probability <= alpha); the two radii coincide at alpha = 1 - gamma,
+which is what makes a confidence region and a rejection region
+complements of each other.
 
 Rejection uses ``d >= eta`` and coverage uses ``d < eta``; both sides
 evaluate the same semi-distance arithmetic on the same estimate, so the
@@ -29,7 +32,7 @@ formula are defined on rows, one measured value per row, so a single
 measured value and a Monte Carlo block share one arithmetic.
 
 ``CATALOG`` holds the ten catalog entries, keyed by their command-line
-names, each as its (estimator, quantity, kind): one- and two-sided tests
+names, each as its (quantity, kind): one- and two-sided tests
 of the mean (known sigma), the standard deviation, the difference of two
 means (known sigmas), the ratio of two standard deviations, and the mean
 with unknown sigma (the data-studentized distance).  The ten
@@ -53,7 +56,6 @@ from .measurement import Sample, State, TwoSampleState, _Rows
 __all__ = [
     "SemiDistanceKind",
     "SemiDistance",
-    "EstimatorKind",
     "QuantityKind",
     "TestProblem",
     "CatalogEntry",
@@ -156,24 +158,10 @@ class SemiDistance:
         if self.kind.half_line and self.kind.log_scale and self.theta0 <= 0.0:
             raise ValueError(f"log-scale anchor must be positive, got {self.theta0!r}")
 
-    def __call__(self, theta1: float, theta2: float, x: Sample | None = None) -> float:
-        x = x if x is not None else self.context
+    def __call__(self, theta1: float, theta2: float) -> float:
+        x = self.context
         rows = x._rows[0] if x is not None and self.kind.studentized else None
         return float(_semi_distance(self.kind, np.array([theta1]), theta2, self.theta0, rows)[0])
-
-
-class EstimatorKind(Enum):
-    MU_BAR = "mu_bar"
-    SIGMA_BAR = "sigma_bar"
-    DIFF_MU_BAR = "diff_mu_bar"
-    SIGMA_PRIME_RATIO = "sigma_prime_ratio"
-    MU_BAR_STUDENTIZED = "mu_bar_studentized"
-
-    @property
-    def known_sigmas(self) -> tuple[str, ...]:
-        """The TestProblem fields a z estimator's pivot law needs."""
-        known = {EstimatorKind.MU_BAR: ("sigma",), EstimatorKind.DIFF_MU_BAR: ("sigma1", "sigma2")}
-        return known.get(self, ())
 
 
 class QuantityKind(Enum):
@@ -194,35 +182,41 @@ class QuantityKind(Enum):
 
 
 class CatalogEntry(NamedTuple):
-    estimator: EstimatorKind
     quantity: QuantityKind
     kind: SemiDistanceKind
 
+    @property
+    def known_sigmas(self) -> tuple[str, ...]:
+        """The TestProblem fields a z entry's pivot law needs: the sigma of
+        each sample of a mean measured on the plain scale."""
+        if self.kind.log_scale or self.kind.studentized:
+            return ()
+        return ("sigma1", "sigma2") if self.quantity.two_sample else ("sigma",)
 
-# Test name -> (estimator, quantity, semi-distance kind).  Each "-upper"
-# entry is the half-line kind of its two-sided entry.
-_E, _Q, _K = EstimatorKind, QuantityKind, SemiDistanceKind
+
+# Test name -> (quantity, semi-distance kind).  Each "-upper" entry is the
+# half-line kind of its two-sided entry.
+_Q, _K = QuantityKind, SemiDistanceKind
 CATALOG: dict[str, CatalogEntry] = {
-    "mean-z": CatalogEntry(_E.MU_BAR, _Q.MU, _K.ABSOLUTE),
-    "mean-z-upper": CatalogEntry(_E.MU_BAR, _Q.MU, _K.HALF_LINE_ABSOLUTE),
-    "var": CatalogEntry(_E.SIGMA_BAR, _Q.SIGMA, _K.LOG_RATIO),
-    "var-upper": CatalogEntry(_E.SIGMA_BAR, _Q.SIGMA, _K.HALF_LINE_LOG_RATIO),
-    "diff-means": CatalogEntry(_E.DIFF_MU_BAR, _Q.MU_DIFF, _K.ABSOLUTE),
-    "diff-means-upper": CatalogEntry(_E.DIFF_MU_BAR, _Q.MU_DIFF, _K.HALF_LINE_ABSOLUTE),
-    "var-ratio": CatalogEntry(_E.SIGMA_PRIME_RATIO, _Q.SIGMA_RATIO, _K.LOG_RATIO),
-    "var-ratio-upper": CatalogEntry(_E.SIGMA_PRIME_RATIO, _Q.SIGMA_RATIO, _K.HALF_LINE_LOG_RATIO),
-    "mean-t": CatalogEntry(_E.MU_BAR_STUDENTIZED, _Q.MU, _K.STUDENTIZED),
-    "mean-t-upper": CatalogEntry(_E.MU_BAR_STUDENTIZED, _Q.MU, _K.HALF_LINE_STUDENTIZED),
+    "mean-z": CatalogEntry(_Q.MU, _K.ABSOLUTE),
+    "mean-z-upper": CatalogEntry(_Q.MU, _K.HALF_LINE_ABSOLUTE),
+    "var": CatalogEntry(_Q.SIGMA, _K.LOG_RATIO),
+    "var-upper": CatalogEntry(_Q.SIGMA, _K.HALF_LINE_LOG_RATIO),
+    "diff-means": CatalogEntry(_Q.MU_DIFF, _K.ABSOLUTE),
+    "diff-means-upper": CatalogEntry(_Q.MU_DIFF, _K.HALF_LINE_ABSOLUTE),
+    "var-ratio": CatalogEntry(_Q.SIGMA_RATIO, _K.LOG_RATIO),
+    "var-ratio-upper": CatalogEntry(_Q.SIGMA_RATIO, _K.HALF_LINE_LOG_RATIO),
+    "mean-t": CatalogEntry(_Q.MU, _K.STUDENTIZED),
+    "mean-t-upper": CatalogEntry(_Q.MU, _K.HALF_LINE_STUDENTIZED),
 }
 
 
 @dataclass(frozen=True)
 class TestProblem:
-    """Estimator + quantity + semi-distance kind, one of the ``CATALOG``
-    entries, with sample sizes and any nuisance parameters the calibration
-    needs."""
+    """Quantity + semi-distance kind, one of the ``CATALOG`` entries (the
+    quantity fixes the estimator), with sample sizes and the known sigmas
+    a z entry's calibration needs."""
 
-    estimator: EstimatorKind
     quantity: QuantityKind
     distance_kind: SemiDistanceKind
     n: int
@@ -232,13 +226,12 @@ class TestProblem:
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        # Only a catalog entry has a pivot law; any other triple is refused.
+        # Only a catalog entry has a pivot law; any other pair is refused.
         kind = self.distance_kind
-        entry = (self.estimator, self.quantity, kind)
+        entry = CatalogEntry(self.quantity, kind)
         name = next((k for k, v in CATALOG.items() if v == entry), None)
         if name is None:
-            triple = ", ".join(member.value for member in entry)
-            raise ValueError(f"({triple}) is not a catalog test")
+            raise ValueError(f"({self.quantity.value}, {kind.value}) is not a catalog test")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         two_sample = self.quantity.two_sample
@@ -250,6 +243,14 @@ class TestProblem:
             value = getattr(self, flag)
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{flag} must be positive, got {value!r}")
+        known = entry.known_sigmas
+        if None in (getattr(self, flag) for flag in known):
+            t_test = "mean_t_upper" if kind.half_line else "mean_t"
+            each = " on each sample" if two_sample else ""
+            raise ValueError(
+                f"{name} needs known {' and '.join(known)}; with sigma unknown "
+                f"use the studentized mean test {t_test}{each}"
+            )
         # A sample sd needs two values: its pivot has n - 1 (and m - 1) dof.
         if (kind.log_scale or kind.studentized) and min(self.n, self.m or self.n) < 2:
             sizes = f"n={self.n}" + (f", m={self.m}" if two_sample else "")
@@ -366,12 +367,12 @@ def _estimates(
     """E of each row, from the rows of the first block and of the second.
     As the ``centres`` of confidence regions, they must lie in (0, inf) on
     the log scale."""
-    estimator = problem.estimator
-    if estimator is EstimatorKind.SIGMA_BAR:
+    q = problem.quantity
+    if q is QuantityKind.SIGMA:
         e = x.sigma_bar
-    elif estimator is EstimatorKind.DIFF_MU_BAR:
+    elif q is QuantityKind.MU_DIFF:
         e = x.mean - y.mean
-    elif estimator is EstimatorKind.SIGMA_PRIME_RATIO:
+    elif q is QuantityKind.SIGMA_RATIO:
         num, den = x.sigma_bar_prime, y.sigma_bar_prime
         if not (num + den).all():  # both 0: the sds are >= 0
             raise ValueError("degenerate sample: both blocks constant")
@@ -445,30 +446,19 @@ def _pivot(
     one is supplied; the problem's known-nuisance values cover the
     no-state calls (run_test, regions), which is where "sigma fixed and
     known" actually bites."""
-    n, m, estimator = problem.n, problem.m, problem.estimator
-    if estimator is EstimatorKind.SIGMA_BAR:
+    n, m, q = problem.n, problem.m, problem.quantity
+    if q is QuantityKind.SIGMA:
         return chi_squared(n - 1), float(n)
-    if estimator is EstimatorKind.SIGMA_PRIME_RATIO:
+    if q is QuantityKind.SIGMA_RATIO:
         return fisher_f(n - 1, m - 1), 1.0
-    if estimator is EstimatorKind.MU_BAR_STUDENTIZED:
+    if problem.distance_kind.studentized:
         return student_t(n - 1), 1.0
-    if estimator is EstimatorKind.MU_BAR:
+    if q is QuantityKind.MU:
         sigma = omega.sigma if isinstance(omega, State) else problem.sigma
-        if sigma is None:
-            raise ValueError(
-                "mean z tests need a known sigma; with unknown sigma use "
-                "the studentized mean tests (mean_t / mean_t_upper)"
-            )
         return dist.normal(), sigma / math.sqrt(n)
     sigma1, sigma2 = problem.sigma1, problem.sigma2
     if isinstance(omega, TwoSampleState):
         sigma1, sigma2 = omega.first.sigma, omega.second.sigma
-    elif sigma1 is None or sigma2 is None:
-        raise ValueError(
-            "mean-difference z tests need known sigma1 and sigma2; "
-            "with unknown sigmas use the studentized mean tests "
-            "(mean_t / mean_t_upper) on each sample"
-        )
     return dist.normal(), math.sqrt(sigma1**2 / n + sigma2**2 / m)
 
 

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import chi_squared, cdf, normal
+from .distributions import DistributionSpec, _sf, chi_squared, cdf, normal
 
 __all__ = [
     "State",
@@ -321,7 +321,8 @@ class _Rows:
     block of replications and a single measured value go through the same
     arithmetic: numpy row sums, whose result for a row does not depend on
     the rows around it.  The means are computed at once, the rest on first
-    use; a sum that overflows raises a ValueError that says so."""
+    use; a sum that overflows, or a sum of squared deviations that underflows
+    to 0 on values that are not all equal, raises a ValueError that says so."""
 
     def __init__(self, values: np.ndarray) -> None:
         self.values, self.n = values, values.shape[1]
@@ -357,7 +358,11 @@ class _Rows:
         near = np.flatnonzero(ss <= bound)
         if near.size:
             w = v[near]
-            ss[near[(w == w[:, :1]).all(axis=1)]] = 0.0
+            constant = (w == w[:, :1]).all(axis=1)
+            ss[near[constant]] = 0.0
+            # Distinct values whose squared deviations all underflow.
+            if not ss[near[~constant]].all():
+                raise ValueError("sum of squared deviations underflows float64")
         if not np.isfinite(ss).all():
             raise ValueError("sum of squared deviations overflows float64")
         return ss
@@ -403,24 +408,31 @@ def sigma_bar_prime(values: Sequence[float]) -> float:
 
 
 def _as_intervals(interval: Interval | Iterable[Interval]) -> list[Interval]:
-    if (
+    """``interval`` as a list of (lo, hi) pairs, none of them empty."""
+    pair = (
         isinstance(interval, tuple)
         and len(interval) == 2
         and all(isinstance(v, (int, float)) for v in interval)
-    ):
-        return [interval]
-    out = list(interval)  # type: ignore[arg-type]
+    )
+    out = [interval] if pair else list(interval)  # type: ignore[arg-type]
     if not out:
         raise ValueError("empty interval union")
+    for lo, hi in out:
+        if hi <= lo:
+            raise ValueError(f"empty interval ({lo!r}, {hi!r})")
     return out
 
 
-def _normal_interval_mass(mu: float, sd: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        raise ValueError(f"empty interval ({lo!r}, {hi!r})")
-    upper = 1.0 if hi == math.inf else cdf(normal(), (hi - mu) / sd)
-    lower = 0.0 if lo == -math.inf else cdf(normal(), (lo - mu) / sd)
-    return upper - lower
+def _interval_mass(spec: DistributionSpec, centre: float, lo: float, hi: float) -> float:
+    """The mass of (lo, hi) under ``spec``.  An interval above ``centre``, a
+    point in the bulk of the law, is read from the upper tail as
+    sf(lo) - sf(hi), any other from the lower tail as cdf(hi) - cdf(lo), so
+    a far-tail mass keeps its relative precision rather than cancelling."""
+    if lo >= centre:
+        above = 0.0 if hi == math.inf else _sf(spec, hi)
+        return _sf(spec, lo) - above
+    below = 0.0 if lo == -math.inf else cdf(spec, lo)
+    return (1.0 if hi == math.inf else cdf(spec, hi)) - below
 
 
 def normal_prob(state: State, interval: Interval | Iterable[Interval]) -> float:
@@ -429,8 +441,9 @@ def normal_prob(state: State, interval: Interval | Iterable[Interval]) -> float:
     ``interval`` is an (a, b) pair (endpoints may be +-inf) or an
     iterable of disjoint pairs whose masses are summed.
     """
+    mu, sd = state.mu, state.sigma
     return math.fsum(
-        _normal_interval_mass(state.mu, state.sigma, lo, hi)
+        _interval_mass(normal(), 0.0, (lo - mu) / sd, (hi - mu) / sd)
         for lo, hi in _as_intervals(interval)
     )
 
@@ -458,15 +471,10 @@ def image_prob_ss(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    spec = chi_squared(n - 1)
-    var = state.sigma**2
-    total = 0.0
-    for lo, hi in _as_intervals(interval):
-        if hi <= lo:
-            raise ValueError(f"empty interval ({lo!r}, {hi!r})")
+    spec, var = chi_squared(n - 1), state.sigma**2
+    intervals = _as_intervals(interval)
+    for lo, _ in intervals:
         if lo < 0.0:
             raise ValueError(f"SS interval must lie in (0, inf), got lo={lo!r}")
-        upper = 1.0 if hi == math.inf else cdf(spec, hi / var)
-        lower = cdf(spec, lo / var) if lo > 0.0 else 0.0
-        total += upper - lower
-    return total
+    # The law's mean, n - 1, is a point in its bulk.
+    return math.fsum(_interval_mass(spec, n - 1, lo / var, hi / var) for lo, hi in intervals)

@@ -9,7 +9,7 @@ how the replications are partitioned across workers.  Gates use 4-sigma
 chance that a correct implementation fails one is below 1e-4 only where
 p * J is large (3.7e-5 at gamma = 0.95, J = 10**5); at J = 100 it is
 3.4e-3 for gamma = 0.99 and 9.9e-3 for gamma = 0.9999 (exact binomial
-sums).  ROADMAP.md item 2, "exact binomial gates", replaces the band with
+sums).  The ROADMAP.md item "Exact binomial gates" replaces the band with
 the exact Clopper-Pearson interval.
 
 Block kernel: ``_split`` cuts replications into spans whose sizes differ

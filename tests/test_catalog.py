@@ -11,7 +11,6 @@ import pytest
 from semidist import cli, framework
 from semidist.framework import (
     CATALOG,
-    EstimatorKind,
     Hypothesis,
     QuantityKind,
     SemiDistanceKind,
@@ -48,30 +47,54 @@ class TestRegistry:
     @pytest.mark.parametrize("name", list(CATALOG))
     def test_constructor_builds_its_entry(self, name):
         problem = CONSTRUCTORS[name]()
-        estimator, quantity, kind = CATALOG[name]
-        assert (problem.estimator, problem.quantity, problem.distance_kind) == (
-            estimator,
-            quantity,
-            kind,
-        )
+        assert (problem.quantity, problem.distance_kind) == CATALOG[name]
 
-    def test_only_the_catalog_triples_build(self):
-        # Any other triple has no pivot law; (mu_bar_studentized, mu, absolute)
-        # once built and compared the unstudentized |mean| with a t radius.
-        triples = list(itertools.product(EstimatorKind, QuantityKind, SemiDistanceKind))
-        assert len(triples) == 120
+    def test_only_the_catalog_pairs_build(self):
+        # Any other pair has no pivot law; the quantity fixes the estimator,
+        # so no (estimator, quantity) mismatch can be stated at all.
+        pairs = list(itertools.product(QuantityKind, SemiDistanceKind))
+        assert len(pairs) == 24
         entries = set(CATALOG.values())
-        for triple in triples:
-            estimator, quantity, kind = triple
+        refused = 0
+        for quantity, kind in pairs:
             m = 6 if quantity.two_sample else None
-            sigmas = {flag: 1.5 for flag in estimator.known_sigmas}
-            if triple in entries:
-                assert framework.TestProblem(*triple, 5, m, **sigmas).distance_kind is kind
+            sigmas = {flag: 1.5 for flag in framework.CatalogEntry(quantity, kind).known_sigmas}
+            if (quantity, kind) in entries:
+                assert framework.TestProblem(quantity, kind, 5, m, **sigmas).distance_kind is kind
                 continue
-            named = f"({estimator.value}, {quantity.value}, {kind.value}) is not a catalog test"
+            refused += 1
+            named = f"({quantity.value}, {kind.value}) is not a catalog test"
             with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
-                framework.TestProblem(*triple, 5, m, **sigmas)
-        assert len(entries) == 10
+                framework.TestProblem(quantity, kind, 5, m, **sigmas)
+        assert (len(entries), refused) == (10, 14)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_known_sigmas_are_those_of_the_z_entries(self, name):
+        entry = CATALOG[name]
+        want = {"mean-z": ("sigma",), "diff-means": ("sigma1", "sigma2")}
+        assert entry.known_sigmas == want.get(name.removesuffix("-upper"), ())
+
+    @pytest.mark.parametrize(
+        "name, t_test",
+        [
+            ("mean-z", "mean_t"),
+            ("mean-z-upper", "mean_t_upper"),
+            ("diff-means", "mean_t"),
+            ("diff-means-upper", "mean_t_upper"),
+        ],
+    )
+    def test_a_z_entry_without_its_sigma_is_refused_when_built(self, name, t_test):
+        entry = CATALOG[name]
+        m = 6 if entry.quantity.two_sample else None
+        known = entry.known_sigmas
+        # Each known sigma left out in turn, and all of them.
+        for missing in [*((flag,) for flag in known), known]:
+            sigmas = {flag: 1.5 for flag in known if flag not in missing}
+            with pytest.raises(ValueError, match=f"^{name} needs known ") as caught:
+                framework.TestProblem(*entry, 5, m, **sigmas)
+            assert f"use the studentized mean test {t_test}" in str(caught.value)
+            if t_test == "mean_t":
+                assert "mean_t_upper" not in str(caught.value)
 
     def test_parser_choices_are_the_registry_names(self):
         parser = cli.build_parser()
@@ -128,6 +151,17 @@ class TestDegenerateCutpoints:
             confidence_region(problem, x, 0.95)
         with pytest.raises(ValueError, match=message):
             region.estimator_cutpoints(x)
+
+    @pytest.mark.parametrize("name, null", [("mean-t", 0.0), ("var", 1.0)])
+    def test_distinct_subnormal_values_name_the_underflow(self, name, null):
+        # Their squared deviations underflow: SS is not 0 for equal values.
+        problem = framework.TestProblem(*CATALOG[name], 4)
+        x = Sample((1e-310, 2e-310, 3e-310, 5e-310))
+        message = "^sum of squared deviations underflows float64$"
+        with pytest.raises(ValueError, match=message):
+            framework.run_test(problem, Hypothesis.point(null), 0.05, x)
+        with pytest.raises(ValueError, match=message):
+            confidence_region(problem, x, 0.95)
 
 
 class TestGridTruthInverse:

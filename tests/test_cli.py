@@ -142,6 +142,16 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err == "error: sum of the sample values overflows float64\n"
 
+    @pytest.mark.parametrize("command", [["test", "mean-t", "--null", "0"], ["ci", "var"]])
+    def test_an_underflowing_sum_of_squares_is_a_named_error(self, tmp_path, capsys, command):
+        # Distinct values, so not the "all values equal" refusal.
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-310\n2e-310\n3e-310\n5e-310\n", encoding="utf-8")
+        assert cli.main([*command[:2], str(path), *command[2:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sum of squared deviations underflows float64\n"
+
     def test_an_overflowing_sum_of_finite_values_is_read_in_bulk(self, tmp_path, monkeypatch):
         path = tmp_path / "big.txt"
         path.write_text("".join(f"{1e307 + k * 1e303!r}\n" for k in range(10_000)), "utf-8")

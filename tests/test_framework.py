@@ -166,7 +166,6 @@ class TestCalibratedRadii:
         with pytest.raises(ValueError, match="mean_t"):
             eta_alpha(
                 mean_z(4, 1.0).__class__(
-                    estimator=mean_z(4, 1.0).estimator,
                     quantity=mean_z(4, 1.0).quantity,
                     distance_kind=mean_z(4, 1.0).distance_kind,
                     n=4,
@@ -267,7 +266,7 @@ def _scipy_radius(name, n, alpha):
 def test_far_radii_are_the_scipy_ones(n, alpha):
     # Solved at 1 - alpha/2 instead of alpha, mean-t at n = 5 was 2.6e-2 off at 1e-15.
     for name, entry in framework.CATALOG.items():
-        sigmas = {flag: 1.0 for flag in entry.estimator.known_sigmas}
+        sigmas = {flag: 1.0 for flag in entry.known_sigmas}
         problem = framework.TestProblem(*entry, n, n if entry.quantity.two_sample else None, **sigmas)
         want = _scipy_radius(name, n, alpha)
         assert eta_alpha(problem, None, alpha) == pytest.approx(want, rel=1e-12), name
@@ -311,7 +310,7 @@ def test_cold_radius_solves_take_half_the_cdf_calls(monkeypatch, column, n):
         calls.clear()
         for name in (base, f"{base}-upper"):
             entry = framework.CATALOG[name]
-            sigmas = {flag: 1.0 for flag in entry.estimator.known_sigmas}
+            sigmas = {flag: 1.0 for flag in entry.known_sigmas}
             m = n if entry.quantity.two_sample else None
             problem = framework.TestProblem(*entry, n, m, **sigmas)
             for alpha in _GRID_ALPHAS:

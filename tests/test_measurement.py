@@ -34,6 +34,17 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 samples = st.lists(finite_floats, min_size=2, max_size=40)
 
 
+def _unless_ss_underflows(estimator, values):
+    """estimator(values), or None where it is refused because distinct
+    values' squared deviations all underflow, so SS would read 0."""
+    try:
+        return estimator(values)
+    except ValueError as error:
+        assert str(error) == "sum of squared deviations underflows float64"
+        assert 0.0 < np.ptp(values) < 1e-150
+        return None
+
+
 class TestStates:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -105,6 +116,15 @@ class TestEstimators:
         ss = ss_bar(tuple(values.tolist()))
         assert ss > 0.0 and ss == np.einsum("i,i->", dev, dev)
 
+    def test_distinct_values_whose_ss_underflows_are_refused(self):
+        # Every squared deviation underflows, so SS would read 0, as if the
+        # values were all equal; a constant row of the same size keeps 0.
+        values = (1e-310, 2e-310, 3e-310, 5e-310)
+        for estimator in (ss_bar, sigma_bar, sigma_bar_prime):
+            with pytest.raises(ValueError, match="^sum of squared deviations underflows float64$"):
+                estimator(values)
+        assert ss_bar((3e-310,) * 4) == 0.0
+
     def test_degenerate_pair(self):
         assert sigma_bar((3.0, 3.0)) == 0.0
         assert sigma_bar_prime((3.0, 3.0)) == 0.0
@@ -128,17 +148,19 @@ class TestEstimators:
         # sigma_bar = sqrt((n-1)/n) * sigma_bar_prime, exactly in exact
         # arithmetic; allow float slack
         n = len(values)
-        lhs = sigma_bar(values)
-        rhs = math.sqrt((n - 1) / n) * sigma_bar_prime(values)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        lhs = _unless_ss_underflows(sigma_bar, values)
+        prime = _unless_ss_underflows(sigma_bar_prime, values)
+        assert (lhs is None) == (prime is None)
+        if lhs is not None:
+            assert lhs == pytest.approx(math.sqrt((n - 1) / n) * prime, rel=1e-12, abs=1e-12)
 
     @given(samples, st.floats(-100, 100), st.floats(-10, 10).filter(lambda a: abs(a) > 1e-3))
     def test_affine_equivariance(self, values, b, a):
         shifted = [a * v + b for v in values]
         assert mu_bar(shifted) == pytest.approx(a * mu_bar(values) + b, rel=1e-9, abs=1e-6)
-        assert sigma_bar(shifted) == pytest.approx(
-            abs(a) * sigma_bar(values), rel=1e-7, abs=1e-6
-        )
+        sd, sd_shifted = (_unless_ss_underflows(sigma_bar, block) for block in (values, shifted))
+        if sd is not None and sd_shifted is not None:
+            assert sd_shifted == pytest.approx(abs(a) * sd, rel=1e-7, abs=1e-6)
 
 
 class TestProbabilities:
@@ -198,6 +220,26 @@ class TestProbabilities:
         p1 = image_prob_ss(State(0.0, 2.0), 8, (1.0, 5.0))
         p2 = image_prob_ss(State(0.0, 2.0 / c), 8, (1.0 / c**2, 5.0 / c**2))
         assert p1 == pytest.approx(p2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mass, want",
+        [
+            (lambda: normal_prob(State(0.0, 1.0), (10.0, math.inf)), stats.norm.sf(10.0)),
+            (lambda: normal_prob(State(0.0, 1.0), (6.0, 7.0)), stats.norm.sf(6.0) - stats.norm.sf(7.0)),
+            (lambda: normal_prob(State(0.0, 1.0), (-7.0, -6.0)), stats.norm.sf(6.0) - stats.norm.sf(7.0)),
+            (lambda: image_prob_mean(State(0.0, 1.0), 25, (3.0, math.inf)), stats.norm.sf(15.0)),
+            (lambda: image_prob_ss(State(0.0, 1.0), 10, (200.0, math.inf)), stats.chi2.sf(200.0, 9)),
+            (
+                lambda: image_prob_ss(State(0.0, 2.0), 10, [(400.0, 800.0), (1200.0, math.inf)]),
+                stats.chi2.sf(100.0, 9) - stats.chi2.sf(200.0, 9) + stats.chi2.sf(300.0, 9),
+            ),
+        ],
+        ids=["normal-above-10", "normal-6-to-7", "normal-minus-7-to-minus-6", "mean-n25-above-3",
+             "ss-n10-above-200", "ss-n10-union"],
+    )
+    def test_far_tail_masses_are_the_scipy_ones(self, mass, want):
+        # Read as cdf(hi) - cdf(lo), the first and the last three cancelled to 0.
+        assert mass() == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_image_ss_needs_two(self):
         with pytest.raises(ValueError):

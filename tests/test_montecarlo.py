@@ -373,7 +373,7 @@ class TestPoolLifecycle:
         assert _curve_hits(base, grid, 2) == one
         pool = mc._pool[0]
         # At sigma = 1e-300 every sum of squared deviations underflows to
-        # 0, and the scalar path refuses the sample as degenerate.
+        # 0, and the scalar path refuses the sample for it.
         degenerate = replace(base, problem=mean_t(10))
         constant = [State(0.0, 1e-300)]
         with pytest.raises(ValueError) as serial:
@@ -514,7 +514,7 @@ def _hypothesis(problem, truth):
 
 def _ids(entries):
     return [
-        f"{p.estimator.value}-{p.distance_kind.value}" for p, _ in entries
+        f"{p.quantity.value}-{p.distance_kind.value}" for p, _ in entries
     ]
 
 
