@@ -72,10 +72,10 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     read, which is every bad file, a comma-separated file whose second
     column ends early and the whitespace-separated two-column shapes, goes
     through the per-line scan: it reads those shapes and names the first
-    bad line in a ``CliError``."""
+    bad line in a ``CliError``.  The file is decoded once, from its bytes."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "rb") as handle:
+            lines = handle.read().decode("utf-8-sig").splitlines()
     except OSError as exc:
         raise CliError(f"cannot read data file {path!r}: {exc}") from exc
     try:
@@ -103,8 +103,22 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
 def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float]]:
     """The columns when every data row holds one value, or every one holds
     two comma-separated ones; raises ValueError on anything else.  No list
-    is built per row."""
-    rows = list(filter(str.strip, lines))
+    is built per row.  Empty lines are dropped; lines of whitespace alone,
+    which parse as neither shape, only when the rows do not read with them,
+    so a file without such lines is not stripped line by line."""
+    rows = list(filter(None, lines))
+    count = len(rows)
+    try:
+        return _bulk_rows(rows)
+    except ValueError:
+        nonblank = list(filter(str.strip, lines))
+        if len(nonblank) == count:
+            raise
+        return _bulk_rows(nonblank)
+
+
+def _bulk_rows(rows: list[str]) -> tuple[list[float], list[float]]:
+    """``_bulk_columns`` on its rows, a header among them."""
     if rows and _is_header(rows[0]):
         del rows[0]
     try:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,7 +99,8 @@ class TwoSampleState:
 @dataclass(frozen=True)
 class Sample:
     """A measured value: one tuple of reals, plus a second block for
-    two-sample problems."""
+    two-sample problems.  Each block becomes its float64 row once, in
+    ``_rows``, whose estimates are computed on first use."""
 
     values: tuple[float, ...]
     second: tuple[float, ...] | None = None
@@ -108,26 +110,38 @@ class Sample:
             raise ValueError("sample must contain at least one value")
         if self.second is not None and len(self.second) < 1:
             raise ValueError("second block must contain at least one value")
-        for name, block in (("sample", self.values), ("second block", self.second)):
-            # A finite sum proves every value finite; only a non-finite
-            # value (or an overflowing sum) pays for the search.
-            if block is not None and not math.isfinite(sum(block)):
-                for i, v in enumerate(block):
-                    if not math.isfinite(v):
-                        raise ValueError(f"{name} value {i} is not finite: {v!r}")
+        x = _finite_row(self.values, "sample")
+        y = None if self.second is None else _finite_row(self.second, "second block")
+        object.__setattr__(self, "_rows", (x, y))
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    @cached_property
-    def _rows(self) -> tuple["_Rows", "_Rows | None"]:
-        """The blocks as one row each, estimated once per sample."""
-        return _Rows.of(self.values), None if self.second is None else _Rows.of(self.second)
-
     @property
     def m(self) -> int | None:
         return None if self.second is None else len(self.second)
+
+
+def _finite_row(block: Sequence[float], name: str) -> "_Rows":
+    """``block`` as one float64 row, each value converted once.  A value
+    that is not a real number raises the TypeError (or OverflowError) that
+    adding it raises, and a non-finite one a ValueError that names it and
+    its index in the ``name`` block."""
+    try:
+        packed = struct.pack(f"{len(block)}d", *block)
+    except (struct.error, OverflowError):
+        math.isfinite(sum(block))
+        raise
+    row = _Rows(np.frombuffer(packed)[None])
+    # A finite sum proves every value finite; only a non-finite value (or
+    # an overflowing sum) pays for the search.
+    if not math.isfinite(row.sums[0]):
+        finite = np.isfinite(row.values[0])
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"{name} value {i} is not finite: {block[i]!r}")
+    return row
 
 
 def stream(seed: int, replication: int = 0) -> np.random.Generator:
@@ -320,16 +334,16 @@ class _Rows:
     the estimators of every row.  A ``Sample`` is a batch of one row, so a
     block of replications and a single measured value go through the same
     arithmetic: numpy row sums, whose result for a row does not depend on
-    the rows around it.  The means are computed at once, the rest on first
-    use; a sum that overflows, or a sum of squared deviations that underflows
-    to 0 on values that are not all equal, raises a ValueError that says so."""
+    the rows around it.  Each estimate is computed on first use; a sum that
+    overflows, or a sum of squared deviations that is subnormal or 0 on
+    values that are not all equal, raises a ValueError that says so."""
 
     def __init__(self, values: np.ndarray) -> None:
         self.values, self.n = values, values.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.mean = values.sum(axis=1) / self.n
-        if not np.isfinite(self.mean).all():
-            raise ValueError("sum of the sample values overflows float64")
+            # Finite exactly where a row's values are finite and their sum
+            # does not overflow.
+            self.sums = values.sum(axis=1)
 
     @classmethod
     def of(cls, values: Sequence[float], name: str = "sample") -> "_Rows":
@@ -337,6 +351,12 @@ class _Rows:
         if len(values) < 1:
             raise ValueError(f"{name} of an empty sample")
         return cls(np.array(values, dtype=float, ndmin=2))
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        if not np.isfinite(self.sums).all():
+            raise ValueError("sum of the sample values overflows float64")
+        return self.sums / self.n
 
     @cached_property
     def ss(self) -> np.ndarray:
@@ -360,8 +380,9 @@ class _Rows:
             w = v[near]
             constant = (w == w[:, :1]).all(axis=1)
             ss[near[constant]] = 0.0
-            # Distinct values whose squared deviations all underflow.
-            if not ss[near[~constant]].all():
+            # Distinct values whose squared deviations underflow, all of
+            # them (SS = 0) or enough that SS is subnormal and has lost bits.
+            if (ss[near[~constant]] < _TINY).any():
                 raise ValueError("sum of squared deviations underflows float64")
         if not np.isfinite(ss).all():
             raise ValueError("sum of squared deviations overflows float64")

@@ -175,6 +175,22 @@ class TestParsing:
         assert cli.main(["test", "mean-t", "/nonexistent/nope.txt", "--null", "0"]) == 2
         assert "data file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data,reason",
+        [
+            (b"1\n\xff\n", "byte 0xff in position 2: invalid start byte"),
+            (b"\xef\xbb\xbf1\n\xe9\n", "byte 0xe9 in position 2: invalid continuation byte"),
+            # A byte order mark cut short is not UTF-8 either.
+            (b"\xef\xbb", "bytes in position 0-1: unexpected end of data"),
+        ],
+        ids=["bad byte", "bad byte after a byte order mark", "cut byte order mark"],
+    )
+    def test_an_undecodable_file_names_the_bad_bytes(self, tmp_path, capsys, data, reason):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(data)
+        assert cli.main(["ci", "mean-t", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: 'utf-8' codec can't decode {reason}\n"
+
     def test_unknown_test_name(self, one_col):
         assert cli.main(["test", "mean-w", one_col, "--null", "0"]) == 2
 

@@ -36,7 +36,8 @@ samples = st.lists(finite_floats, min_size=2, max_size=40)
 
 def _unless_ss_underflows(estimator, values):
     """estimator(values), or None where it is refused because distinct
-    values' squared deviations all underflow, so SS would read 0."""
+    values' squared deviations underflow, so SS would read 0 or a
+    subnormal that has lost bits."""
     try:
         return estimator(values)
     except ValueError as error:
@@ -58,15 +59,69 @@ class TestStates:
         with pytest.raises(ValueError):
             Sample(())
 
+    @pytest.mark.parametrize(
+        "block,error,message",
+        [
+            (("1.5",), TypeError, "unsupported operand type(s) for +: 'int' and 'str'"),
+            ((1.0, "2"), TypeError, "unsupported operand type(s) for +: 'float' and 'str'"),
+            ((b"1",), TypeError, "unsupported operand type(s) for +: 'int' and 'bytes'"),
+            ((None,), TypeError, "unsupported operand type(s) for +: 'int' and 'NoneType'"),
+            ((1.0, math.nan, "x"), TypeError, "unsupported operand type(s) for +: 'float' and 'str'"),
+            ((1j, 1.0), TypeError, "must be real number, not complex"),
+            ((1.0, 2**1024), OverflowError, "int too large to convert to float"),
+        ],
+        ids=["str", "str after a float", "bytes", "None", "str after nan", "complex", "huge int"],
+    )
+    def test_sample_values_must_be_real_numbers(self, block, error, message):
+        # The error of adding the values up: a string that float() would
+        # read is refused, not converted.
+        for make in (lambda: Sample(block), lambda: Sample((1.0,), block)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                make()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_sample_values_must_be_finite(self, bad):
         with pytest.raises(ValueError, match=f"sample value 2 is not finite: {bad!r}"):
             Sample((1.0, 2.0, bad, 3.0))
         with pytest.raises(ValueError, match=f"second block value 0 is not finite: {bad!r}"):
             Sample((1.0, 2.0), (bad, 1.0))
+        # Finite values that overflow the sum ahead of the bad one do not
+        # hide it, and the index is the first bad value's.
+        with pytest.raises(ValueError, match=f"^sample value 3 is not finite: {bad!r}$"):
+            Sample((1e308, 1e308, 1.0, bad, math.nan))
+        with pytest.raises(ValueError, match=f"^second block value 1 is not finite: {bad!r}$"):
+            Sample((1.0, 2.0), (1e308, bad, 1e308))
 
     def test_overflowing_sums_of_finite_values_are_accepted(self):
+        from semidist.framework import Hypothesis, confidence_region, estimate, mean_z, run_test
+
         assert Sample((1e308, 1e308), (-1e308, -1e308, 2.0)).n == 2
+        # The estimates refuse them.
+        x, problem = Sample((1e308, 1.5e308, -1e308)), mean_z(3, 1.0)
+        for call in (
+            lambda: estimate(problem, x),
+            lambda: run_test(problem, Hypothesis.point(0.0), 0.05, x),
+            lambda: confidence_region(problem, x, 0.95),
+        ):
+            with pytest.raises(ValueError, match="^sum of the sample values overflows float64$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, -2, 3, 2**53 + 1, 2**64 + 1, -(2**63) - 1, 10**300, True),
+            (-0.0, 0.0, -0.0),
+            (5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, np.nextafter(0.0, -1.0)),
+            tuple(np.random.default_rng(3).normal(0.0, 1e3, 10_000).tolist()),
+        ],
+        ids=["ints", "signed zeros", "subnormals", "10^4 floats"],
+    )
+    def test_a_block_row_is_its_values_as_float64(self, values):
+        x = Sample(values, values[::-1])
+        for row, block in zip(x._rows, (values, values[::-1])):
+            want = np.array(block, dtype=float)
+            assert row.values.shape == (1, len(block))
+            assert row.values[0].tobytes() == want.tobytes()
 
 
 class TestEstimators:
@@ -124,6 +179,22 @@ class TestEstimators:
             with pytest.raises(ValueError, match="^sum of squared deviations underflows float64$"):
                 estimator(values)
         assert ss_bar((3e-310,) * 4) == 0.0
+
+    @pytest.mark.parametrize("values", [(0.0, 3e-161), (0.0, 1e-160)])
+    def test_distinct_values_with_a_subnormal_ss_are_refused(self, values):
+        # SS is 4.5e-322 or 5e-321: subnormal, so it has lost bits
+        # (sigma_bar((0.0, 3e-161)) would read 1.5075e-161, not 1.5e-161).
+        for estimator in (ss_bar, sigma_bar, sigma_bar_prime):
+            with pytest.raises(ValueError, match="^sum of squared deviations underflows float64$"):
+                estimator(values)
+        assert ss_bar((values[1],) * 2) == 0.0
+
+    def test_an_ss_just_above_the_least_normal_is_returned(self):
+        tiny = np.finfo(float).tiny
+        # Deviations of +-1.5e-154 square to 2.25e-308 each, just normal.
+        ss = ss_bar((0.0, 3e-154))
+        assert tiny < ss < 3 * tiny
+        assert ss == 2 * (1.5e-154) ** 2
 
     def test_degenerate_pair(self):
         assert sigma_bar((3.0, 3.0)) == 0.0

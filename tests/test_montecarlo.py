@@ -467,22 +467,32 @@ class TestPoolLifecycle:
             "print(*mc._pool[0]._processes, flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
-        # The workers hold the output pipe, so this returns once they end.
+        # The workers hold the output pipe, so this returns once they close
+        # it, which they do while exiting: a worker can still read as
+        # running for a moment after.
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={"PYTHONPATH": ":".join(sys.path)},
         )
         assert done.returncode == -signal.SIGKILL
         workers = [int(pid) for pid in done.stdout.split()]
-        assert len(workers) == 2 and not any(map(_running, workers))
+        assert len(workers) == 2 and all(_ends(pid, deadline=5.0) for pid in workers)
 
 
-def _running(pid):
-    try:
-        with open(f"/proc/{pid}/status", encoding="ascii") as status:
-            return "\nState:\tZ" not in status.read()
-    except FileNotFoundError:
-        return False
+def _ends(pid, deadline):
+    """Whether process ``pid`` has ended (gone, or a zombie) within
+    ``deadline`` seconds, polling its state."""
+    end = time.monotonic() + deadline
+    while True:
+        try:
+            with open(f"/proc/{pid}/status", encoding="ascii") as status:
+                if "\nState:\tZ" in status.read():
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.02)
 
 
 # Every catalog entry, with the null on the truth's quantity value.
