@@ -307,8 +307,6 @@ def cdf(spec: DistributionSpec, x: float) -> float:
             return 0.0
         return _gamma_tails(0.5 * spec.dof1, 0.5 * x)[0]
     if spec.kind is Family.STUDENT_T:
-        if x == 0.0:
-            return 0.5
         tail = _t_tail(spec.dof1, x)
         return 1.0 - tail if x > 0.0 else tail
     d1, d2 = spec.dof1, spec.dof2
@@ -333,7 +331,8 @@ def _sf(spec: DistributionSpec, x: float) -> float:
 
 def _t_tail(k: int, x: float) -> float:
     """P(T > |x|) for Student t with k dof: I_z(k/2, 1/2) / 2 at
-    z = k/(k + x^2) = r^2/(1 + r^2), r = sqrt(k)/|x|.
+    z = k/(k + x^2) = r^2/(1 + r^2), r = sqrt(k)/|x|.  At x = +-0, z is 1
+    and ``_beta_inc`` returns 1 before any loop, so the tail is exactly 1/2.
 
     Where x^2 overflows, z < k * 5.6e-309, and z^(k/2)/(k B(k/2, 1/2)), the
     leading term of I_z(k/2, 1/2) / 2 with relative error O(z), is exact; it

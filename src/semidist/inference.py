@@ -1,5 +1,11 @@
 """Maximum likelihood for the normal model and the likelihood ratio test.
 
+A constraint set of states is one box of the (mu, sigma) half-plane: mu
+in [mu_lo, mu_hi] and sigma free or fixed, optionally cut by a
+predicate.  Over a box the maximizer has one closed form, the mean
+clamped to the box with sigma fixed or re-centred there; a predicate
+falls back to derivative-free maximization.
+
 The likelihood here is the normalized form: the density ratio against
 the best attainable density, so its supremum over the admissible
 parameter region is exactly 1.  The ratio test calibrates a cutoff
@@ -14,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 from . import distributions as dist
@@ -22,7 +27,6 @@ from .framework import Hypothesis, HypothesisKind
 from .measurement import State, mu_bar, sigma_bar
 
 __all__ = [
-    "RegionKind",
     "ParameterRegion",
     "LikelihoodValue",
     "log_likelihood",
@@ -38,58 +42,57 @@ __all__ = [
 _SIGMA_FLOOR = 1e-12
 
 
-class RegionKind(Enum):
-    FULL = "full"
-    MU_FIXED = "mu_fixed"
-    MU_HALF_LINE = "mu_half_line"
-    SIGMA_FIXED = "sigma_fixed"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class ParameterRegion:
-    """A constraint set K inside the (mu, sigma) state space."""
+    """A constraint set K inside the (mu, sigma) state space: the states
+    with mu in [mu_lo, mu_hi] and sigma free (``sigma0`` None) or equal to
+    ``sigma0``, cut by ``predicate`` where one is given.  The constructors
+    name the boxes in use: the full space, a fixed mu, a half-line of mu
+    and a fixed sigma; ``custom`` is the full box cut by a predicate."""
 
-    kind: RegionKind
-    mu0: float | None = None
+    mu_lo: float = -math.inf
+    mu_hi: float = math.inf
     sigma0: float | None = None
-    side: str | None = None
     predicate: Callable[[State], bool] | None = None
+
+    def __post_init__(self) -> None:
+        # Refuses NaN too, which min and max would pass over when clamping.
+        if not self.mu_lo <= self.mu_hi:
+            raise ValueError(
+                f"mu bounds must be ordered numbers, got [{self.mu_lo!r}, {self.mu_hi!r}]"
+            )
+        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
+            raise ValueError(f"sigma0 must be positive, got {self.sigma0!r}")
 
     @staticmethod
     def full() -> "ParameterRegion":
-        return ParameterRegion(RegionKind.FULL)
+        return ParameterRegion()
 
     @staticmethod
     def mu_fixed(mu0: float) -> "ParameterRegion":
-        return ParameterRegion(RegionKind.MU_FIXED, mu0=mu0)
+        return ParameterRegion(mu0, mu0)
 
     @staticmethod
     def mu_half_line(mu0: float, side: str = "lower") -> "ParameterRegion":
+        """mu <= mu0 on the ``"lower"`` side, mu >= mu0 on the ``"upper"``."""
         if side not in ("lower", "upper"):
             raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-        return ParameterRegion(RegionKind.MU_HALF_LINE, mu0=mu0, side=side)
+        return ParameterRegion(mu_hi=mu0) if side == "lower" else ParameterRegion(mu_lo=mu0)
 
     @staticmethod
     def sigma_fixed(sigma0: float) -> "ParameterRegion":
-        if sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be positive, got {sigma0!r}")
-        return ParameterRegion(RegionKind.SIGMA_FIXED, sigma0=sigma0)
+        return ParameterRegion(sigma0=sigma0)
 
     @staticmethod
     def custom(predicate: Callable[[State], bool]) -> "ParameterRegion":
-        return ParameterRegion(RegionKind.CUSTOM, predicate=predicate)
+        return ParameterRegion(predicate=predicate)
 
     def contains(self, state: State) -> bool:
-        if self.kind is RegionKind.FULL:
-            return True
-        if self.kind is RegionKind.MU_FIXED:
-            return state.mu == self.mu0
-        if self.kind is RegionKind.MU_HALF_LINE:
-            return state.mu <= self.mu0 if self.side == "lower" else state.mu >= self.mu0
-        if self.kind is RegionKind.SIGMA_FIXED:
-            return state.sigma == self.sigma0
-        return bool(self.predicate(state))
+        return (
+            self.mu_lo <= state.mu <= self.mu_hi
+            and (self.sigma0 is None or state.sigma == self.sigma0)
+            and (self.predicate is None or bool(self.predicate(state)))
+        )
 
 
 @dataclass(frozen=True)
@@ -135,27 +138,16 @@ def _sigma_hat(x: Sequence[float], mu: float) -> float:
 def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
     """Likelihood maximizer over the region.
 
-    Closed forms everywhere a profile exists: the unconstrained maximizer
-    is (mean, sd); fixing mu re-centers the sd; a half-line on mu clamps
-    the mean to its boundary.  Custom regions fall back to derivative-free
-    maximization seeded at the closed-form estimate.
+    Over a box the closed form: mu is the mean clamped to [mu_lo, mu_hi],
+    and sigma is sigma0 where it is fixed, else the root mean square
+    deviation from that mu.  A region cut by a predicate falls back to
+    derivative-free maximization seeded at the unconstrained estimate.
     """
-    n = len(x)
-    if n < 1:
+    if len(x) < 1:
         raise ValueError("empty sample")
-    kind = region.kind
-    if kind is RegionKind.SIGMA_FIXED:
-        return State(mu_bar(x), region.sigma0)
-    if kind is RegionKind.MU_FIXED:
-        s = _sigma_hat(x, region.mu0)
-        if s == 0.0:
-            raise ValueError("degenerate sample: zero deviation at the fixed mean")
-        return State(region.mu0, s)
-    if kind is RegionKind.FULL or kind is RegionKind.MU_HALF_LINE:
-        mu = mu_bar(x)
-        if kind is RegionKind.MU_HALF_LINE:
-            mu = min(mu, region.mu0) if region.side == "lower" else max(mu, region.mu0)
-        s = _sigma_hat(x, mu)
+    if region.predicate is None:
+        mu = min(max(mu_bar(x), region.mu_lo), region.mu_hi)
+        s = _sigma_hat(x, mu) if region.sigma0 is None else region.sigma0
         if s == 0.0:
             raise ValueError("degenerate sample: maximum-likelihood sigma is 0")
         return State(mu, s)
@@ -165,7 +157,7 @@ def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
 
     def objective(p: Sequence[float]) -> float:
         mu, sigma = p
-        if sigma < _SIGMA_FLOOR or not region.predicate(State(mu, max(sigma, _SIGMA_FLOOR))):
+        if sigma < _SIGMA_FLOOR or not region.contains(State(mu, max(sigma, _SIGMA_FLOOR))):
             return 1e300
         return -log_likelihood(x, State(mu, sigma))
 
@@ -215,7 +207,7 @@ class GaussianMeanModel:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.sigma <= 0.0:
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
     @property

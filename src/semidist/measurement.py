@@ -99,17 +99,14 @@ class TwoSampleState:
 @dataclass(frozen=True)
 class Sample:
     """A measured value: one tuple of reals, plus a second block for
-    two-sample problems.  Each block becomes its float64 row once, in
-    ``_rows``, whose estimates are computed on first use."""
+    two-sample problems.  Each block is converted once, by ``_finite_row``
+    (the one entry from Python numbers to float64 rows), into ``_rows``,
+    whose estimates are computed on first use."""
 
     values: tuple[float, ...]
     second: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise ValueError("sample must contain at least one value")
-        if self.second is not None and len(self.second) < 1:
-            raise ValueError("second block must contain at least one value")
         x = _finite_row(self.values, "sample")
         y = None if self.second is None else _finite_row(self.second, "second block")
         object.__setattr__(self, "_rows", (x, y))
@@ -124,10 +121,14 @@ class Sample:
 
 
 def _finite_row(block: Sequence[float], name: str) -> "_Rows":
-    """``block`` as one float64 row, each value converted once.  A value
-    that is not a real number raises the TypeError (or OverflowError) that
+    """``block`` as one float64 row, each value converted once: the one
+    way from Python numbers to a ``_Rows``, for a ``Sample``'s blocks and
+    the estimator functions alike.  An empty block raises a ValueError, a
+    value that is not a real number the TypeError (or OverflowError) that
     adding it raises, and a non-finite one a ValueError that names it and
     its index in the ``name`` block."""
+    if len(block) < 1:
+        raise ValueError(f"{name} must contain at least one value")
     try:
         packed = struct.pack(f"{len(block)}d", *block)
     except (struct.error, OverflowError):
@@ -345,13 +346,6 @@ class _Rows:
             # does not overflow.
             self.sums = values.sum(axis=1)
 
-    @classmethod
-    def of(cls, values: Sequence[float], name: str = "sample") -> "_Rows":
-        """One row of values; ``name`` says what an empty one was meant for."""
-        if len(values) < 1:
-            raise ValueError(f"{name} of an empty sample")
-        return cls(np.array(values, dtype=float, ndmin=2))
-
     @cached_property
     def mean(self) -> np.ndarray:
         if not np.isfinite(self.sums).all():
@@ -399,17 +393,17 @@ class _Rows:
 
 def mu_bar(values: Sequence[float]) -> float:
     """Arithmetic mean (x_1 + ... + x_n) / n."""
-    return float(_Rows.of(values, "mean").mean[0])
+    return float(_finite_row(values, "sample").mean[0])
 
 
 def ss_bar(values: Sequence[float]) -> float:
     """Sum of squared deviations from the sample mean; 0 iff all equal."""
-    return float(_Rows.of(values, "sum of squares").ss[0])
+    return float(_finite_row(values, "sample").ss[0])
 
 
 def sigma_bar(values: Sequence[float]) -> float:
     """sqrt(SS / n): the n-denominator standard deviation."""
-    return float(_Rows.of(values, "sum of squares").sigma_bar[0])
+    return float(_finite_row(values, "sample").sigma_bar[0])
 
 
 def sigma_bar_prime(values: Sequence[float]) -> float:
@@ -420,7 +414,7 @@ def sigma_bar_prime(values: Sequence[float]) -> float:
     n = len(values)
     if n < 2:
         raise ValueError(f"sigma_bar_prime needs n >= 2, got n={n}")
-    return float(_Rows.of(values).sigma_bar_prime[0])
+    return float(_finite_row(values, "sample").sigma_bar_prime[0])
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,11 @@ class TestCdf:
         assert cdf(normal(), 1.96) + cdf(normal(), -1.96) == pytest.approx(1.0, abs=1e-15)
 
     def test_t_symmetry(self):
-        for k in (1, 4, 9):
-            assert cdf(student_t(k), 0.0) == 0.5
+        # Both zeros, and a dof far past the others: the tail at 0 is 1/2
+        # before the incomplete beta runs any loop.
+        for k in (1, 4, 9, 10**8):
+            for x in (0.0, -0.0):
+                assert cdf(student_t(k), x) == 0.5
 
     def test_chi2_9_upper_point(self):
         # oracle: adaptive quadrature of the density plus bisection

@@ -138,6 +138,61 @@ class TestMle:
         with pytest.raises(ValueError):
             mle_normal((1.0, 2.0), ParameterRegion.custom(lambda s: False))
 
+    def test_one_degeneracy_message(self):
+        for region in (
+            ParameterRegion.full(),
+            ParameterRegion.mu_fixed(3.0),
+            ParameterRegion.mu_half_line(3.0, "upper"),
+        ):
+            with pytest.raises(ValueError, match="^degenerate sample: maximum-likelihood sigma is 0$"):
+                mle_normal((3.0, 3.0), region)
+
+    @pytest.mark.parametrize(
+        "make,outside",
+        [
+            (ParameterRegion.full, None),
+            (lambda: ParameterRegion.mu_fixed(0.5), State(0.6, 1.0)),
+            (lambda: ParameterRegion.mu_half_line(0.5, "lower"), State(0.6, 1.0)),
+            (lambda: ParameterRegion.mu_half_line(0.5, "upper"), State(0.4, 1.0)),
+            (lambda: ParameterRegion.sigma_fixed(0.7), State(0.5, 1.0)),
+            (lambda: ParameterRegion.custom(lambda s: s.mu <= 0.5), State(0.6, 1.0)),
+        ],
+        ids=["full", "mu_fixed", "lower half-line", "upper half-line", "sigma_fixed", "custom"],
+    )
+    def test_the_maximizer_lies_in_its_region(self, make, outside):
+        region = make()
+        for j in range(8):
+            x = sample(State(0.5 * (j % 3 - 1), 1.0), 6, rng=stream(89, j)).values
+            assert region.contains(mle_normal(x, region))
+        assert outside is None or not region.contains(outside)
+
+
+class TestParameterRegion:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (2.0, 1.0), (math.inf, -math.inf)],
+        ids=["nan low", "nan high", "nan both", "crossed", "crossed infinities"],
+    )
+    def test_nan_or_crossed_mu_bounds_are_refused(self, lo, hi):
+        # max(1.0, nan) is 1.0: a NaN bound would be dropped by the clamp.
+        with pytest.raises(ValueError, match="^mu bounds must be ordered numbers"):
+            ParameterRegion(lo, hi)
+
+    @pytest.mark.parametrize("make", [ParameterRegion.mu_fixed, ParameterRegion.mu_half_line])
+    def test_a_nan_anchor_is_refused(self, make):
+        with pytest.raises(ValueError, match="^mu bounds must be ordered numbers"):
+            make(math.nan)
+
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.inf, math.nan])
+    def test_sigma0_must_be_finite_and_positive(self, sigma0):
+        for make in (lambda: ParameterRegion.sigma_fixed(sigma0), lambda: ParameterRegion(sigma0=sigma0)):
+            with pytest.raises(ValueError, match="^sigma0 must be positive"):
+                make()
+
+    def test_side_must_be_named(self):
+        with pytest.raises(ValueError, match="side must be 'lower' or 'upper'"):
+            ParameterRegion.mu_half_line(0.0, "left")
+
 
 class TestNormalizedLikelihood:
     def test_equals_one_at_maximizer(self):
@@ -181,6 +236,13 @@ class TestNormalizedLikelihood:
 
 
 class TestLrt:
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_model_sigma_must_be_finite_and_positive(self, sigma):
+        # An infinite sigma scored every estimate 1, so the region never
+        # rejected; a NaN one scored it NaN.
+        with pytest.raises(ValueError, match="^sigma must be positive"):
+            GaussianMeanModel(9, sigma)
+
     def test_lambda_is_one_on_attainable_null(self):
         model = GaussianMeanModel(9, 2.0)
         assert lrt_lambda(0.0, model, Hypothesis.point(0.0)) == 1.0

@@ -214,6 +214,42 @@ class TestEstimators:
         with pytest.raises(ValueError):
             mu_bar(())
 
+    ESTIMATORS = pytest.mark.parametrize(
+        "estimator", [mu_bar, ss_bar, sigma_bar, sigma_bar_prime],
+        ids=["mu_bar", "ss_bar", "sigma_bar", "sigma_bar_prime"],
+    )
+
+    @ESTIMATORS
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_is_named_with_its_index(self, estimator, bad):
+        # As a Sample names it: the values enter through the same function.
+        with pytest.raises(ValueError, match=f"^sample value 0 is not finite: {bad!r}$"):
+            estimator((bad, 1.0))
+        with pytest.raises(ValueError, match=f"^sample value 2 is not finite: {bad!r}$"):
+            estimator((1e308, 1e308, bad, math.nan))
+
+    @ESTIMATORS
+    def test_a_finite_sum_that_overflows_keeps_its_message(self, estimator):
+        with pytest.raises(ValueError, match="^sum of the sample values overflows float64$"):
+            estimator((1e308, 1.5e308, -1e308))
+
+    @ESTIMATORS
+    @pytest.mark.parametrize(
+        "block,error",
+        [(("1.5", "2.5"), TypeError), ((1.0, None), TypeError), ((1.0, 2**1024), OverflowError)],
+        ids=["str", "None", "huge int"],
+    )
+    def test_a_non_numeric_block_is_refused(self, estimator, block, error):
+        with pytest.raises(error):
+            estimator(block)
+
+    @pytest.mark.parametrize("estimator", [mu_bar, ss_bar, sigma_bar], ids=["mu_bar", "ss_bar", "sigma_bar"])
+    def test_an_empty_block_is_refused_as_a_sample_is(self, estimator):
+        with pytest.raises(ValueError, match="^sample must contain at least one value$"):
+            estimator(())
+        with pytest.raises(ValueError, match="^sample must contain at least one value$"):
+            Sample(())
+
     @given(samples)
     def test_scaling_identity(self, values):
         # sigma_bar = sqrt((n-1)/n) * sigma_bar_prime, exactly in exact
