@@ -21,6 +21,9 @@ ends a row.  The first non-blank line is a header if it does not parse
 and has no empty field.  Any other line that does not parse, an empty
 comma-separated field, a row of more than two values and a non-finite
 value each stop the command (exit 2) with a message naming the line.
+``read_columns`` refuses the first four; a non-finite value is refused by
+``Sample`` (through ``measurement._finite_row``), the one check of every
+measured value, and ``_load_sample`` then names its line.
 """
 
 from __future__ import annotations
@@ -63,62 +66,43 @@ def _json_number(x: float):
 
 def read_columns(path: str) -> tuple[list[float], list[float]]:
     """Parse a data file in the format of the module docstring into its two
-    columns (the second empty for a one-column file).
+    columns (the second empty for a one-column file).  Values are not
+    checked for finiteness here: ``Sample`` does that, and ``_load_sample``
+    names the line of a value it refuses.
 
     A bulk pass of C-level operations over all rows at once reads files
     whose data rows all hold one value or all hold two comma-separated
     values: one-column files and comma-separated files (header or none,
-    blank lines, any line break, spaces around commas).  Anything it cannot
-    read, which is every bad file, a comma-separated file whose second
-    column ends early and the whitespace-separated two-column shapes, goes
-    through the per-line scan: it reads those shapes and names the first
-    bad line in a ``CliError``.  The file is decoded once, from its bytes."""
-    try:
-        with open(path, "rb") as handle:
-            lines = handle.read().decode("utf-8-sig").splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read data file {path!r}: {exc}") from exc
+    empty lines, any line break, spaces around commas).  Anything it cannot
+    read, which is every bad file, a file with a line of whitespace alone,
+    a comma-separated file whose second column ends early and the
+    whitespace-separated two-column shapes, goes through the per-line scan:
+    it reads those shapes and names the first bad line in a ``CliError``."""
+    lines = _read_lines(path)
     try:
         col1, col2 = _bulk_columns(lines)
     except ValueError:
         col1, col2 = _scan_columns(lines, path)
     if not col1:
         raise CliError(f"no data rows in {path!r}")
-    # A finite sum proves every value finite; only a non-finite value (or
-    # an overflowing sum) pays for the check, and only a non-finite value
-    # for the search for its line.
-    if not math.isfinite(sum(col1) + sum(col2)) and not all(
-        map(math.isfinite, col1 + col2)
-    ):
-        for number, raw in enumerate(lines, 1):
-            try:
-                values = _row_values(raw)
-            except ValueError:
-                continue
-            if not all(map(math.isfinite, values)):
-                raise CliError(f"non-finite value on line {number} of {path!r}: {raw.strip()!r}")
     return col1, col2
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of a data file, decoded from its bytes."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8-sig").splitlines()
+    except OSError as exc:
+        raise CliError(f"cannot read data file {path!r}: {exc}") from exc
 
 
 def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float]]:
     """The columns when every data row holds one value, or every one holds
-    two comma-separated ones; raises ValueError on anything else.  No list
-    is built per row.  Empty lines are dropped; lines of whitespace alone,
-    which parse as neither shape, only when the rows do not read with them,
-    so a file without such lines is not stripped line by line."""
+    two comma-separated ones; raises ValueError on anything else, a line of
+    whitespace alone included.  Empty lines are dropped, and no list is
+    built per row."""
     rows = list(filter(None, lines))
-    count = len(rows)
-    try:
-        return _bulk_rows(rows)
-    except ValueError:
-        nonblank = list(filter(str.strip, lines))
-        if len(nonblank) == count:
-            raise
-        return _bulk_rows(nonblank)
-
-
-def _bulk_rows(rows: list[str]) -> tuple[list[float], list[float]]:
-    """``_bulk_columns`` on its rows, a header among them."""
     if rows and _is_header(rows[0]):
         del rows[0]
     try:
@@ -220,14 +204,26 @@ def _build_hypothesis(name: str, null_value: float) -> Hypothesis:
 
 
 def _load_sample(name: str, path: str) -> Sample:
+    """The measured value in a data file for test ``name``.  ``Sample``
+    refuses a non-finite value; only then are the lines searched, for the
+    first one holding such a value."""
     col1, col2 = read_columns(path)
-    if CATALOG[name].quantity.two_sample:
-        if not col2:
-            raise CliError(f"{name} needs two data columns in {path!r}")
-        return Sample(tuple(col1), tuple(col2))
-    if col2:
+    two_sample = CATALOG[name].quantity.two_sample
+    if two_sample and not col2:
+        raise CliError(f"{name} needs two data columns in {path!r}")
+    if col2 and not two_sample:
         raise CliError(f"{name} takes a single data column, {path!r} has two")
-    return Sample(tuple(col1))
+    try:
+        return Sample(tuple(col1), tuple(col2) if two_sample else None)
+    except ValueError:
+        for number, raw in enumerate(_read_lines(path), 1):
+            try:
+                finite = all(map(math.isfinite, _row_values(raw)))
+            except ValueError:
+                continue
+            if not finite:
+                raise CliError(f"non-finite value on line {number} of {path!r}: {raw.strip()!r}")
+        raise
 
 
 def _cmd_test(args: argparse.Namespace) -> int:

@@ -479,6 +479,15 @@ def _f_start(p: float, d1: int, d2: int) -> float:
     return d2 * u / (d1 * (1.0 - u)) if u < 1.0 else 1.0
 
 
+def _level(name: str, value: float) -> float:
+    """``value``, a probability level named ``name`` (alpha, gamma, p), if
+    it lies in (0, 1); the one check of every level, so each refusal reads
+    the same.  NaN is refused too."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
 def _solve(spec: DistributionSpec, q: float, upper: bool = False) -> float:
     """The x with P(X <= x) = q, or with ``upper`` P(X > x) = q, by
     ``_invert`` from a closed-form start; an upper start is the reflected
@@ -512,16 +521,12 @@ def quantile(spec: DistributionSpec, p: float) -> float:
     mass, so the quantile has relative precision at either end.  Raises
     ValueError if it cannot.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    return _solve(spec, p)
+    return _solve(spec, _level("p", p))
 
 
 def z_alpha(alpha: float, tails: Tails) -> float:
     """Normal critical value: mass alpha/2 per tail (TWO) or alpha in one (ONE)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return _solve(normal(), alpha / tails.value, upper=True)
+    return _solve(normal(), _level("alpha", alpha) / tails.value, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +537,7 @@ def z_alpha(alpha: float, tails: Tails) -> float:
 def _log_scale(dist: DistributionSpec, n: int, alpha: float) -> float:
     # The scale s of a log-scale radius: n for chi-squared with n - 1 dof,
     # 1 for F with first dof n - 1.
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _level("alpha", alpha)
     if dist.kind is not Family.CHI_SQUARED and dist.kind is not Family.FISHER_F:
         raise ValueError(f"log-scale radius undefined for {dist.kind.value}")
     if n < 2 or dist.dof1 != n - 1:

@@ -487,18 +487,14 @@ def eta_alpha(
     where the radius depends on them; pass None to use the problem's
     known nuisance values.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return _radius(problem, omega, alpha)
+    return _radius(problem, omega, dist._level("alpha", alpha))
 
 
 def _alpha_of(gamma: float) -> float:
     """alpha = 1 - gamma, the one place a confidence level is checked and
     turned into a test level: gamma must lie in (0, 1), and not so near 0
     that 1 - gamma rounds to 1."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
-    alpha = 1.0 - gamma
+    alpha = 1.0 - dist._level("gamma", gamma)
     if alpha == 1.0:
         raise ValueError(
             f"gamma={gamma!r} is too small for double precision: 1 - gamma rounds to 1"
@@ -710,8 +706,7 @@ def eta_alpha_generic(
     ``anchor`` is the half-line reference (the hypothesis value); it is
     ignored by two-sided kinds.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    dist._level("alpha", alpha)
     if problem.distance_kind.half_line and anchor is None:
         raise ValueError("half-line kinds need the hypothesis anchor")
     tail, slope = _statistic_law_tail(problem, omega, anchor)

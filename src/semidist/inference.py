@@ -14,6 +14,12 @@ the low-likelihood set stays at or below alpha; for the known-sigma
 mean problem this reproduces the same critical radius as the
 distance-based construction, which is the cross-check the test suite
 pins down.
+
+Each check of an input lives in one function: a measured value's
+emptiness and finiteness in ``measurement._finite_row`` (reached through
+``mu_bar`` and, for the likelihood, through ``_ssq``, which adds the
+overflow of the sum of squared deviations), and a level alpha in
+``distributions._level``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import distributions as dist
 from .framework import Hypothesis, HypothesisKind
-from .measurement import State, mu_bar, sigma_bar
+from .measurement import State, _finite_row, mu_bar, sigma_bar
 
 __all__ = [
     "ParameterRegion",
@@ -101,13 +107,24 @@ class LikelihoodValue:
     normalized_ratio: float
 
 
+def _ssq(x: Sequence[float], mu: float) -> float:
+    """The sum of squared deviations of x from mu, by ``math.fsum``.  An
+    empty x or a non-finite value raises ``_finite_row``'s ValueError,
+    which names it; a sum of finite values that overflows raises one that
+    says so."""
+    try:
+        ssq = math.fsum((v - mu) ** 2 for v in x)
+    except OverflowError:
+        ssq = math.inf
+    if len(x) < 1 or not math.isfinite(ssq):
+        _finite_row(x, "sample")
+        raise ValueError("sum of squared deviations overflows float64")
+    return ssq
+
+
 def log_likelihood(x: Sequence[float], state: State) -> float:
     """Log density of the n i.i.d. normal draws at ``state``."""
-    n = len(x)
-    if n < 1:
-        raise ValueError("empty sample")
-    ssq = math.fsum((v - state.mu) ** 2 for v in x)
-    return -0.5 * n * math.log(2.0 * math.pi * state.sigma**2) - ssq / (
+    return -0.5 * len(x) * math.log(2.0 * math.pi * state.sigma**2) - _ssq(x, state.mu) / (
         2.0 * state.sigma**2
     )
 
@@ -132,7 +149,7 @@ def normalized_likelihood(x: Sequence[float], state: State) -> float:
 
 
 def _sigma_hat(x: Sequence[float], mu: float) -> float:
-    return math.sqrt(math.fsum((v - mu) ** 2 for v in x) / len(x))
+    return math.sqrt(_ssq(x, mu) / len(x))
 
 
 def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
@@ -143,8 +160,6 @@ def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
     deviation from that mu.  A region cut by a predicate falls back to
     derivative-free maximization seeded at the unconstrained estimate.
     """
-    if len(x) < 1:
-        raise ValueError("empty sample")
     if region.predicate is None:
         mu = min(max(mu_bar(x), region.mu_lo), region.mu_hi)
         s = _sigma_hat(x, mu) if region.sigma0 is None else region.sigma0
@@ -224,17 +239,6 @@ def lrt_lambda(theta: float, model: GaussianMeanModel, hypothesis: Hypothesis) -
     return math.exp(-0.5 * z * z)
 
 
-def _exceedance(hypothesis: Hypothesis, r: float) -> float:
-    # Worst-case null probability of the estimate landing r or more standard
-    # errors beyond the null value; attained at the null boundary.
-    # The upper normal tail straight from erfc: 1 - cdf(r) would cancel
-    # to a few digits at small alpha.
-    upper = 0.5 * math.erfc(r / math.sqrt(2.0))
-    if hypothesis.kind is HypothesisKind.POINT:
-        return 2.0 * upper
-    return upper
-
-
 @dataclass(frozen=True)
 class LrtRegion:
     """Rejection region of the ratio test: estimate values whose profile
@@ -253,24 +257,20 @@ class LrtRegion:
 def lrt_region(
     hypothesis: Hypothesis, alpha: float, model: GaussianMeanModel
 ) -> LrtRegion:
-    """Calibrate the cutoff on the exceedance probability.
+    """Calibrate the cutoff on the worst-case null probability.
 
-    The exceedance falls continuously from 1 (1/2 on a half-line null) as
-    the radius r grows, so ``_invert`` solves it for alpha in y = -r, and
-    epsilon = exp(-r^2 / 2), kept below 1 (which would reject the null's own
+    The estimate lands r or more standard errors beyond the null value
+    with probability at most alpha, attained at the null boundary, where r
+    is the normal upper quantile at alpha / 2 on a point null and at alpha
+    on a half-line (0 where alpha is 1/2 or more).  epsilon =
+    exp(-r^2 / 2), kept below 1 (which would reject the null's own
     estimates), is the supremal cutoff whose worst-case null probability
     stays <= alpha; the region boundary then sits at ``radius`` from the
     null value in estimate space.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    top = _exceedance(hypothesis, 0.0)
+    k = 2.0 if hypothesis.kind is HypothesisKind.POINT else 1.0
     r = 0.0
-    if alpha < top:
-        def slope(y: float) -> float:
-            return 2.0 * top * dist.pdf(dist.normal(), y)
-
-        start = dist._normal_start(0.5 * alpha / top)
-        r = -dist._invert(lambda y: _exceedance(hypothesis, -y), slope, alpha, start, hi=0.0)
+    if dist._level("alpha", alpha) < 0.5 * k:
+        r = dist._solve(dist.normal(), alpha / k, upper=True)
     eps = min(math.exp(-0.5 * r * r), math.nextafter(1.0, 0.0))
     return LrtRegion(model, hypothesis, alpha, eps, model.scale * r)

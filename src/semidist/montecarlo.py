@@ -77,6 +77,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .distributions import _level
 from .framework import (
     Hypothesis,
     TestProblem,
@@ -128,8 +129,7 @@ class ExperimentPlan:
     hypothesis: Hypothesis | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        _level("level", self.level)
         if not isinstance(self.replications, numbers.Integral):
             raise ValueError(f"replications must be an integer, got {self.replications!r}")
         if not 1 <= self.replications <= 1 << 64:

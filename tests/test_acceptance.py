@@ -54,6 +54,7 @@ from semidist.measurement import (
     Sample,
     State,
     TwoSampleState,
+    _sample_block,
     mu_bar,
     sample,
     sigma_bar,
@@ -210,19 +211,26 @@ def _catalog(n=10, m=10):
 
 def test_criterion_3_exact_duality():
     """reject at alpha <=> null value outside the (1-alpha) region, with
-    zero exceptions over 10,000 seeded datasets per catalog test."""
+    zero exceptions over 10,000 seeded datasets per catalog test.  Entry k
+    takes replications 10,000 k to 10,000 (k + 1) - 1 of seed 1000, drawn
+    as one block: row j is ``sample(..., rng=stream(1000, 10_000 k + j))``
+    bit for bit, as a few rows per entry check."""
     alpha = 0.05
     gamma = 1.0 - alpha
     rng = np.random.default_rng(2024)
     checked = 0
     for name, problem, make_hyp, truth, theta0 in _catalog():
+        first, second = _sample_block(truth, problem.n, problem.m, 1000, checked, checked + 10_000)
+        spread = 2.0 * eta_alpha(problem, None, alpha)
         for j in range(10_000):
-            x = sample(truth, problem.n, problem.m, rng=stream(1000, checked))
+            x = Sample(tuple(first[j].tolist()), None if second is None else tuple(second[j].tolist()))
+            if j in (0, 4_321, 9_999):
+                reference = sample(truth, problem.n, problem.m, rng=stream(1000, checked))
+                assert repr(x) == repr(reference), (name, j)
             ci = confidence_region(problem, x, gamma)
             if problem.quantity.value in ("sigma", "sigma_ratio"):
                 value = estimate(problem, x) * math.exp(rng.uniform(-1.0, 1.0))
             else:
-                spread = 2.0 * eta_alpha(problem, None, alpha)
                 value = estimate(problem, x) + rng.uniform(-spread, spread)
             result = run_test(problem, make_hyp(value), alpha, x)
             assert result.reject == (not ci.contains(value)), (name, j, value)

@@ -117,6 +117,23 @@ class TestParsing:
         assert captured.out == ""
         assert f"non-finite value on line 5 of {str(path)!r}: {bad!r}" in captured.err
 
+    @pytest.mark.parametrize("text", ["x\n1.0\n \t\nnan\n3.0\n", "1,2\n\t\n3,4\n5,nan\n"],
+                             ids=["one column", "two columns"])
+    def test_non_finite_value_after_a_whitespace_line_names_its_line(self, tmp_path, capsys, text):
+        # A line of whitespace alone sends the file to the per-line scan,
+        # which leaves the finiteness check to Sample.
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        name = "var-ratio" if "," in text else "var"
+        assert cli.main(["ci", name, str(path)]) == 2
+        assert f"non-finite value on line 4 of {str(path)!r}" in capsys.readouterr().err
+
+    def test_column_count_is_reported_before_a_non_finite_value(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,nan\n3,4\n", encoding="utf-8")
+        assert cli.main(["ci", "var", str(path)]) == 2
+        assert f"var takes a single data column, {str(path)!r} has two" in capsys.readouterr().err
+
     def test_non_finite_second_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,inf\n4,5\n", encoding="utf-8")

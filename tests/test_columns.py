@@ -18,8 +18,8 @@ CORPUS = {
     "header after blank lines": "\n  \nx\n1\n2\n",
     "blank and whitespace-only lines": "\n1\n\n  \n2\n\t\n\xa0\n3\n\n",
     "blank lines, two columns": "x,y\n\n1,2\n \n3,4\n\n",
-    # The bulk pass reads these only once it strips the lines of whitespace
-    # alone, which it first keeps.  \x0b ends a line, as \n does.
+    # A line of whitespace alone sends the file to the per-line scan.  \x0b
+    # ends a line, as \n does.
     "whitespace line before a header": " \t \nx\n1\n2\n",
     "whitespace line before a comma header": "\t\nx,y\n1,2\n3,4\n",
     "tab line before data": "\t\n1\n2\n",
@@ -147,16 +147,3 @@ def _well_formed_files(draw):
 @given(text=st.one_of(_files(), _well_formed_files()))
 def test_generated_files_match_the_per_line_parser(tmp_path_factory, text):
     _assert_same(tmp_path_factory.mktemp("generated") / "data.csv", text)
-
-
-@pytest.mark.parametrize(
-    "text", ["x\n1\n \n2\n", "\t\nx,y\n1,2\n3,4\n\x0b\n"], ids=["one column", "two columns"]
-)
-def test_a_whitespace_line_keeps_the_bulk_pass(tmp_path, monkeypatch, text):
-    # A line of whitespace alone costs a second bulk pass, not the
-    # per-line scan.
-    path = tmp_path / "data.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    want = _outcome(per_line_columns.read_columns, str(path))
-    monkeypatch.setattr(cli, "_scan_columns", None)
-    assert _outcome(cli.read_columns, str(path)) == want

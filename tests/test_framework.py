@@ -34,7 +34,9 @@ from semidist.framework import (
     variance_ratio_upper,
     variance_upper,
 )
+from semidist.inference import GaussianMeanModel, lrt_region
 from semidist.measurement import Sample, State, TwoSampleState, sample, stream
+from semidist.montecarlo import ExperimentPlan
 
 reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 positives = st.floats(min_value=1e-3, max_value=50, allow_nan=False)
@@ -100,7 +102,29 @@ class TestSemiDistanceAxioms:
             SemiDistance(SemiDistanceKind.HALF_LINE_ABSOLUTE)
 
 
+LEVEL_ENTRY_POINTS = {
+    "quantile": ("p", lambda v: distributions.quantile(distributions.normal(), v)),
+    "z_alpha": ("alpha", lambda v: distributions.z_alpha(v, distributions.Tails.TWO)),
+    "log-scale radius": (
+        "alpha", lambda v: distributions.symmetric_log_interval_eta(distributions.chi_squared(4), 5, v)
+    ),
+    "eta_alpha": ("alpha", lambda v: eta_alpha(mean_z(5, 1.0), None, v)),
+    "eta_gamma": ("gamma", lambda v: eta_gamma(mean_z(5, 1.0), None, v)),
+    "eta_alpha_generic": ("alpha", lambda v: eta_alpha_generic(mean_z(5, 1.0), State(0.0, 1.0), v)),
+    "lrt_region": (
+        "alpha", lambda v: lrt_region(Hypothesis.point(0.0), v, GaussianMeanModel(5, 1.0))
+    ),
+    "ExperimentPlan": ("level", lambda v: ExperimentPlan(mean_z(5, 1.0), State(0.0, 1.0), v, 10, 0)),
+}
+
+
 class TestCalibratedRadii:
+    @pytest.mark.parametrize("value", [0.0, 1.0, math.nan], ids=["0", "1", "nan"])
+    @pytest.mark.parametrize("name,call", LEVEL_ENTRY_POINTS.values(), ids=LEVEL_ENTRY_POINTS)
+    def test_every_level_is_refused_by_name(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must lie in (0, 1), got {value!r}')}$"):
+            call(value)
+
     def test_mean_z_example(self):
         # sigma/sqrt(n) * z(alpha/2) at sigma=1, n=4, gamma=0.95
         problem = mean_z(4, 1.0)

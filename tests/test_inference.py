@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 
 from semidist.distributions import Tails, z_alpha
-from semidist import inference
 from semidist.framework import Hypothesis
 from semidist.inference import (
     GaussianMeanModel,
@@ -167,6 +166,37 @@ class TestMle:
         assert outside is None or not region.contains(outside)
 
 
+class TestMeasuredValue:
+    """The likelihood and its maximizer refuse an empty, non-finite or
+    overflowing measured value with a message that names the fault."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mle_normal((1e308, -1e308, 1e308), ParameterRegion.full()),
+            lambda: log_likelihood((1e200, 1.0), State(0.0, 1.0)),
+        ],
+        ids=["mle_normal", "log_likelihood"],
+    )
+    def test_an_overflowing_sum_of_squares_is_named(self, call):
+        with pytest.raises(ValueError, match="^sum of squared deviations overflows float64$"):
+            call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_a_non_finite_value_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"^sample value 0 is not finite: {bad!r}$"):
+            log_likelihood((bad, 1.0), State(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: log_likelihood((), State(0.0, 1.0)), lambda: mle_normal((), ParameterRegion.full())],
+        ids=["log_likelihood", "mle_normal"],
+    )
+    def test_an_empty_sample_is_refused(self, call):
+        with pytest.raises(ValueError, match="^sample must contain at least one value$"):
+            call()
+
+
 class TestParameterRegion:
     @pytest.mark.parametrize(
         "lo,hi",
@@ -271,14 +301,13 @@ class TestLrt:
         )
 
     @pytest.mark.parametrize("alpha", [0.05, 1e-12])
-    def test_exceedance_is_the_normal_upper_tail(self, alpha):
-        # At alpha = 1e-12, 1 - cdf(r) was 8.9e-5 (relative) off the tail.
-        r = stats.norm.isf(alpha)
-        tail = stats.norm.sf(r)
-        half = inference._exceedance(Hypothesis.lower_half_line(0.0), r)
-        point = inference._exceedance(Hypothesis.point(0.0), r)
-        assert math.isclose(half, tail, rel_tol=1e-13)
-        assert point == 2.0 * half
+    def test_radius_is_the_normal_upper_quantile(self, alpha):
+        # Solved on the upper tail's own mass: at alpha = 1e-12, 1 - cdf(r)
+        # is 8.9e-5 (relative) off the tail.
+        model = GaussianMeanModel(10, 1.7)
+        for hypothesis, k in ((Hypothesis.point(0.3), 2.0), (Hypothesis.lower_half_line(0.3), 1.0)):
+            want = model.scale * stats.norm.isf(alpha / k)
+            assert math.isclose(lrt_region(hypothesis, alpha, model).radius, want, rel_tol=1e-13)
 
     def test_region_grows_with_alpha(self):
         model = GaussianMeanModel(10, 1.0)
