@@ -78,7 +78,6 @@ _LAZY = {
     "power_curve": "montecarlo",
     "size_experiment": "montecarlo",
     "inference": "inference",
-    "GaussianMeanModel": "inference",
     "LikelihoodValue": "inference",
     "ParameterRegion": "inference",
     "lrt_lambda": "inference",

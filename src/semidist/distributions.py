@@ -488,6 +488,18 @@ def _level(name: str, value: float) -> float:
     return value
 
 
+def _per_tail(alpha: float, tails: float) -> float:
+    """The mass a level alpha leaves in each of ``tails`` (1 or 2) tails;
+    the one place a two-sided level is halved, so a level whose half
+    underflows to 0 (alpha = 5e-324) is refused here, by name."""
+    mass = _level("alpha", alpha) / tails
+    if mass == 0.0:
+        raise ValueError(
+            f"alpha={alpha!r} is too small for double precision: alpha / 2 underflows to 0"
+        )
+    return mass
+
+
 def _solve(spec: DistributionSpec, q: float, upper: bool = False) -> float:
     """The x with P(X <= x) = q, or with ``upper`` P(X > x) = q, by
     ``_invert`` from a closed-form start; an upper start is the reflected
@@ -526,7 +538,7 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 
 def z_alpha(alpha: float, tails: Tails) -> float:
     """Normal critical value: mass alpha/2 per tail (TWO) or alpha in one (ONE)."""
-    return _solve(normal(), _level("alpha", alpha) / tails.value, upper=True)
+    return _solve(normal(), _per_tail(alpha, tails.value), upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -534,28 +546,28 @@ def z_alpha(alpha: float, tails: Tails) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_scale(dist: DistributionSpec, n: int, alpha: float) -> float:
-    # The scale s of a log-scale radius: n for chi-squared with n - 1 dof,
-    # 1 for F with first dof n - 1.
-    _level("alpha", alpha)
-    if dist.kind is not Family.CHI_SQUARED and dist.kind is not Family.FISHER_F:
-        raise ValueError(f"log-scale radius undefined for {dist.kind.value}")
-    if n < 2 or dist.dof1 != n - 1:
-        raise ValueError(f"expected {dist.kind.value} with first dof {n - 1} for n={n}")
-    return float(n) if dist.kind is Family.CHI_SQUARED else 1.0
+def _log_scale(dist: DistributionSpec) -> float:
+    """The scale s of a log-scale radius on ``dist``: k + 1 for
+    chi-squared(k), the law of n sigma_bar^2 / sigma^2 with n = k + 1, and
+    1 for F, the law of a ratio of sample variances."""
+    if dist.kind is Family.CHI_SQUARED:
+        return float(dist.dof1 + 1)
+    if dist.kind is Family.FISHER_F:
+        return 1.0
+    raise ValueError(f"log-scale radius undefined for {dist.kind.value}")
 
 
-def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
+def symmetric_log_interval_eta(dist: DistributionSpec, alpha: float) -> float:
     """Radius eta with mass 1 - alpha on [s*e^(-2 eta), s*e^(2 eta)].
 
-    For a chi-squared dist the interval is scaled by s = n (and dist must
-    be chi-squared with n - 1 dof); for Fisher-F the scale is s = 1 and n
-    must match dof1 + 1.  The mass outside, the sum of the two tails,
-    falls strictly from 1 to 0 as eta grows, with derivative
-    -2s (e^(2 eta) f(s e^(2 eta)) + e^(-2 eta) f(s e^(-2 eta))) for the
-    density f; ``_invert`` solves it for alpha in y = -eta.
+    The scale s is read from the law: k + 1 for chi-squared(k), 1 for F.
+    The mass outside, the sum of the two tails, falls strictly from 1 to 0
+    as eta grows, with derivative -2s (e^(2 eta) f(s e^(2 eta)) +
+    e^(-2 eta) f(s e^(-2 eta))) for the density f; ``_invert`` solves it
+    for alpha in y = -eta.
     """
-    s = _log_scale(dist, n, alpha)
+    s = _log_scale(dist)
+    half = _per_tail(alpha, 2.0)
 
     def outside(y: float) -> float:
         return cdf(dist, s * math.exp(2.0 * y)) + _sf(dist, s * math.exp(-2.0 * y))
@@ -577,11 +589,11 @@ def symmetric_log_interval_eta(dist: DistributionSpec, n: int, alpha: float) -> 
         mu, var = 0.5 * (m1 - m2), 0.25 * (v1 + v2)
     else:
         mu, var = 0.5 * (m1 + math.log(dist.dof1 / s)), 0.25 * v1
-    start = _normal_start(0.5 * alpha) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
+    start = _normal_start(half) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
     return -_invert(outside, slope, alpha, start, hi=0.0)
 
 
-def upper_tail_log_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
+def upper_tail_log_eta(dist: DistributionSpec, alpha: float) -> float:
     """Radius eta' with upper-tail mass alpha beyond s*e^(2 eta').
 
     Scale s as in :func:`symmetric_log_interval_eta`.  Equivalent to half
@@ -590,5 +602,5 @@ def upper_tail_log_eta(dist: DistributionSpec, n: int, alpha: float) -> float:
     alpha these tests use; for large alpha the defining equation's
     (negative) root is returned as-is.
     """
-    s = _log_scale(dist, n, alpha)
-    return 0.5 * math.log(_solve(dist, alpha, upper=True) / s)
+    s = _log_scale(dist)
+    return 0.5 * math.log(_solve(dist, _level("alpha", alpha), upper=True) / s)

@@ -209,6 +209,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "mean-t": CatalogEntry(_Q.MU, _K.STUDENTIZED),
     "mean-t-upper": CatalogEntry(_Q.MU, _K.HALF_LINE_STUDENTIZED),
 }
+_NAMES = {entry: name for name, entry in CATALOG.items()}
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ class TestProblem:
         # Only a catalog entry has a pivot law; any other pair is refused.
         kind = self.distance_kind
         entry = CatalogEntry(self.quantity, kind)
-        name = next((k for k, v in CATALOG.items() if v == entry), None)
+        name = _NAMES.get(entry)
         if name is None:
             raise ValueError(f"({self.quantity.value}, {kind.value}) is not a catalog test")
         if self.n < 1:
@@ -239,11 +240,13 @@ class TestProblem:
             raise ValueError("two-sample problems need m >= 1")
         if not two_sample and self.m is not None:
             raise ValueError("m is only meaningful for two-sample problems")
+        known = entry.known_sigmas
         for flag in ("sigma", "sigma1", "sigma2"):
             value = getattr(self, flag)
+            if value is not None and flag not in known:
+                raise ValueError(f"{name} does not use {flag}")
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{flag} must be positive, got {value!r}")
-        known = entry.known_sigmas
         if None in (getattr(self, flag) for flag in known):
             t_test = "mean_t_upper" if kind.half_line else "mean_t"
             each = " on each sample" if two_sample else ""
@@ -442,15 +445,15 @@ def _pivot(
     problem: TestProblem, omega: State | TwoSampleState | None
 ) -> tuple[DistributionSpec, float]:
     """The law of the problem's pivot and the scale that carries it onto
-    the distance.  The sigma of a known-sigma entry is the state's where
-    one is supplied; the problem's known-nuisance values cover the
-    no-state calls (run_test, regions), which is where "sigma fixed and
-    known" actually bites."""
+    the distance: the one statement of both for every entry, a log-scale
+    entry's scale read from its law (``dist._log_scale``).  A known-sigma
+    entry takes the state's sigma where one is supplied, else the
+    problem's known value (run_test, regions), which is where "sigma
+    fixed and known" actually bites."""
     n, m, q = problem.n, problem.m, problem.quantity
-    if q is QuantityKind.SIGMA:
-        return chi_squared(n - 1), float(n)
-    if q is QuantityKind.SIGMA_RATIO:
-        return fisher_f(n - 1, m - 1), 1.0
+    if problem.distance_kind.log_scale:
+        law = chi_squared(n - 1) if q is QuantityKind.SIGMA else fisher_f(n - 1, m - 1)
+        return law, dist._log_scale(law)
     if problem.distance_kind.studentized:
         return student_t(n - 1), 1.0
     if q is QuantityKind.MU:
@@ -472,9 +475,9 @@ def _radius(
     kind = problem.distance_kind
     if kind.log_scale:
         solve = dist.upper_tail_log_eta if kind.half_line else dist.symmetric_log_interval_eta
-        return solve(law, problem.n, alpha)
+        return solve(law, alpha)
     tails = 1.0 if kind.half_line else 2.0
-    return scale * dist._solve(law, alpha / tails, upper=True)
+    return scale * dist._solve(law, dist._per_tail(alpha, tails), upper=True)
 
 
 def eta_alpha(

@@ -10,10 +10,11 @@ The likelihood here is the normalized form: the density ratio against
 the best attainable density, so its supremum over the admissible
 parameter region is exactly 1.  The ratio test calibrates a cutoff
 epsilon(alpha) so that the worst-case null probability of landing in
-the low-likelihood set stays at or below alpha; for the known-sigma
-mean problem this reproduces the same critical radius as the
-distance-based construction, which is the cross-check the test suite
-pins down.
+the low-likelihood set stays at or below alpha.  It runs on a catalog
+``TestProblem`` whose pivot is normal (mean-z, diff-means and their
+"-upper" entries), at the scale ``framework._pivot`` states for it, so
+its radius is the distance-based rejection region's, bit for bit: the
+cross-check the test suite pins down.
 
 Each check of an input lives in one function: a measured value's
 emptiness and finiteness in ``measurement._finite_row`` (reached through
@@ -29,7 +30,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import distributions as dist
-from .framework import Hypothesis, HypothesisKind
+from .framework import (
+    CatalogEntry,
+    Hypothesis,
+    TestProblem,
+    _NAMES,
+    _pivot,
+    _validate_hypothesis,
+)
 from .measurement import State, _finite_row, mu_bar, sigma_bar
 
 __all__ = [
@@ -39,7 +47,6 @@ __all__ = [
     "likelihood",
     "normalized_likelihood",
     "mle_normal",
-    "GaussianMeanModel",
     "LrtRegion",
     "lrt_lambda",
     "lrt_region",
@@ -206,36 +213,33 @@ def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Likelihood ratio test for the known-sigma mean problem
+# Likelihood ratio test for the catalog problems with a normal pivot
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianMeanModel:
-    """Sampling model of the mean estimator with known sigma: the n-sample
-    mean is Normal(mu, sigma/sqrt(n)), so the image-observable likelihood
-    has the closed ratio form exp(-n (theta - mu)^2 / (2 sigma^2))."""
-
-    n: int
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-
-    @property
-    def scale(self) -> float:
-        return self.sigma / math.sqrt(self.n)
+def _normal_scale(problem: TestProblem, hypothesis: Hypothesis) -> float:
+    """The standard error of the problem's estimate, from its pivot, once
+    the hypothesis is paired with the problem as a rejection region pairs
+    it.  An entry whose pivot is not normal is refused by name."""
+    law, scale = _pivot(problem, None)
+    if law.kind is not dist.Family.NORMAL:
+        name = _NAMES[CatalogEntry(problem.quantity, problem.distance_kind)]
+        raise ValueError(
+            f"the likelihood ratio test needs a normal pivot; {name} has a {law.kind.value} one"
+        )
+    _validate_hypothesis(problem, hypothesis)
+    return scale
 
 
-def lrt_lambda(theta: float, model: GaussianMeanModel, hypothesis: Hypothesis) -> float:
+def lrt_lambda(theta: float, problem: TestProblem, hypothesis: Hypothesis) -> float:
     """Profile of the normalized likelihood over the null set: the best
-    score any null state gives to the estimate value ``theta``."""
-    if hypothesis.kind is HypothesisKind.LOWER_HALF_LINE and theta <= hypothesis.value:
+    score any null state gives to the estimate value ``theta``.  The
+    estimate is normal about the quantity at the pivot's scale, so the
+    ratio has the closed form exp(-(theta - value)^2 / (2 scale^2))."""
+    scale = _normal_scale(problem, hypothesis)
+    if problem.distance_kind.half_line and theta <= hypothesis.value:
         return 1.0
-    z = (theta - hypothesis.value) / model.scale
+    z = (theta - hypothesis.value) / scale
     return math.exp(-0.5 * z * z)
 
 
@@ -244,19 +248,17 @@ class LrtRegion:
     """Rejection region of the ratio test: estimate values whose profile
     likelihood over the null falls at or below the calibrated cutoff."""
 
-    model: GaussianMeanModel
+    problem: TestProblem
     hypothesis: Hypothesis
     alpha: float
     epsilon: float
     radius: float
 
     def contains(self, theta: float) -> bool:
-        return lrt_lambda(theta, self.model, self.hypothesis) <= self.epsilon
+        return lrt_lambda(theta, self.problem, self.hypothesis) <= self.epsilon
 
 
-def lrt_region(
-    hypothesis: Hypothesis, alpha: float, model: GaussianMeanModel
-) -> LrtRegion:
+def lrt_region(hypothesis: Hypothesis, alpha: float, problem: TestProblem) -> LrtRegion:
     """Calibrate the cutoff on the worst-case null probability.
 
     The estimate lands r or more standard errors beyond the null value
@@ -268,9 +270,10 @@ def lrt_region(
     stays <= alpha; the region boundary then sits at ``radius`` from the
     null value in estimate space.
     """
-    k = 2.0 if hypothesis.kind is HypothesisKind.POINT else 1.0
+    scale = _normal_scale(problem, hypothesis)
+    k = 1.0 if problem.distance_kind.half_line else 2.0
     r = 0.0
     if dist._level("alpha", alpha) < 0.5 * k:
-        r = dist._solve(dist.normal(), alpha / k, upper=True)
+        r = dist._solve(dist.normal(), dist._per_tail(alpha, k), upper=True)
     eps = min(math.exp(-0.5 * r * r), math.nextafter(1.0, 0.0))
-    return LrtRegion(model, hypothesis, alpha, eps, model.scale * r)
+    return LrtRegion(problem, hypothesis, alpha, eps, scale * r)

@@ -34,7 +34,8 @@ so ``_sample_block`` (draw, then ``_scale_side`` for each side) gives
 rows equal to ``sample(..., rng=stream(seed, j))`` bit for bit, and a
 block drawn once serves every state with the same seed.
 
-``scipy.special`` is imported on the first draw, not with the module.
+``scipy.special`` is imported by each draw, not with the module: its
+package init costs more than the rest of ``import semidist``.
 """
 
 from __future__ import annotations
@@ -161,27 +162,6 @@ def stream(seed: int, replication: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).advance(replication))
 
 
-# scipy.special.ndtri, bound by ``_load_ndtri`` on the first draw: the
-# package init of scipy.special costs more than the rest of
-# ``import semidist``, and most commands never draw.
-_ndtri = None
-
-
-def _load_ndtri():
-    """Import and bind ``ndtri`` once.  ``montecarlo`` calls this when it
-    opens its worker pool (and imports the pool's modules), before any
-    worker forks; the pool then lives for the rest of the process, so the
-    forked workers inherit the import: each worker importing it for itself
-    cost more memory over the pool and a slower first call than the
-    parent's one import."""
-    global _ndtri
-    if _ndtri is None:
-        from scipy.special import ndtri
-
-        _ndtri = ndtri
-    return _ndtri
-
-
 _Z_MAX = 8.21  # |Phi^-1(2^-53)| = 8.2095... rounded up: no draw has a larger |z|
 _SHIFT12, _ONE_BITS = np.uint64(12), np.uint64(0x3FF0000000000000)
 
@@ -196,7 +176,9 @@ def _std_normal(words: np.ndarray) -> np.ndarray:
     words |= _ONE_BITS
     u = words.view(np.float64)
     u -= 1.0 - 2.0**-53
-    return (_ndtri or _load_ndtri())(u, out=u)
+    from scipy.special import ndtri
+
+    return ndtri(u, out=u)
 
 
 def _counter_words(bitgen, count: int, rows: int) -> np.ndarray:

@@ -56,8 +56,8 @@ multiprocessing child process shuts its pool down in an exit finalizer);
 a worker whose process was killed ends itself within a second.  The
 pool's modules (``concurrent.futures`` and ``multiprocessing``) are
 imported when the first pool opens, so a one-worker run never loads
-them.  ``scipy.special``'s ``ndtri`` is still loaded in the parent then
-(``measurement._load_ndtri``), before any worker forks, so the workers
+them.  ``scipy.special``, whose ``ndtri`` every draw calls, is still
+imported in the parent then, before any worker forks, so the workers
 share its pages instead of each importing it: without the preload the parent
 measured 17 MiB smaller, but parent plus workers grew from 64 to 90 MiB
 proportional set size and the first curve ran about 120 ms slower.
@@ -90,7 +90,6 @@ from .measurement import (
     STREAM_CONTRACT,
     State,
     TwoSampleState,
-    _load_ndtri,
     _Rows,
     _scale_side,
     _sides,
@@ -282,7 +281,7 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
         from multiprocessing.util import Finalize
 
         # Forked workers inherit the import instead of each paying for it.
-        _load_ndtri()
+        import scipy.special  # noqa: F401
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_exit_with, initargs=(os.getpid(),)
         )

@@ -44,7 +44,6 @@ from semidist.framework import (
     variance_upper,
 )
 from semidist.inference import (
-    GaussianMeanModel,
     ParameterRegion,
     log_likelihood,
     lrt_region,
@@ -123,13 +122,13 @@ def test_criterion_2_threshold_identities():
                 sigma / math.sqrt(n) * z_alpha(alpha, Tails.ONE), rel=1e-12
             )
             # symmetric log-interval radius: oracle round-trip mass
-            eta6 = symmetric_log_interval_eta(chi_squared(n - 1), n, alpha)
+            eta6 = symmetric_log_interval_eta(chi_squared(n - 1), alpha)
             mass = orc.oracle_cdf(chi_squared(n - 1), n * math.exp(2 * eta6)) - (
                 orc.oracle_cdf(chi_squared(n - 1), n * math.exp(-2 * eta6))
             )
             assert mass == pytest.approx(1.0 - alpha, abs=1e-10)
             # upper-tail radius: oracle tail mass
-            eta7 = upper_tail_log_eta(chi_squared(n - 1), n, alpha)
+            eta7 = upper_tail_log_eta(chi_squared(n - 1), alpha)
             tail = 1.0 - orc.oracle_cdf(chi_squared(n - 1), n * math.exp(2 * eta7))
             assert tail == pytest.approx(alpha, abs=1e-10)
             # two-sample mean radius
@@ -144,7 +143,7 @@ def test_criterion_2_threshold_identities():
                 orc.oracle_quantile(student_t(n - 1), 1.0 - alpha / 2.0), abs=1e-8
             )
             # F-band round trips (variance-ratio catalog entries)
-            etaf = symmetric_log_interval_eta(fisher_f(n - 1, m - 1), n, alpha)
+            etaf = symmetric_log_interval_eta(fisher_f(n - 1, m - 1), alpha)
             fmass = orc.oracle_cdf(fisher_f(n - 1, m - 1), math.exp(2 * etaf)) - (
                 orc.oracle_cdf(fisher_f(n - 1, m - 1), math.exp(-2 * etaf))
             )
@@ -301,14 +300,20 @@ def test_criterion_5_size():
 
 def test_criterion_6_lrt_cross_validation():
     """Ratio-test calibrated radius equals the distance-based radius."""
-    sigma = 1.0
-    for alpha in ALPHAS:
-        for n in (5, 10, 25):
-            model = GaussianMeanModel(n, sigma)
-            region = lrt_region(Hypothesis.point(0.0), alpha, model)
-            target = sigma / math.sqrt(n) * z_alpha(alpha, Tails.TWO)
-            assert abs(region.radius - target) <= 1e-6, (alpha, n)
-    _report(6, "ratio-test radius matches sigma/sqrt(n)*z(alpha/2) to 1e-6")
+    normal_pivots = (
+        (lambda n: mean_z(n, 1.0), Hypothesis.point),
+        (lambda n: mean_z_upper(n, 1.0), Hypothesis.lower_half_line),
+        (lambda n: mean_diff_z(n, n + 5, 1.0, 0.7), Hypothesis.point),
+        (lambda n: mean_diff_z_upper(n, n + 5, 1.0, 0.7), Hypothesis.lower_half_line),
+    )
+    for make, null in normal_pivots:
+        for alpha in (0.3, *ALPHAS, 1e-4, 1e-12):
+            for n in (5, 10, 25):
+                problem, hypothesis = make(n), null(0.0)
+                region = lrt_region(hypothesis, alpha, problem)
+                eta = rejection_region(problem, hypothesis, alpha).eta
+                assert region.radius == eta, (problem, alpha)
+    _report(6, "ratio-test radius equals the rejection radius on the four normal-pivot entries")
 
 
 def test_criterion_7_mle():

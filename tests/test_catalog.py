@@ -96,6 +96,17 @@ class TestRegistry:
             if t_test == "mean_t":
                 assert "mean_t_upper" not in str(caught.value)
 
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_a_sigma_the_entry_does_not_use_is_refused_by_name(self, name):
+        # The command line refuses the flag ("var does not use --sigma");
+        # the problem refuses the field, where it was built and ignored.
+        entry = CATALOG[name]
+        m = 6 if entry.quantity.two_sample else None
+        known = {flag: 1.5 for flag in entry.known_sigmas}
+        for flag in {"sigma", "sigma1", "sigma2"} - set(known):
+            with pytest.raises(ValueError, match=f"^{name} does not use {flag}$"):
+                framework.TestProblem(*entry, 5, m, **known, **{flag: 2.0})
+
     def test_parser_choices_are_the_registry_names(self):
         parser = cli.build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

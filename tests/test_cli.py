@@ -840,8 +840,8 @@ _EXPORTS = {
         "variance_upper",
     ),
     "inference": (
-        "GaussianMeanModel", "LikelihoodValue", "ParameterRegion", "lrt_lambda", "lrt_region",
-        "mle_normal", "normalized_likelihood",
+        "LikelihoodValue", "ParameterRegion", "lrt_lambda", "lrt_region", "mle_normal",
+        "normalized_likelihood",
     ),
     "measurement": (
         "Sample", "State", "TwoSampleState", "image_prob_mean", "image_prob_ss", "mu_bar",

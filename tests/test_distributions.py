@@ -357,48 +357,58 @@ class TestZAlpha:
 class TestLogIntervalRadii:
     def test_chi2_radius_frozen(self):
         # oracle: bisection on the quadrature interval mass
-        eta = symmetric_log_interval_eta(chi_squared(9), 10, 0.05)
+        eta = symmetric_log_interval_eta(chi_squared(9), 0.05)
         assert eta == pytest.approx(0.5518321698792366, abs=1e-10)
 
     @pytest.mark.parametrize("n,alpha", [(5, 0.01), (10, 0.05), (25, 0.1)])
     def test_chi2_round_trip_mass(self, n, alpha):
-        eta = symmetric_log_interval_eta(chi_squared(n - 1), n, alpha)
+        eta = symmetric_log_interval_eta(chi_squared(n - 1), alpha)
         spec = chi_squared(n - 1)
         mass = cdf(spec, n * math.exp(2 * eta)) - cdf(spec, n * math.exp(-2 * eta))
         assert mass == pytest.approx(1.0 - alpha, abs=1e-10)
 
     def test_f_round_trip_mass(self):
-        eta = symmetric_log_interval_eta(fisher_f(9, 19), 10, 0.05)
+        eta = symmetric_log_interval_eta(fisher_f(9, 19), 0.05)
         spec = fisher_f(9, 19)
         mass = cdf(spec, math.exp(2 * eta)) - cdf(spec, math.exp(-2 * eta))
         assert mass == pytest.approx(0.95, abs=1e-10)
 
     def test_radius_shrinks_as_alpha_grows(self):
         etas = [
-            symmetric_log_interval_eta(chi_squared(9), 10, a)
+            symmetric_log_interval_eta(chi_squared(9), a)
             for a in (0.01, 0.1, 0.5, 0.9, 0.999)
         ]
         assert all(a > b for a, b in zip(etas, etas[1:]))
         assert etas[-1] < 5e-4  # alpha -> 1 drives the radius to 0
 
     def test_upper_tail_chi2(self):
-        eta = upper_tail_log_eta(chi_squared(9), 10, 0.05)
+        eta = upper_tail_log_eta(chi_squared(9), 0.05)
         assert eta == pytest.approx(0.2629254170497565, abs=1e-10)
         assert 1.0 - cdf(chi_squared(9), 10 * math.exp(2 * eta)) == pytest.approx(
             0.05, abs=1e-10
         )
 
     def test_upper_tail_f(self):
-        eta = upper_tail_log_eta(fisher_f(9, 9), 10, 0.05)
+        eta = upper_tail_log_eta(fisher_f(9, 9), 0.05)
         assert 1.0 - cdf(fisher_f(9, 9), math.exp(2 * eta)) == pytest.approx(
             0.05, abs=1e-10
         )
 
-    def test_dof_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_log_interval_eta(chi_squared(8), 8, 0.05)
-        with pytest.raises(ValueError):
-            upper_tail_log_eta(normal(), 10, 0.05)
+    @pytest.mark.parametrize("spec", [normal(), student_t(9)], ids=["normal", "t"])
+    def test_a_law_without_a_log_scale_is_refused(self, spec):
+        # The scale comes from the law: k + 1 for chi-squared(k), 1 for F.
+        for radius in (symmetric_log_interval_eta, upper_tail_log_eta):
+            with pytest.raises(ValueError, match=f"^log-scale radius undefined for {spec.kind.value}$"):
+                radius(spec, 0.05)
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 29])
+    def test_the_scale_is_read_from_the_law(self, k):
+        # chi-squared(k) is the law of n sigma_bar^2 / sigma^2 with n = k + 1;
+        # an F law's scale is 1.
+        want = 0.5 * math.log(stats.chi2.isf(0.05, k) / (k + 1))
+        assert upper_tail_log_eta(chi_squared(k), 0.05) == pytest.approx(want, rel=1e-12)
+        want = 0.5 * math.log(stats.f.isf(0.05, k, k + 2))
+        assert upper_tail_log_eta(fisher_f(k, k + 2), 0.05) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1000, 10000])
     @pytest.mark.parametrize("alpha", [0.05, 1e-3])
@@ -407,7 +417,7 @@ class TestLogIntervalRadii:
         # The quadrature oracle itself drifts for F at alpha <= 1e-4, so the
         # comparison stops at 1e-3.
         spec = chi_squared(n - 1) if family == "chi2" else fisher_f(n - 1, n - 1)
-        eta = symmetric_log_interval_eta(spec, n, alpha)
+        eta = symmetric_log_interval_eta(spec, alpha)
         assert eta == pytest.approx(oracle_symmetric_log_eta(spec, n, alpha), rel=1e-9)
 
     @pytest.mark.parametrize("n", [10, 10000])
@@ -425,5 +435,5 @@ class TestLogIntervalRadii:
 
         monkeypatch.setattr(distributions, "cdf", counting)
         spec = chi_squared(n - 1) if family == "chi2" else fisher_f(n - 1, n - 1)
-        symmetric_log_interval_eta(spec, n, alpha)
+        symmetric_log_interval_eta(spec, alpha)
         assert 0 < len(calls) <= 50

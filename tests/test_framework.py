@@ -34,7 +34,7 @@ from semidist.framework import (
     variance_ratio_upper,
     variance_upper,
 )
-from semidist.inference import GaussianMeanModel, lrt_region
+from semidist.inference import lrt_region
 from semidist.measurement import Sample, State, TwoSampleState, sample, stream
 from semidist.montecarlo import ExperimentPlan
 
@@ -106,15 +106,23 @@ LEVEL_ENTRY_POINTS = {
     "quantile": ("p", lambda v: distributions.quantile(distributions.normal(), v)),
     "z_alpha": ("alpha", lambda v: distributions.z_alpha(v, distributions.Tails.TWO)),
     "log-scale radius": (
-        "alpha", lambda v: distributions.symmetric_log_interval_eta(distributions.chi_squared(4), 5, v)
+        "alpha", lambda v: distributions.symmetric_log_interval_eta(distributions.chi_squared(4), v)
     ),
     "eta_alpha": ("alpha", lambda v: eta_alpha(mean_z(5, 1.0), None, v)),
     "eta_gamma": ("gamma", lambda v: eta_gamma(mean_z(5, 1.0), None, v)),
     "eta_alpha_generic": ("alpha", lambda v: eta_alpha_generic(mean_z(5, 1.0), State(0.0, 1.0), v)),
-    "lrt_region": (
-        "alpha", lambda v: lrt_region(Hypothesis.point(0.0), v, GaussianMeanModel(5, 1.0))
-    ),
+    "lrt_region": ("alpha", lambda v: lrt_region(Hypothesis.point(0.0), v, mean_z(5, 1.0))),
     "ExperimentPlan": ("level", lambda v: ExperimentPlan(mean_z(5, 1.0), State(0.0, 1.0), v, 10, 0)),
+}
+
+TWO_SIDED_AT_THE_SMALLEST_LEVEL = {
+    "z_alpha": lambda v: distributions.z_alpha(v, distributions.Tails.TWO),
+    "mean-z": lambda v: eta_alpha(mean_z(5, 1.0), None, v),
+    "diff-means": lambda v: eta_alpha(mean_diff_z(5, 6, 1.0, 2.0), None, v),
+    "mean-t": lambda v: eta_alpha(mean_t(5), None, v),
+    "var": lambda v: eta_alpha(variance(5), None, v),
+    "var-ratio": lambda v: eta_alpha(variance_ratio(5, 6), None, v),
+    "lrt_region": lambda v: lrt_region(Hypothesis.point(0.0), v, mean_z(5, 1.0)),
 }
 
 
@@ -124,6 +132,27 @@ class TestCalibratedRadii:
     def test_every_level_is_refused_by_name(self, name, call, value):
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must lie in (0, 1), got {value!r}')}$"):
             call(value)
+
+    @pytest.mark.parametrize(
+        "call", TWO_SIDED_AT_THE_SMALLEST_LEVEL.values(), ids=TWO_SIDED_AT_THE_SMALLEST_LEVEL
+    )
+    def test_a_level_whose_half_underflows_is_refused_by_name(self, call):
+        # alpha / 2 rounds to 0 at alpha = 5e-324; the normal start then
+        # took log 0 ("math domain error").
+        with pytest.raises(
+            ValueError,
+            match="^alpha=5e-324 is too small for double precision: alpha / 2 underflows to 0$",
+        ):
+            call(5e-324)
+
+    def test_one_sided_radii_at_the_smallest_level(self):
+        # Only the halving underflows: one tail at 5e-324 is solved as before.
+        z = distributions.z_alpha(5e-324, distributions.Tails.ONE)
+        assert z == pytest.approx(38.467742167707804, rel=1e-13)
+        assert eta_alpha(variance_upper(5), None, 5e-324) == pytest.approx(2.8526615036127483, rel=1e-13)
+        region = lrt_region(Hypothesis.lower_half_line(0.0), 5e-324, mean_z_upper(5, 1.0))
+        assert region.radius == eta_alpha(mean_z_upper(5, 1.0), None, 5e-324)
+        assert region.radius == pytest.approx(z / math.sqrt(5), rel=1e-15)
 
     def test_mean_z_example(self):
         # sigma/sqrt(n) * z(alpha/2) at sigma=1, n=4, gamma=0.95

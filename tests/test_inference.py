@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semidist.distributions import Tails, z_alpha
-from semidist.framework import Hypothesis
+from semidist import framework
+from semidist.framework import (
+    CATALOG,
+    Hypothesis,
+    mean_diff_z,
+    mean_diff_z_upper,
+    mean_z,
+    mean_z_upper,
+    rejection_region,
+)
 from semidist.inference import (
-    GaussianMeanModel,
     ParameterRegion,
     likelihood,
     log_likelihood,
@@ -265,73 +272,102 @@ class TestNormalizedLikelihood:
         assert value.normalized_ratio == 1.0
 
 
+# The catalog entries whose pivot is normal, each with the null kind its
+# distance pairs with.
+NORMAL_PIVOTS = {
+    "mean-z": (lambda n: mean_z(n, 1.7), Hypothesis.point),
+    "mean-z-upper": (lambda n: mean_z_upper(n, 1.7), Hypothesis.lower_half_line),
+    "diff-means": (lambda n: mean_diff_z(n, n + 3, 1.7, 0.6), Hypothesis.point),
+    "diff-means-upper": (
+        lambda n: mean_diff_z_upper(n, n + 3, 1.7, 0.6), Hypothesis.lower_half_line
+    ),
+}
+
+
 class TestLrt:
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
-    def test_model_sigma_must_be_finite_and_positive(self, sigma):
+    def test_problem_sigma_must_be_finite_and_positive(self, sigma):
         # An infinite sigma scored every estimate 1, so the region never
         # rejected; a NaN one scored it NaN.
         with pytest.raises(ValueError, match="^sigma must be positive"):
-            GaussianMeanModel(9, sigma)
+            mean_z(9, sigma)
 
     def test_lambda_is_one_on_attainable_null(self):
-        model = GaussianMeanModel(9, 2.0)
-        assert lrt_lambda(0.0, model, Hypothesis.point(0.0)) == 1.0
-        assert lrt_lambda(-3.0, model, Hypothesis.lower_half_line(0.0)) == 1.0
+        assert lrt_lambda(0.0, mean_z(9, 2.0), Hypothesis.point(0.0)) == 1.0
+        assert lrt_lambda(-3.0, mean_z_upper(9, 2.0), Hypothesis.lower_half_line(0.0)) == 1.0
 
     def test_lambda_gaussian_ratio(self):
-        model = GaussianMeanModel(9, 2.0)
-        theta = 0.0 + model.sigma / math.sqrt(model.n)
-        assert lrt_lambda(theta, model, Hypothesis.point(0.0)) == pytest.approx(
+        theta = 0.0 + 2.0 / math.sqrt(9)
+        assert lrt_lambda(theta, mean_z(9, 2.0), Hypothesis.point(0.0)) == pytest.approx(
             math.exp(-0.5), rel=1e-12
         )
 
-    def test_region_threshold_matches_distance_construction(self):
-        for alpha in (0.01, 0.05, 0.1):
+    @pytest.mark.parametrize("name", NORMAL_PIVOTS)
+    def test_region_threshold_matches_distance_construction(self, name):
+        # The same problem object states the law and scale of both.
+        make, null = NORMAL_PIVOTS[name]
+        for alpha in (0.3, 0.1, 0.05, 1e-4, 1e-12):
             for n in (5, 10, 25):
-                model = GaussianMeanModel(n, 1.7)
-                region = lrt_region(Hypothesis.point(0.3), alpha, model)
-                target = 1.7 / math.sqrt(n) * z_alpha(alpha, Tails.TWO)
-                assert region.radius == pytest.approx(target, abs=1e-6)
+                problem, hypothesis = make(n), null(0.3)
+                region = lrt_region(hypothesis, alpha, problem)
+                assert region.radius == rejection_region(problem, hypothesis, alpha).eta, (alpha, n)
 
-    def test_one_sided_region_threshold(self):
-        model = GaussianMeanModel(10, 1.0)
-        region = lrt_region(Hypothesis.lower_half_line(0.0), 0.05, model)
-        assert region.radius == pytest.approx(
-            z_alpha(0.05, Tails.ONE) / math.sqrt(10), abs=1e-6
-        )
+    @pytest.mark.parametrize(
+        "name", ["var", "var-upper", "var-ratio", "var-ratio-upper", "mean-t", "mean-t-upper"]
+    )
+    def test_an_entry_without_a_normal_pivot_is_refused_by_name(self, name):
+        entry = CATALOG[name]
+        problem = framework.TestProblem(*entry, 10, 12 if entry.quantity.two_sample else None)
+        null = Hypothesis.lower_half_line if entry.kind.half_line else Hypothesis.point
+        laws = {"var": "chi_squared", "var-ratio": "fisher_f", "mean-t": "student_t"}
+        law = laws[name.removesuffix("-upper")]
+        message = f"^the likelihood ratio test needs a normal pivot; {name} has a {law} one$"
+        with pytest.raises(ValueError, match=message):
+            lrt_region(null(1.0), 0.05, problem)
+        with pytest.raises(ValueError, match=message):
+            lrt_lambda(2.0, problem, null(1.0))
+
+    def test_the_null_kind_pairs_with_the_problem(self):
+        # As a rejection region pairs them: a two-sided distance with a
+        # point null, a half-line distance with a half-line null.
+        with pytest.raises(ValueError, match="^absolute distances pair with point hypotheses$"):
+            lrt_region(Hypothesis.lower_half_line(0.0), 0.05, mean_z(10, 1.0))
+        with pytest.raises(ValueError, match="^half_line_absolute distances pair with lower_half_line hypotheses$"):
+            lrt_lambda(1.0, mean_diff_z_upper(10, 10, 1.0, 1.0), Hypothesis.point(0.0))
 
     @pytest.mark.parametrize("alpha", [0.05, 1e-12])
     def test_radius_is_the_normal_upper_quantile(self, alpha):
         # Solved on the upper tail's own mass: at alpha = 1e-12, 1 - cdf(r)
         # is 8.9e-5 (relative) off the tail.
-        model = GaussianMeanModel(10, 1.7)
-        for hypothesis, k in ((Hypothesis.point(0.3), 2.0), (Hypothesis.lower_half_line(0.3), 1.0)):
-            want = model.scale * stats.norm.isf(alpha / k)
-            assert math.isclose(lrt_region(hypothesis, alpha, model).radius, want, rel_tol=1e-13)
+        scale = 1.7 / math.sqrt(10)
+        for problem, hypothesis, k in (
+            (mean_z(10, 1.7), Hypothesis.point(0.3), 2.0),
+            (mean_z_upper(10, 1.7), Hypothesis.lower_half_line(0.3), 1.0),
+        ):
+            want = scale * stats.norm.isf(alpha / k)
+            assert math.isclose(lrt_region(hypothesis, alpha, problem).radius, want, rel_tol=1e-13)
 
     def test_region_grows_with_alpha(self):
-        model = GaussianMeanModel(10, 1.0)
-        r1 = lrt_region(Hypothesis.point(0.0), 0.01, model)
-        r2 = lrt_region(Hypothesis.point(0.0), 0.1, model)
+        problem = mean_z(10, 1.0)
+        r1 = lrt_region(Hypothesis.point(0.0), 0.01, problem)
+        r2 = lrt_region(Hypothesis.point(0.0), 0.1, problem)
         assert r2.radius < r1.radius
         assert r2.epsilon > r1.epsilon
 
     def test_nested_nulls_shrink_the_region(self):
         # a larger null raises the profile, so its low-likelihood set shrinks
-        model = GaussianMeanModel(10, 1.0)
         point = Hypothesis.point(0.0)
         half = Hypothesis.lower_half_line(0.0)
         eps = 0.1
         for theta in np.linspace(-3.0, 3.0, 61):
-            in_half = lrt_lambda(theta, model, half) <= eps
-            in_point = lrt_lambda(theta, model, point) <= eps
+            in_half = lrt_lambda(theta, mean_z_upper(10, 1.0), half) <= eps
+            in_point = lrt_lambda(theta, mean_z(10, 1.0), point) <= eps
             if in_half:
                 assert in_point
 
     def test_calibrated_size_by_monte_carlo(self):
         alpha = 0.05
-        model = GaussianMeanModel(10, 1.0)
-        region = lrt_region(Hypothesis.point(0.0), alpha, model)
+        region = lrt_region(Hypothesis.point(0.0), alpha, mean_z(10, 1.0))
         reps = 4000
         hits = 0
         for j in range(reps):
