@@ -28,8 +28,9 @@ sqrt(sigma1^2 / n + sigma2^2 / m); chi-squared(n - 1) at scale n;
 F(n - 1, m - 1) at scale 1; or Student-t(n - 1).  The radius leaves mass
 alpha of that law outside it, in the upper tail or in both, and both
 ends of an interval are g^-1(g(e) -+ s * eta).  The estimates and the
-formula are defined on rows, one measured value per row, so a single
-measured value and a Monte Carlo block share one arithmetic.
+formula are defined on ``measurement._Rows`` blocks, one measured value
+per column, so a single measured value and a Monte Carlo block share one
+arithmetic.
 
 ``CATALOG`` holds the ten catalog entries, keyed by their command-line
 names, each as its (quantity, kind): one- and two-sided tests
@@ -120,8 +121,9 @@ def _studentized_scale(x: _Rows) -> np.ndarray:
 def _semi_distance(
     kind: SemiDistanceKind, theta1: np.ndarray, theta2: float, theta0: float | None, x: _Rows | None
 ) -> np.ndarray:
-    """d(theta1, theta2) for each row of theta1, clamped at theta0 on the
-    half-line kinds and, on the studentized ones, scaled by the rows of x."""
+    """d(theta1, theta2) for each entry of theta1, clamped at theta0 on the
+    half-line kinds and, on the studentized ones, scaled by the columns of
+    x."""
     if kind.half_line:
         theta1, theta2 = np.maximum(theta1, theta0), max(theta2, theta0)
     if kind.log_scale:
@@ -367,7 +369,8 @@ def _check_sizes(problem: TestProblem, x: Sample) -> None:
 def _estimates(
     problem: TestProblem, x: _Rows, y: _Rows | None, centres: bool = False
 ) -> np.ndarray:
-    """E of each row, from the rows of the first block and of the second.
+    """E of each replication, from the first block's columns and the
+    second's.
     As the ``centres`` of confidence regions, they must lie in (0, inf) on
     the log scale."""
     q = problem.quantity
@@ -391,9 +394,10 @@ def _estimates(
 def _statistic(
     problem: TestProblem, anchor: float, x: _Rows, y: _Rows | None, coverage: bool = False
 ) -> np.ndarray:
-    """d(E, anchor) of each row, anchored at ``anchor`` on the half-line
-    kinds: a rejection region's statistic at the null value ``anchor``, or
-    with ``coverage`` a confidence region's at the candidate ``anchor``."""
+    """d(E, anchor) of each replication, anchored at ``anchor`` on the
+    half-line kinds: a rejection region's statistic at the null value
+    ``anchor``, or with ``coverage`` a confidence region's at the candidate
+    ``anchor``."""
     e = _estimates(problem, x, y, centres=coverage)
     kind = problem.distance_kind
     return _semi_distance(kind, e, anchor, anchor if kind.half_line else None, x)

@@ -17,20 +17,26 @@ by at most one, in integer arithmetic, so the spans tile their range at
 any J up to 2**64.  It gives a pooled run one chunk per worker, and a
 chunk of J replications
 min(J, max(1, round(J (n + m) / ``_BLOCK_VALUES``))) blocks, so a block
-holds at most 1.5 ``_BLOCK_VALUES`` values plus one row at any J.
+holds at most 1.5 ``_BLOCK_VALUES`` values plus one replication's at any
+J.
 ``measurement._std_block`` draws the block's words with numpy's Philox,
-one call per four columns of every row, into one array that it maps to
-standard normals in place; ``measurement._scale_side`` scales the columns
-of each side that ``measurement._sides`` reads off the truth into a
-(rows, n) array (side 0) or a (rows, m) array (side 1, two-sample only)
-of one state's draws (the columns themselves for N(0, 1)), which
-``_Rows`` holds with their estimators.  The framework's estimates and
-semi-distance |clamp(g(E(x))) - clamp(g(anchor))| / s are defined on
-such rows, and decide the whole block at once.
+one call per group of four values of every replication, into one
+(n + m, rows) array, one column per replication, that it maps to
+standard normals in place; ``measurement._scale_side`` scales the
+contiguous rows of each side that ``measurement._sides`` reads off the
+truth into an (n, rows) array (side 0) or an (m, rows) array (side 1,
+two-sample only) of one state's draws (the normals themselves for
+N(0, 1)), which ``_Rows`` holds with their estimators: each column is
+summed in the one pairwise order of ``measurement._pairwise_sum``, within
+gamma(ceil(log2 n)) * sum |x_i| of the exact sum.
+The framework's estimates and semi-distance
+|clamp(g(E(x))) - clamp(g(anchor))| / s are defined on such blocks, and
+decide the whole block at once.
 
-A single measured value is a batch of one row, so the block decision is
-the scalar ``Region.contains`` / ``ConfidenceRegion.contains`` decision on
-each row, errors included.
+A single measured value is a batch of one column, with the same
+additions in the same order, so the block decision is the scalar
+``Region.contains`` / ``ConfidenceRegion.contains`` decision on each
+replication, errors included.
 
 Shared draws: the points of a power curve share the plan's seed, so
 replication j of every point scales the same standard normals (common
@@ -167,7 +173,7 @@ _BLOCK_VALUES = 1 << 16
 @dataclass(frozen=True)
 class _Rule:
     """How a plan decides a block of replications: the semi-distance of
-    each row's estimate from the anchor against eta."""
+    each replication's estimate from the anchor against eta."""
 
     problem: TestProblem
     anchor: float

@@ -212,8 +212,8 @@ def test_criterion_3_exact_duality():
     """reject at alpha <=> null value outside the (1-alpha) region, with
     zero exceptions over 10,000 seeded datasets per catalog test.  Entry k
     takes replications 10,000 k to 10,000 (k + 1) - 1 of seed 1000, drawn
-    as one block: row j is ``sample(..., rng=stream(1000, 10_000 k + j))``
-    bit for bit, as a few rows per entry check."""
+    as one block: column j is ``sample(..., rng=stream(1000, 10_000 k + j))``
+    bit for bit, as a few columns per entry check."""
     alpha = 0.05
     gamma = 1.0 - alpha
     rng = np.random.default_rng(2024)
@@ -222,7 +222,8 @@ def test_criterion_3_exact_duality():
         first, second = _sample_block(truth, problem.n, problem.m, 1000, checked, checked + 10_000)
         spread = 2.0 * eta_alpha(problem, None, alpha)
         for j in range(10_000):
-            x = Sample(tuple(first[j].tolist()), None if second is None else tuple(second[j].tolist()))
+            y = None if second is None else tuple(second[:, j].tolist())
+            x = Sample(tuple(first[:, j].tolist()), y)
             if j in (0, 4_321, 9_999):
                 reference = sample(truth, problem.n, problem.m, rng=stream(1000, checked))
                 assert repr(x) == repr(reference), (name, j)

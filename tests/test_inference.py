@@ -180,7 +180,8 @@ class TestMeasuredValue:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: mle_normal((1e308, -1e308, 1e308), ParameterRegion.full()),
+            # Every partial sum is finite, and the deviations' squares are not.
+            lambda: mle_normal((1e200, -1e200, 1e200), ParameterRegion.full()),
             lambda: log_likelihood((1e200, 1.0), State(0.0, 1.0)),
         ],
         ids=["mle_normal", "log_likelihood"],

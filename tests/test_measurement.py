@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from semidist.measurement import (
     Sample,
     State,
     TwoSampleState,
+    _finite_row,
+    _pairwise_sum,
     _sample_block,
     _scale,
     _std_block,
@@ -44,6 +47,53 @@ def _unless_ss_underflows(estimator, values):
         assert str(error) == "sum of squared deviations underflows float64"
         assert 0.0 < np.ptp(values) < 1e-150
         return None
+
+
+def _exact(values):
+    """(sum, mean, SS, sum of |x|) of float ``values`` in exact rational
+    arithmetic: every float is an integer over a power of two, so over the
+    largest of those denominators d they are integers X_i, and
+    SS = (n sum X_i^2 - (sum X_i)^2) / (n d^2)."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    ints = [p * (d // q) for p, q in ratios]
+    n, total = len(ints), sum(ints)
+    ss = Fraction(n * sum(i * i for i in ints) - total * total, n * d * d)
+    return Fraction(total, d), Fraction(total, n * d), ss, Fraction(sum(map(abs, ints)), d)
+
+
+def _ulps(got, want):
+    """|got - want| in units in the last place of ``want`` rounded to float."""
+    return float(abs(Fraction(got) - want) / Fraction(math.ulp(float(want))))
+
+
+def _sqrt_ulps(got, q):
+    """|got - sqrt(q)| in ulps of sqrt(q), for a positive Fraction q: sqrt(q)
+    to 2^-1200, far below the ulp of any float in (1e-160, 1e160)."""
+    k = 1200
+    return _ulps(got, Fraction(math.isqrt(q.numerator * 4**k // q.denominator), 2**k))
+
+
+def _gamma(n):
+    """gamma(k) = k u / (1 - k u) at k = ceil(log2 n), u = 2^-53: the bound
+    on a pairwise sum's relative error in terms of sum |x_i|."""
+    k = Fraction(math.ceil(math.log2(n)), 2**53)
+    return k / (1 - k)
+
+
+def _oracle_rows():
+    """Seeded rows of n = 2 to 10^4 values at magnitudes 1e-150 to 1e150:
+    mixed signs about 0, a positive offset with a relative spread of 1e-1
+    to 1e-12, and near-constant rows of c plus 0 to +-3 ulps of c."""
+    rng = np.random.default_rng(26)
+    for n in (2, 3, 5, 10, 17, 50, 1000, 10_000):
+        for scale in (1e-150, 1e-30, 1.0, 1e30, 1e150):
+            for _ in range(12 if n <= 50 else 1):
+                yield (rng.normal(0.0, 1.0, n) * scale).tolist()
+                spread = 10.0 ** -int(rng.integers(1, 13))
+                yield ((rng.uniform(1.0, 2.0) + rng.normal(0.0, spread, n)) * scale).tolist()
+                c = float(rng.uniform(1.0, 2.0) * scale * rng.choice([-1.0, 1.0]))
+                yield [c + int(k) * math.ulp(c) for k in rng.integers(-3, 4, n)]
 
 
 class TestStates:
@@ -96,8 +146,10 @@ class TestStates:
         from semidist.framework import Hypothesis, confidence_region, estimate, mean_z, run_test
 
         assert Sample((1e308, 1e308), (-1e308, -1e308, 2.0)).n == 2
-        # The estimates refuse them.
-        x, problem = Sample((1e308, 1.5e308, -1e308)), mean_z(3, 1.0)
+        # The estimates refuse them: any two of these values that do not
+        # overflow together do with the third, so the sum overflows in any
+        # order.
+        x, problem = Sample((1e308, 1.5e308, -1e300)), mean_z(3, 1.0)
         for call in (
             lambda: estimate(problem, x),
             lambda: run_test(problem, Hypothesis.point(0.0), 0.05, x),
@@ -120,8 +172,8 @@ class TestStates:
         x = Sample(values, values[::-1])
         for row, block in zip(x._rows, (values, values[::-1])):
             want = np.array(block, dtype=float)
-            assert row.values.shape == (1, len(block))
-            assert row.values[0].tobytes() == want.tobytes()
+            assert row.values.shape == (len(block), 1)
+            assert row.values[:, 0].tobytes() == want.tobytes()
 
 
 class TestEstimators:
@@ -155,21 +207,68 @@ class TestEstimators:
         assert sigma_bar(x) == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
         assert sigma_bar_prime(x) == pytest.approx(1.0, rel=1e-15)
 
+    # Constant rows whose mean rounds off their value in the stated
+    # pairwise order; the last one's deviations from it square to inf.
+    ROUNDED_MEANS = [
+        (0.1, 3), (1.0000000000000001e-160, 50), (1e150, 10**4),
+        (1.0000000000000003e300, 3), (1.0000000000000003e300, 50), (1.0000000000000003e300, 10**4),
+    ]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 10**4])
-    @pytest.mark.parametrize("c", [0.0, 5e-324, -5e-324, 1e-160, 1.0, 1e300])
+    @pytest.mark.parametrize(
+        "c", [0.0, 5e-324, -5e-324, 1e-160, 1.0000000000000001e-160, 0.1, 1.0, 1e150, 1e300,
+              1.0000000000000003e300],
+    )
     def test_constant_rows_have_zero_ss(self, c, n):
-        # The mean of n copies of c can round off c (1e-160 at 10**4 and
-        # 1e300 at 50 do), and 1e300's deviations from it square to inf.
+        # The mean of n copies of c can round off c (ROUNDED_MEANS), so the
+        # deviations need not be 0, and their squares can underflow or, for
+        # 1.0000000000000003e300, overflow.
         assert ss_bar((c,) * n) == 0.0
+
+    @pytest.mark.parametrize("c,n", ROUNDED_MEANS)
+    def test_the_means_of_these_constant_rows_round_off(self, c, n):
+        assert mu_bar((c,) * n) != c
 
     @pytest.mark.parametrize("n", [2, 3, 50, 10**4])
     @pytest.mark.parametrize("c", [1.0, -3.5, 1e-100, 1e150])
     def test_a_row_one_ulp_off_constant_keeps_its_ss(self, c, n):
+        # Not taken for a constant row, and within gamma(ceil(log2 n)) of
+        # the plain sum of squared deviations from the rounded mean, which
+        # the correction cancels down to the exact SS.  Where the mean is
+        # an ulp off c (1e-100 at 50 and 10**4), the plain sum is 50 and
+        # 10**4 times the exact SS, and the SS is 36 and 6370 ulps off it.
         values = np.full(n, c)
         values[n // 2] = np.nextafter(c, math.inf)
-        dev = values - values.sum() / n
         ss = ss_bar(tuple(values.tolist()))
-        assert ss > 0.0 and ss == np.einsum("i,i->", dev, dev)
+        mean = Fraction(mu_bar(tuple(values.tolist())))
+        plain = sum((Fraction(v) - mean) ** 2 for v in values.tolist())
+        assert ss > 0.0 and abs(Fraction(ss) - _exact(values)[2]) <= _gamma(n) * plain
+
+    def test_two_values_one_ulp_apart(self):
+        # Their mean rounds to 1.0 (a tie to even), so the plain sum of
+        # squared deviations reads 2^-104, twice the exact SS; the
+        # correction by the deviations' sum removes that.
+        assert ss_bar((1.0, 1.0 + 2**-52)) == 2.0**-105
+        assert sigma_bar((1.0, 1.0 + 2**-52)) == 2.0**-53
+
+    @given(
+        st.floats(-1e150, 1e150, allow_nan=False),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=60),
+    )
+    def test_the_ss_of_distinct_near_constant_values_is_positive(self, c, steps):
+        # The correction subtracts, so it must not take the SS of values
+        # a few ulps apart below 0 (nor to 0, as if they were equal).  Above
+        # 1e150 the square of a deviation of a few ulps can overflow.
+        values = tuple(c + k * math.ulp(c) for k in steps)
+        ss = _unless_ss_underflows(ss_bar, values)
+        if ss is not None:
+            assert ss > 0.0 if len(set(values)) > 1 else ss == 0.0
+
+    @given(samples)
+    def test_the_ss_of_distinct_values_is_positive(self, values):
+        ss = _unless_ss_underflows(ss_bar, values)
+        if ss is not None:
+            assert ss > 0.0 if len(set(values)) > 1 else ss == 0.0
 
     def test_distinct_values_whose_ss_underflows_are_refused(self):
         # Every squared deviation underflows, so SS would read 0, as if the
@@ -201,12 +300,16 @@ class TestEstimators:
         assert sigma_bar_prime((3.0, 3.0)) == 0.0
 
     def test_overflowing_sums_raise_a_named_error(self):
+        # Values whose sum overflows in any order.
         with pytest.raises(ValueError, match="^sum of the sample values overflows float64$"):
-            mu_bar((1e308, 1.5e308, -1e308))
+            mu_bar((1e308, 1.5e308, -1e300))
+        # Deviations 0 and -+2**601, whose squares overflow; every partial
+        # sum of the values is exact, so their mean is 2**600 in any order.
+        big = (2.0**600, -(2.0**600), 3.0 * 2.0**600)
         with pytest.raises(ValueError, match="^sum of squared deviations overflows float64$"):
-            ss_bar((1e200, -1e200, 3.0))
+            ss_bar(big)
         # The mean of those values does not overflow, and needs no SS.
-        assert mu_bar((1e200, -1e200, 3.0)) == 1.0
+        assert mu_bar(big) == 2.0**600
 
     def test_sigma_prime_needs_two(self):
         with pytest.raises(ValueError):
@@ -231,7 +334,7 @@ class TestEstimators:
     @ESTIMATORS
     def test_a_finite_sum_that_overflows_keeps_its_message(self, estimator):
         with pytest.raises(ValueError, match="^sum of the sample values overflows float64$"):
-            estimator((1e308, 1.5e308, -1e308))
+            estimator((1e308, 1.5e308, -1e300))
 
     @ESTIMATORS
     @pytest.mark.parametrize(
@@ -268,6 +371,56 @@ class TestEstimators:
         sd, sd_shifted = (_unless_ss_underflows(sigma_bar, block) for block in (values, shifted))
         if sd is not None and sd_shifted is not None:
             assert sd_shifted == pytest.approx(abs(a) * sd, rel=1e-7, abs=1e-6)
+
+
+class TestExactOracle:
+    """The estimators against exact rational arithmetic on seeded rows
+    (``_oracle_rows``).  The sum keeps the pairwise tree's bound; the SS
+    and sigma_bar bounds are the worst errors measured on these rows (2.08
+    and 1.42 ulps), rounded up.  The plain sum of squared deviations from
+    the rounded mean, in numpy's row-sum order, was up to 9.0e15 ulps off
+    the exact SS on the same rows."""
+
+    SS_ULPS, SIGMA_BAR_ULPS = 3.0, 2.0
+
+    def test_the_tree_sum_and_the_mean_keep_their_bounds(self):
+        u = Fraction(1, 2**53)
+        for values in _oracle_rows():
+            total, mean, _, size = _exact(values)
+            row = _finite_row(values, "sample")
+            err = abs(Fraction(float(row.sums[0])) - total)
+            assert err <= _gamma(len(values)) * size
+            # The division adds one rounding, of at most u |sum / n|.
+            bound = (_gamma(len(values)) * size + u * abs(Fraction(float(row.sums[0])))) / len(values)
+            assert abs(Fraction(float(row.mean[0])) - mean) <= bound
+
+    def test_a_block_sums_each_column_as_one_row(self):
+        block = np.array([v for v in _oracle_rows() if len(v) == 17]).T
+        sums = _pairwise_sum(block)
+        assert [float(s) for s in sums] == [float(_pairwise_sum(c[:, None])[0]) for c in block.T]
+
+    def test_ss_and_sigma_bar_are_within_a_few_ulps(self):
+        worst_ss = worst_sigma = 0.0
+        tiny = sys.float_info.min
+        for values in _oracle_rows():
+            n, ss = len(values), _exact(values)[2]
+            try:
+                row = _finite_row(values, "sample")
+                got_ss, got_sigma = float(row.ss[0]), float(row.sigma_bar[0])
+            except ValueError as error:
+                # Refused only where the exact SS is below the least normal
+                # but for the underflow of its terms.
+                assert str(error) == "sum of squared deviations underflows float64"
+                assert 0 < ss < 2 * tiny
+                continue
+            if ss == 0:
+                assert got_ss == 0.0
+                continue
+            worst_ss = max(worst_ss, _ulps(got_ss, ss))
+            # sqrt(SS / n) has lost bits where SS / n is subnormal.
+            if got_ss / n >= tiny:
+                worst_sigma = max(worst_sigma, _sqrt_ulps(got_sigma, ss / n))
+        assert worst_ss <= self.SS_ULPS and worst_sigma <= self.SIGMA_BAR_ULPS
 
 
 class TestProbabilities:
@@ -460,8 +613,9 @@ class TestBulkStreams:
     @staticmethod
     def _reference(state, n, m, seed, start, stop):
         draws = [sample(state, n, m, rng=stream(seed, j)) for j in range(start, stop)]
-        xs = np.array([d.values for d in draws])
-        ys = None if m is None else np.array([d.second for d in draws])
+        # One column per replication, as the block kernel lays them out.
+        xs = np.array([d.values for d in draws]).T
+        ys = None if m is None else np.array([d.second for d in draws]).T
         return xs, ys
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -495,7 +649,7 @@ class TestBulkStreams:
 
     def test_empty_block(self):
         xs, ys = _sample_block(State(0.0, 1.0), 4, None, 11, 7, 7)
-        assert xs.shape == (0, 4) and ys is None
+        assert xs.shape == (4, 0) and ys is None
 
 
 _MASK64 = (1 << 64) - 1
@@ -545,7 +699,7 @@ class TestBlockKernel:
 
         monkeypatch.setattr(np.random, "Generator", refuse)
         xs, _ = _sample_block(State(0.0, 1.0), 10, None, 4, 0, 3000)
-        assert xs.shape == (3000, 10)
+        assert xs.shape == (10, 3000)
 
     def test_draws_fit_the_standard_normal(self):
         # 10^5 values of one block; a passing kernel fails each check with
@@ -559,9 +713,9 @@ class TestBlockKernel:
         tail = np.count_nonzero(np.abs(z) > 3.0)
         p = 2.0 * stats.norm.sf(3.0)
         assert abs(tail - z.size * p) < 4.0 * math.sqrt(z.size * p * (1.0 - p))
-        # Neighbouring values within a row are uncorrelated.
-        r = np.corrcoef(xs[:, :-1].ravel(), xs[:, 1:].ravel())[0, 1]
-        assert abs(r) < 4.0 / math.sqrt(xs[:, 1:].size)
+        # Neighbouring values of a replication are uncorrelated.
+        r = np.corrcoef(xs[:-1].ravel(), xs[1:].ravel())[0, 1]
+        assert abs(r) < 4.0 / math.sqrt(xs[1:].size)
 
 
 class TestInPlaceKernel:
@@ -569,12 +723,13 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("count", [1, 3, 4, 5, 10, 17, 100])
     def test_block_is_contiguous_and_equals_the_stream(self, count):
-        # ndtri over a strided view such as (rows, 12)[:, :10] runs row by
-        # row, so a block is one C-contiguous array.
+        # ndtri over a strided view, such as the transpose of the words as
+        # Philox gives them, runs row by row, so a block is one C-contiguous
+        # array with one column per replication.
         z = _std_block(29, count, 5, 45)
-        assert z.shape == (40, count) and z.flags.c_contiguous
+        assert z.shape == (count, 40) and z.flags.c_contiguous
         ref = [sample(State(0.0, 1.0), count, rng=stream(29, j)).values for j in range(5, 45)]
-        assert z.tobytes() == np.array(ref).tobytes()
+        assert z.tobytes() == np.array(ref).T.tobytes()
 
     @pytest.mark.parametrize(
         "mu,sigma",

@@ -46,6 +46,7 @@ from semidist.measurement import (
     _Rows,
     _sample_block,
     _scale_side,
+    mu_bar,
     sample,
     stream,
 )
@@ -593,14 +594,15 @@ class TestBatchedDecisions:
 
 
 def _with_rows(monkeypatch, rows):
-    """Make the block kernel see ``rows`` (row index -> first block's
-    values, second block's or None) in place of those replications'
-    draws; returns the same edit for a (xs, ys) block of draws."""
+    """Make the block kernel see ``rows`` (replication index -> first
+    block's values, second block's or None) in place of those
+    replications' draws; returns the same edit for a (xs, ys) block of
+    draws, one column per replication."""
 
     def edit_side(side, values):
         for i, row in rows.items():
             if row[side] is not None:
-                values[i] = row[side]
+                values[:, i] = row[side]
         return values
 
     def edit(xs, ys):
@@ -614,9 +616,10 @@ def _with_rows(monkeypatch, rows):
 
 
 def _samples(xs, ys):
+    """The columns of a block of draws as ``Sample``s."""
     return [
         Sample(tuple(x.tolist()), None if ys is None else tuple(y.tolist()))
-        for x, y in zip(xs, xs if ys is None else ys)
+        for x, y in zip(xs.T, xs.T if ys is None else ys.T)
     ]
 
 
@@ -715,10 +718,12 @@ class TestBoundaryRows:
         truth = _truth(two)
         hypothesis = None if coverage else _hypothesis(problem, truth)
         plan = ExperimentPlan(problem, truth, 0.9, 5, 9, hypothesis)
-        # 0.1 is inexact, so numpy's mean of the constant row is not 0.1.
-        edit = _with_rows(monkeypatch, {3: (0.1, -7.0)})
+        # The pairwise mean of ten copies of 0.007 is not 0.007, so the
+        # constant row's deviations are not 0.
+        edit = _with_rows(monkeypatch, {3: (0.007, -7.0)})
         rows = _samples(*edit(*_sample_block(truth, problem.n, problem.m, 9, 0, 5)))
-        assert rows[3].values == (0.1,) * problem.n
+        assert rows[3].values == (0.007,) * problem.n
+        assert mu_bar(rows[3].values) != 0.007
         decide = _scalar_decision(plan)
         for x in rows[:3]:
             decide(x)  # the rows before it decide without raising
@@ -748,22 +753,24 @@ def pinned_normals():
 
 
 class TestPositionIndependence:
-    """A row's estimate and statistic do not depend on the rows around it:
-    numpy's row sums, ``einsum`` and ``log`` give a row the same value in
-    any layout and alone, which is what makes the block decision the
-    one-row decision.  That is a property of the numpy build, not a
-    documented guarantee, so a build that breaks it fails here."""
+    """A replication's estimate and statistic do not depend on the
+    replications around it: ``measurement._pairwise_sum`` adds each column
+    on its own in a stated order, and numpy's elementwise ufuncs (``log``
+    and ``sqrt`` among them) give a value the same result in any layout and
+    alone, which is what makes the block decision the one-row decision.
+    The second is a property of the numpy build, not a documented
+    guarantee, so a build that breaks it fails here."""
 
     @pytest.mark.parametrize("problem,two", _ENTRIES, ids=_ids(_ENTRIES))
     def test_rows_in_any_layout_and_alone(self, pinned_normals, problem, two):
         truth = _truth(two)
-        z = pinned_normals if two else pinned_normals[:, : problem.n]
+        z = pinned_normals if two else pinned_normals[: problem.n]
         xs = _scale_side(z, problem.n, 0, truth.first if two else truth)
         ys = _scale_side(z, problem.n, 1, truth.second) if two else None
         anchor = quantity_value(problem, truth)
 
         def rows(sl):
-            return _Rows(xs[sl].copy()), None if ys is None else _Rows(ys[sl].copy())
+            return _Rows(xs[:, sl].copy()), None if ys is None else _Rows(ys[:, sl].copy())
 
         def batched(sl):
             x, y = rows(sl)
@@ -774,11 +781,11 @@ class TestPositionIndependence:
         assert np.isfinite(d).all()
         e_rev, d_rev = batched(slice(None, None, -1))
         assert np.array_equal(e_rev[::-1], e) and np.array_equal(d_rev[::-1], d)
-        blocks = [batched(slice(k, k + 997)) for k in range(0, len(xs), 997)]
+        blocks = [batched(slice(k, k + 997)) for k in range(0, xs.shape[1], 997)]
         assert np.array_equal(np.concatenate([b[0] for b in blocks]), e)
         assert np.array_equal(np.concatenate([b[1] for b in blocks]), d)
         region = rejection_region(problem, _hypothesis(problem, truth), 0.05)
-        for i, x in enumerate(_samples(xs[::50], None if ys is None else ys[::50])):
+        for i, x in enumerate(_samples(xs[:, ::50], None if ys is None else ys[:, ::50])):
             assert estimate(problem, x) == e[50 * i]
             assert region.statistic(x) == d[50 * i]
 
