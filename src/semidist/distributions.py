@@ -598,9 +598,8 @@ def upper_tail_log_eta(dist: DistributionSpec, alpha: float) -> float:
 
     Scale s as in :func:`symmetric_log_interval_eta`.  Equivalent to half
     the log of the point whose upper tail is alpha, over s, so the upper
-    tail's solve does the work.  The result is positive for the small
-    alpha these tests use; for large alpha the defining equation's
-    (negative) root is returned as-is.
+    tail's solve does the work.  From alpha = P(X > s) up the root is not
+    positive; ``framework._positive_radius`` refuses such a level.
     """
     s = _log_scale(dist)
     return 0.5 * math.log(_solve(dist, _level("alpha", alpha), upper=True) / s)

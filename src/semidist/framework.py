@@ -9,7 +9,9 @@ for sigma1 / sigma2.  The calibrated radius eta is the smallest distance
 the estimator stays within (probability >= gamma) or strays beyond
 (probability <= alpha); the two radii coincide at alpha = 1 - gamma,
 which is what makes a confidence region and a rejection region
-complements of each other.
+complements of each other.  The statistic is never negative, so a radius
+eta <= 0 would reject every sample: every radius is solved through
+``_positive_radius``, the one refusal of a level the region cannot meet.
 
 Rejection uses ``d >= eta`` and coverage uses ``d < eta``; both sides
 evaluate the same semi-distance arithmetic on the same estimate, so the
@@ -469,6 +471,28 @@ def _pivot(
     return dist.normal(), math.sqrt(sigma1**2 / n + sigma2**2 / m)
 
 
+def _positive_radius(problem: TestProblem, alpha: float, eta: float) -> float:
+    """``eta``, the problem's radius at level alpha, if it is positive: the
+    one refusal of a level the region cannot meet, for every entry.  A
+    half-line statistic is clamped at 0, so at the null boundary P(d >= eta)
+    takes no value between 1 and alpha* = P(E > theta0), the pivot law's
+    mass beyond its origin; a two-sided entry's alpha* is 1.  The test is
+    on the rounded eta, not on alpha*, which is computed only to name it."""
+    if eta > 0.0:
+        return eta
+    law, _ = _pivot(problem, None)
+    astar = 1.0
+    if problem.distance_kind.half_line:
+        astar = dist._sf(law, dist._log_scale(law) if problem.distance_kind.log_scale else 0.0)
+    name = _NAMES[CatalogEntry(problem.quantity, problem.distance_kind)]
+    sizes = f"n={problem.n}" + (f", m={problem.m}" if problem.two_sample else "")
+    raise ValueError(
+        f"{name} with {sizes} cannot meet alpha={alpha!r}: its radius there is not "
+        f"positive, so the region would reject every sample; the levels it meets lie "
+        f"below alpha*={astar!r}"
+    )
+
+
 @lru_cache(maxsize=1024)
 def _radius(
     problem: TestProblem, omega: State | TwoSampleState | None, alpha: float
@@ -479,9 +503,11 @@ def _radius(
     kind = problem.distance_kind
     if kind.log_scale:
         solve = dist.upper_tail_log_eta if kind.half_line else dist.symmetric_log_interval_eta
-        return solve(law, alpha)
-    tails = 1.0 if kind.half_line else 2.0
-    return scale * dist._solve(law, dist._per_tail(alpha, tails), upper=True)
+        eta = solve(law, alpha)
+    else:
+        tails = 1.0 if kind.half_line else 2.0
+        eta = scale * dist._solve(law, dist._per_tail(alpha, tails), upper=True)
+    return _positive_radius(problem, alpha, eta)
 
 
 def eta_alpha(
@@ -708,7 +734,9 @@ def eta_alpha_generic(
 ) -> float:
     """The radius by direct inversion of the statistic's sampling law,
     with no catalog algebra: cross-validates the closed forms.  Its tail
-    mass is solved for alpha by ``_invert`` from eta = 1.
+    mass is solved for alpha by ``_invert`` from eta = 1.  Where the mass
+    at eta = 0 is already at most alpha, as at an interior state of a
+    half-line null, every radius meets alpha and 0 is their infimum.
 
     ``anchor`` is the half-line reference (the hypothesis value); it is
     ignored by two-sided kinds.
@@ -730,7 +758,8 @@ def eta_alpha_over_null_grid(
 ) -> float:
     """Effective radius of the rejection region built the long way: the
     intersection over a grid of null states of the per-state rejection
-    sets, which for a shared anchor is governed by the largest radius.
+    sets, which for a shared anchor is governed by the largest radius,
+    refused by ``_positive_radius`` where it is not positive.
     """
     if not states:
         raise ValueError("empty state grid")
@@ -742,4 +771,4 @@ def eta_alpha_over_null_grid(
         best = max(
             best, eta_alpha_generic(problem, omega, alpha, anchor=hypothesis.value)
         )
-    return best
+    return _positive_radius(problem, alpha, best)

@@ -36,6 +36,7 @@ from .framework import (
     TestProblem,
     _NAMES,
     _pivot,
+    _positive_radius,
     _validate_hypothesis,
 )
 from .measurement import State, _finite_row, mu_bar, sigma_bar
@@ -264,16 +265,16 @@ def lrt_region(hypothesis: Hypothesis, alpha: float, problem: TestProblem) -> Lr
     The estimate lands r or more standard errors beyond the null value
     with probability at most alpha, attained at the null boundary, where r
     is the normal upper quantile at alpha / 2 on a point null and at alpha
-    on a half-line (0 where alpha is 1/2 or more).  epsilon =
-    exp(-r^2 / 2), kept below 1 (which would reject the null's own
-    estimates), is the supremal cutoff whose worst-case null probability
-    stays <= alpha; the region boundary then sits at ``radius`` from the
-    null value in estimate space.
+    on a half-line.  A level whose radius is not positive is refused by
+    ``framework._positive_radius``, as the rejection region refuses it.
+    epsilon = exp(-r^2 / 2), kept below 1 (which would reject the null's
+    own estimates), is the supremal cutoff whose worst-case null
+    probability stays <= alpha; the region boundary then sits at
+    ``radius`` from the null value in estimate space.
     """
     scale = _normal_scale(problem, hypothesis)
     k = 1.0 if problem.distance_kind.half_line else 2.0
-    r = 0.0
-    if dist._level("alpha", alpha) < 0.5 * k:
-        r = dist._solve(dist.normal(), dist._per_tail(alpha, k), upper=True)
+    r = dist._solve(dist.normal(), dist._per_tail(alpha, k), upper=True)
+    radius = _positive_radius(problem, alpha, scale * r)
     eps = min(math.exp(-0.5 * r * r), math.nextafter(1.0, 0.0))
-    return LrtRegion(problem, hypothesis, alpha, eps, scale * r)
+    return LrtRegion(problem, hypothesis, alpha, eps, radius)

@@ -308,7 +308,7 @@ def test_criterion_6_lrt_cross_validation():
         (lambda n: mean_diff_z_upper(n, n + 5, 1.0, 0.7), Hypothesis.lower_half_line),
     )
     for make, null in normal_pivots:
-        for alpha in (0.3, *ALPHAS, 1e-4, 1e-12):
+        for alpha in (0.5, 0.3, *ALPHAS, 1e-4, 1e-12):
             for n in (5, 10, 25):
                 problem, hypothesis = make(n), null(0.0)
                 region = lrt_region(hypothesis, alpha, problem)

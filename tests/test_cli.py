@@ -17,9 +17,12 @@ from semidist.framework import (
     CATALOG,
     Hypothesis,
     confidence_region,
+    eta_alpha,
     mean_t,
+    mean_z_upper,
     run_test,
     variance,
+    variance_upper,
 )
 from semidist.measurement import Sample, State
 from semidist.montecarlo import ExperimentPlan, coverage_experiment
@@ -298,6 +301,40 @@ class TestLevelsBeyondDoublePrecision:
         assert captured.out == ""
         assert captured.err.startswith("error: gamma=1e-300 is too small")
         assert "rounds to 1" in captured.err
+
+
+class TestLevelsTheRegionCannotMeet:
+    """A level whose radius is not positive would reject every sample; each
+    command exits 2 with the library's one refusal and prints no result."""
+
+    @pytest.fixture()
+    def x_file(self, tmp_path):
+        path = tmp_path / "five.txt"
+        path.write_text("1.5\n2.0\n0.25\n3.0\n4.5\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, problem, alpha",
+        [
+            # A radius of -0.2345 would reject mu <= 100 on data whose mean is 2.25.
+            (["test", "mean-z-upper", "{x}", "--sigma", "1", "--null", "100", "--alpha", "0.7"],
+             mean_z_upper(5, 1.0), 0.7),
+            # A negative radius would put lo above the estimate 0.806.
+            (["ci", "var-upper", "{x}", "--gamma", "0.3"], variance_upper(5), 0.7),
+            (["ci", "var-upper", "{x}", "--gamma", "0.3", "--json"], variance_upper(5), 0.7),
+            # alpha* is 0.157 for var-upper at n = 2.
+            (["experiment", "size", "--test", "var-upper", "--n", "2", "--alpha", "0.2",
+              "--null", "1", "--reps", "100"], variance_upper(2), 0.2),
+        ],
+        ids=["test", "ci", "ci-json", "experiment-size"],
+    )
+    def test_exits_2_with_the_refusal(self, x_file, capsys, argv, problem, alpha):
+        with pytest.raises(ValueError) as refusal:
+            eta_alpha(problem, None, alpha)
+        assert cli.main([word.format(x=x_file) for word in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal.value}\n"
 
 
 class TestCiCommand:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import optimize, stats
 
-from semidist import distributions, framework
+from semidist import distributions, framework, montecarlo as mc
 from semidist.framework import (
     Hypothesis,
     SemiDistance,
@@ -609,6 +609,146 @@ class TestGenericGridIntersection:
             eta_alpha_over_null_grid(
                 problem, Hypothesis.point(2.0), 0.05, [State(0.0, 2.5)]
             )
+
+    def test_an_interior_state_radius_is_zero(self):
+        # Below the boundary the mass beyond eta = 0 is already under alpha:
+        # every radius meets alpha there, and 0 is their infimum.
+        problem = mean_z_upper(10, 1.0)
+        assert eta_alpha_generic(problem, State(-2.0, 1.0), 0.05, anchor=0.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Levels the region cannot meet
+# ---------------------------------------------------------------------------
+
+HALF_LINE_ENTRIES = [name for name, entry in framework.CATALOG.items() if entry.kind.half_line]
+HALF_LINE_NULL = Hypothesis.lower_half_line(1.0)
+
+
+def _half_line_problem(name, n):
+    """The entry at n, with m = n + 1 and known sigmas 1."""
+    entry = framework.CATALOG[name]
+    m = n + 1 if entry.quantity.two_sample else None
+    return framework.TestProblem(*entry, n, m, **{flag: 1.0 for flag in entry.known_sigmas})
+
+
+def _boundary(problem):
+    """The state with sds 1 whose quantity is the null value 1."""
+    base = State(0.0, 1.0)
+    if problem.two_sample:
+        base = TwoSampleState(base, base)
+    return framework.state_with_quantity(problem, base, 1.0)
+
+
+def _alpha_star(problem):
+    """P(E > theta0) at the null boundary, from scipy."""
+    n, m = problem.n, problem.m
+    if problem.quantity is framework.QuantityKind.SIGMA:
+        return stats.chi2.sf(n, n - 1)
+    if problem.quantity is framework.QuantityKind.SIGMA_RATIO:
+        return stats.f.sf(1.0, n - 1, m - 1)
+    return 0.5
+
+
+def _data(problem):
+    x = tuple(float(v * v) for v in range(1, problem.n + 1))
+    return Sample(x, x[::-1] + (0.5,) if problem.two_sample else None)
+
+
+def _experiment(run, coverage):
+    def radius(problem, alpha):
+        plan = ExperimentPlan(
+            problem, _boundary(problem), 1.0 - alpha if coverage else alpha, 4, 0,
+            None if coverage else HALF_LINE_NULL,
+        )
+        run(plan)
+        return mc._Rule.of(plan).eta
+    return radius
+
+
+# Entry point -> (its radius at level alpha, whether it takes gamma = 1 - alpha).
+RADIUS_ENTRY_POINTS = {
+    "eta_alpha": (lambda p, a: eta_alpha(p, None, a), False),
+    "eta_gamma": (lambda p, a: eta_gamma(p, None, 1.0 - a), True),
+    "rejection_region": (lambda p, a: rejection_region(p, HALF_LINE_NULL, a).eta, False),
+    "run_test": (lambda p, a: run_test(p, HALF_LINE_NULL, a, _data(p)).eta, False),
+    "confidence_region": (lambda p, a: confidence_region(p, _data(p), 1.0 - a).eta, True),
+    "sure_region": (lambda p, a: sure_region(p, HALF_LINE_NULL, 1.0 - a).complement.eta, True),
+    "size_experiment": (_experiment(mc.size_experiment, False), False),
+    "coverage_experiment": (_experiment(mc.coverage_experiment, True), True),
+    "eta_alpha_over_null_grid": (
+        lambda p, a: eta_alpha_over_null_grid(p, HALF_LINE_NULL, a, [_boundary(p)]), False
+    ),
+    "lrt_region": (lambda p, a: lrt_region(HALF_LINE_NULL, a, p).radius, False),
+}
+
+REFUSAL_CASES = [
+    pytest.param(point, name, n, id=f"{point}-{name}-n{n}")
+    for point in RADIUS_ENTRY_POINTS
+    for name in HALF_LINE_ENTRIES
+    for n in (2, 5, 30)
+    # The ratio test needs a normal pivot.
+    if point != "lrt_region" or name in ("mean-z-upper", "diff-means-upper")
+]
+
+
+def _refused(call, problem, name, alpha, astar):
+    """``call`` raises the one refusal, naming the entry, its sizes, alpha
+    and an alpha* within rounding of ``astar``."""
+    sizes = f"n={problem.n}" + (f", m={problem.m}" if problem.two_sample else "")
+    message = (
+        f"{name} with {sizes} cannot meet alpha={alpha!r}: its radius there is not positive, "
+        "so the region would reject every sample; the levels it meets lie below alpha*="
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as refusal:
+        call()
+    assert float(str(refusal.value).removeprefix(message)) == pytest.approx(astar, rel=1e-13)
+
+
+class TestLevelsTheRegionCannotMeet:
+    """d is never negative, so a radius eta <= 0 rejects every sample: each
+    entry point refuses such a level with one message.  On a half-line entry
+    that happens from alpha* = P_boundary(E > theta0) up."""
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, None], ids=["just-above-alpha*", "0.7"])
+    @pytest.mark.parametrize("point,name,n", REFUSAL_CASES)
+    def test_a_level_from_alpha_star_up_is_refused(self, point, name, n, factor):
+        problem = _half_line_problem(name, n)
+        astar = _alpha_star(problem)
+        alpha = 0.7 if factor is None else astar * factor
+        radius, via_gamma = RADIUS_ENTRY_POINTS[point]
+        seen = 1.0 - (1.0 - alpha) if via_gamma else alpha
+        _refused(lambda: radius(problem, alpha), problem, name, seen, astar)
+
+    @pytest.mark.parametrize("point,name,n", REFUSAL_CASES)
+    def test_a_level_just_below_alpha_star_is_met(self, point, name, n):
+        problem = _half_line_problem(name, n)
+        radius, _ = RADIUS_ENTRY_POINTS[point]
+        assert radius(problem, _alpha_star(problem) * (1.0 - 1e-9)) > 0.0
+
+    def test_a_two_sided_radius_that_rounds_below_zero_is_refused(self):
+        # alpha* is 1 on a two-sided entry; at 1 - 2^-53 the F radius rounds
+        # to -3.7e-16.
+        problem, alpha = variance_ratio(5, 6), 1.0 - 2.0**-53
+        for call in (
+            lambda: eta_alpha(problem, None, alpha),
+            lambda: rejection_region(problem, Hypothesis.point(1.0), alpha),
+            lambda: run_test(problem, Hypothesis.point(1.0), alpha, _data(problem)),
+        ):
+            _refused(call, problem, "var-ratio", alpha, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    @pytest.mark.parametrize("name", HALF_LINE_ENTRIES)
+    def test_the_size_at_the_boundary_is_alpha(self, name, n):
+        # P_boundary(d >= eta) from the pivot law; the worst relative error
+        # measured over these grids was 1.06e-14 (var-upper, n = 30).
+        problem = _half_line_problem(name, n)
+        tail, _ = framework._statistic_law_tail(problem, _boundary(problem), 1.0)
+        top = _alpha_star(problem) * (1.0 - 1e-9)
+        for alpha in [*np.logspace(-12, math.log10(top), 40)[:-1], top]:
+            alpha = float(alpha)
+            size = tail(-eta_alpha(problem, None, alpha))
+            assert size == pytest.approx(alpha, rel=2e-14), alpha
 
 
 class TestQuantityValues:

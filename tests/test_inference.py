@@ -307,11 +307,22 @@ class TestLrt:
     def test_region_threshold_matches_distance_construction(self, name):
         # The same problem object states the law and scale of both.
         make, null = NORMAL_PIVOTS[name]
-        for alpha in (0.3, 0.1, 0.05, 1e-4, 1e-12):
+        for alpha in (0.5, 0.3, 0.1, 0.05, 1e-4, 1e-12):
             for n in (5, 10, 25):
                 problem, hypothesis = make(n), null(0.3)
                 region = lrt_region(hypothesis, alpha, problem)
                 assert region.radius == rejection_region(problem, hypothesis, alpha).eta, (alpha, n)
+
+    @pytest.mark.parametrize("name", ["mean-z-upper", "diff-means-upper"])
+    def test_a_half_line_level_beyond_reach_is_refused_as_the_region_refuses_it(self, name):
+        make, null = NORMAL_PIVOTS[name]
+        problem, hypothesis = make(5), null(0.3)
+        with pytest.raises(ValueError) as region_refusal:
+            rejection_region(problem, hypothesis, 0.7)
+        with pytest.raises(ValueError) as lrt_refusal:
+            lrt_region(hypothesis, 0.7, problem)
+        assert str(lrt_refusal.value) == str(region_refusal.value)
+        assert str(lrt_refusal.value).startswith(f"{name} with n=5")
 
     @pytest.mark.parametrize(
         "name", ["var", "var-upper", "var-ratio", "var-ratio-upper", "mean-t", "mean-t-upper"]

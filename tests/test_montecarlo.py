@@ -717,7 +717,8 @@ class TestBoundaryRows:
         two = problem.two_sample
         truth = _truth(two)
         hypothesis = None if coverage else _hypothesis(problem, truth)
-        plan = ExperimentPlan(problem, truth, 0.9, 5, 9, hypothesis)
+        # gamma 0.9 for coverage; alpha 0.1 for size, below every alpha*.
+        plan = ExperimentPlan(problem, truth, 0.9 if coverage else 0.1, 5, 9, hypothesis)
         # The pairwise mean of ten copies of 0.007 is not 0.007, so the
         # constant row's deviations are not 0.
         edit = _with_rows(monkeypatch, {3: (0.007, -7.0)})
