@@ -3,13 +3,15 @@
 Three subcommands: ``test`` runs a catalog hypothesis test on a data
 file, ``ci`` prints the matching confidence interval, and
 ``experiment`` drives the Monte Carlo coverage/size/power harness.
-The test names, and what each test needs (one or two data columns,
-known sigmas, a positive null), come from ``framework.CATALOG``.
-Decisions always live in the payload; the exit code only distinguishes
-"ran" (0) from "could not run" (2).  One table lists each subcommand's
-arguments.  A plain call is read from it without building argparse; any
-other call, and so every help text, usage line and parse error, goes
-through the full argparse parser built from it (see ``main``).
+The test names and their data columns come from ``framework.CATALOG``.
+The library refuses what an entry does not accept (a sigma, a null or a
+grid value), naming it as the CLI does, and the CLI prints the refusal:
+the CLI owns only the flags, files and defaults.  Decisions always live
+in the payload; the exit code only distinguishes "ran" (0) from "could
+not run" (2).  One table lists each subcommand's arguments.  A plain
+call is read from it without building argparse; any other call, and so
+every help text, usage line and parse error, goes through the full
+argparse parser built from it (see ``main``).
 
 Data files (``test`` and ``ci``) are UTF-8 text, with or without a byte
 order mark, holding one or two columns of reals.  A row with a comma is
@@ -163,42 +165,8 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _build_problem(name: str, n: int, m: int | None, given: dict) -> TestProblem:
-    """The problem of test ``name``, its known sigmas read from ``given``."""
-    entry = CATALOG[name]
-    sigmas = {flag: given[flag] for flag in entry.known_sigmas}
-    if None in sigmas.values():
-        flags = " and ".join(f"--{flag}" for flag in sigmas)
-        studentized = next(
-            other for other, e in CATALOG.items()
-            if e.kind.studentized and e.kind.half_line == entry.kind.half_line
-        )
-        raise CliError(
-            f"{name} needs the known population sd ({flags}); "
-            f"with sigma unknown, use {studentized}"
-        )
-    return TestProblem(*entry, n, m, **sigmas)
-
-
-def _refuse_unused_flags(name: str, args: argparse.Namespace) -> None:
-    """Refuse a nuisance flag the test has no use for, rather than drop it."""
-    entry = CATALOG[name]
-    unused = [
-        flag for flag in ("sigma", "sigma1", "sigma2")
-        if getattr(args, flag) is not None and flag not in entry.known_sigmas
-    ]
-    if not entry.quantity.two_sample:
-        unused += [flag for flag in ("m", "mu2", "sd2") if getattr(args, flag, None) is not None]
-    if unused:
-        flags = " and ".join(f"--{flag}" for flag in unused)
-        raise CliError(f"{name} does not use {flags}")
-
-
 def _build_hypothesis(name: str, null_value: float) -> Hypothesis:
-    entry = CATALOG[name]
-    if entry.quantity.positive and null_value <= 0.0:
-        raise CliError(f"--null must be positive for {name}, got {null_value}")
-    if entry.kind.half_line:
+    if CATALOG[name].kind.half_line:
         return Hypothesis.lower_half_line(null_value)
     return Hypothesis.point(null_value)
 
@@ -227,9 +195,8 @@ def _load_sample(name: str, path: str) -> Sample:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    _refuse_unused_flags(args.name, args)
     x = _load_sample(args.name, args.data)
-    problem = _build_problem(args.name, x.n, x.m, vars(args))
+    problem = TestProblem(*CATALOG[args.name], x.n, x.m, args.sigma, args.sigma1, args.sigma2)
     hypothesis = _build_hypothesis(args.name, args.null)
     result = framework.run_test(problem, hypothesis, args.alpha, x)
     if args.json:
@@ -253,9 +220,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
-    _refuse_unused_flags(args.name, args)
     x = _load_sample(args.name, args.data)
-    problem = _build_problem(args.name, x.n, x.m, vars(args))
+    problem = TestProblem(*CATALOG[args.name], x.n, x.m, args.sigma, args.sigma1, args.sigma2)
     region = framework.confidence_region(problem, x, args.gamma)
     if args.json:
         print(json.dumps({
@@ -286,9 +252,8 @@ def _report_payload(report: ExperimentReport) -> dict:
     }
 
 
-def _grid_values(grid: str | None, name: str) -> list[float]:
-    """The quantity values of ``--grid``: finite reals, positive where the
-    quantity is."""
+def _grid_values(grid: str | None) -> list[float]:
+    """The quantity values of ``--grid``: finite reals."""
     if not grid:
         raise CliError("--grid is required for power experiments")
     try:
@@ -300,8 +265,6 @@ def _grid_values(grid: str | None, name: str) -> list[float]:
     for theta in thetas:
         if not math.isfinite(theta):
             raise CliError(f"--grid values must be finite, got {theta!r}")
-    if CATALOG[name].quantity.positive and any(theta <= 0.0 for theta in thetas):
-        raise CliError(f"--grid values must be positive for {name}")
     return thetas
 
 
@@ -309,16 +272,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from . import montecarlo
 
     name, kind = args.test, args.kind
-    _refuse_unused_flags(name, args)
-    two_sample = CATALOG[name].quantity.two_sample
+    entry = CATALOG[name]
+    two_sample = entry.quantity.two_sample
+    if not two_sample:
+        unused = [f"--{flag}" for flag in ("mu2", "sd2") if getattr(args, flag) is not None]
+        if unused:
+            raise CliError(f"{name} does not use {' and '.join(unused)}")
     # The second sample defaults to the first one's size and to N(0, 1).  The
-    # truth's sigmas are known, so the known-sigma tests default to them.
-    m = args.n if args.m is None else args.m
+    # truth's sigmas are known, so a known sigma left out defaults to them.
+    m = args.n if two_sample and args.m is None else args.m
     sd2 = 1.0 if args.sd2 is None else args.sd2
     defaults = {"sigma": args.sd, "sigma1": args.sd, "sigma2": sd2}
-    given = {flag: sd if getattr(args, flag) is None else getattr(args, flag)
-             for flag, sd in defaults.items()}
-    problem = _build_problem(name, args.n, m if two_sample else None, given)
+    given = {flag: getattr(args, flag) for flag in defaults}
+    given.update({flag: defaults[flag] for flag in entry.known_sigmas if given[flag] is None})
+    problem = TestProblem(*entry, args.n, m, **given)
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
@@ -334,7 +301,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise CliError(f"--null is required for {kind} experiments")
         hypothesis = _build_hypothesis(name, args.null)
     # Power runs one point per grid value; coverage and size, the truth alone.
-    thetas = _grid_values(args.grid, name) if kind == "power" else [None]
+    thetas = _grid_values(args.grid) if kind == "power" else [None]
     truth = State(args.mu, args.sd)
     if two_sample:
         truth = TwoSampleState(truth, State(0.0 if args.mu2 is None else args.mu2, sd2))

@@ -220,7 +220,9 @@ _NAMES = {entry: name for name, entry in CATALOG.items()}
 class TestProblem:
     """Quantity + semi-distance kind, one of the ``CATALOG`` entries (the
     quantity fixes the estimator), with sample sizes and the known sigmas
-    a z entry's calibration needs."""
+    a z entry's calibration needs.  A refused field (a sigma or m the
+    entry has no use for, a known sigma left out) names the entry as the
+    command line does, which passes its flags here and prints the refusal."""
 
     quantity: QuantityKind
     distance_kind: SemiDistanceKind
@@ -243,7 +245,7 @@ class TestProblem:
         if two_sample and (self.m is None or self.m < 1):
             raise ValueError("two-sample problems need m >= 1")
         if not two_sample and self.m is not None:
-            raise ValueError("m is only meaningful for two-sample problems")
+            raise ValueError(f"{name} does not use m")
         known = entry.known_sigmas
         for flag in ("sigma", "sigma1", "sigma2"):
             value = getattr(self, flag)
@@ -252,11 +254,11 @@ class TestProblem:
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{flag} must be positive, got {value!r}")
         if None in (getattr(self, flag) for flag in known):
-            t_test = "mean_t_upper" if kind.half_line else "mean_t"
+            t_kind = _K.HALF_LINE_STUDENTIZED if kind.half_line else _K.STUDENTIZED
             each = " on each sample" if two_sample else ""
             raise ValueError(
                 f"{name} needs known {' and '.join(known)}; with sigma unknown "
-                f"use the studentized mean test {t_test}{each}"
+                f"use {_NAMES[CatalogEntry(_Q.MU, t_kind)]}{each}"
             )
         # A sample sd needs two values: its pivot has n - 1 (and m - 1) dof.
         if (kind.log_scale or kind.studentized) and min(self.n, self.m or self.n) < 2:
@@ -356,6 +358,11 @@ def mean_t_upper(n: int) -> TestProblem:
 # ---------------------------------------------------------------------------
 
 
+def _name(problem: TestProblem) -> str:
+    """The command-line name of the problem's entry, which its refusals name."""
+    return _NAMES[CatalogEntry(problem.quantity, problem.distance_kind)]
+
+
 def _check_sizes(problem: TestProblem, x: Sample) -> None:
     if x.n != problem.n:
         raise ValueError(f"sample has n={x.n}, problem expects n={problem.n}")
@@ -430,8 +437,10 @@ def state_with_quantity(
 ) -> State | TwoSampleState:
     """The inverse of quantity_value: ``state`` with its first component
     moved so that the quantity value is theta.  A positive quantity
-    rejects theta <= 0 (as ``State`` does a non-positive sigma)."""
+    refuses a theta that is not above 0, naming the entry."""
     q = problem.quantity
+    if q.positive and not theta > 0.0:
+        raise ValueError(f"{_name(problem)} needs a positive quantity value, got {theta!r}")
     if q is QuantityKind.MU:
         return State(theta, state.sigma)
     if q is QuantityKind.SIGMA:
@@ -471,31 +480,37 @@ def _pivot(
     return dist.normal(), math.sqrt(sigma1**2 / n + sigma2**2 / m)
 
 
-def _positive_radius(problem: TestProblem, alpha: float, eta: float) -> float:
+def _positive_radius(
+    problem: TestProblem, alpha: float, eta: float, gamma: float | None = None
+) -> float:
     """``eta``, the problem's radius at level alpha, if it is positive: the
     one refusal of a level the region cannot meet, for every entry.  A
     half-line statistic is clamped at 0, so at the null boundary P(d >= eta)
     takes no value between 1 and alpha* = P(E > theta0), the pivot law's
     mass beyond its origin; a two-sided entry's alpha* is 1.  The test is
-    on the rounded eta, not on alpha*, which is computed only to name it."""
+    on the rounded eta, not on alpha*, which is computed only to name it.
+    A confidence level ``gamma`` is named as given, met above 1 - alpha*."""
     if eta > 0.0:
         return eta
     law, _ = _pivot(problem, None)
     astar = 1.0
     if problem.distance_kind.half_line:
         astar = dist._sf(law, dist._log_scale(law) if problem.distance_kind.log_scale else 0.0)
-    name = _NAMES[CatalogEntry(problem.quantity, problem.distance_kind)]
     sizes = f"n={problem.n}" + (f", m={problem.m}" if problem.two_sample else "")
+    level, bound = f"alpha={alpha!r}", f"below alpha*={astar!r}"
+    if gamma is not None:
+        level, bound = f"gamma={gamma!r}", f"above gamma*={1.0 - astar!r}"
     raise ValueError(
-        f"{name} with {sizes} cannot meet alpha={alpha!r}: its radius there is not "
+        f"{_name(problem)} with {sizes} cannot meet {level}: its radius there is not "
         f"positive, so the region would reject every sample; the levels it meets lie "
-        f"below alpha*={astar!r}"
+        f"{bound}"
     )
 
 
 @lru_cache(maxsize=1024)
 def _radius(
-    problem: TestProblem, omega: State | TwoSampleState | None, alpha: float
+    problem: TestProblem, omega: State | TwoSampleState | None, alpha: float,
+    gamma: float | None = None,
 ) -> float:
     # The point of the pivot law with mass alpha beyond it: an upper tail
     # for half-line kinds, a symmetric interval for two-sided ones.
@@ -507,7 +522,7 @@ def _radius(
     else:
         tails = 1.0 if kind.half_line else 2.0
         eta = scale * dist._solve(law, dist._per_tail(alpha, tails), upper=True)
-    return _positive_radius(problem, alpha, eta)
+    return _positive_radius(problem, alpha, eta, gamma)
 
 
 def eta_alpha(
@@ -540,7 +555,7 @@ def eta_gamma(
 ) -> float:
     """The radius the estimator stays within with probability >= gamma;
     identical to eta_alpha at alpha = 1 - gamma (continuous laws)."""
-    return _radius(problem, omega, _alpha_of(gamma))
+    return _radius(problem, omega, _alpha_of(gamma), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +575,14 @@ def _endpoints(
 
 
 def _validate_hypothesis(problem: TestProblem, hypothesis: Hypothesis) -> None:
+    """Refuse a null the problem cannot pair with: of the other kind, or
+    not positive on a positive quantity (naming the entry)."""
     kind = problem.distance_kind
     expected = HypothesisKind.LOWER_HALF_LINE if kind.half_line else HypothesisKind.POINT
     if hypothesis.kind is not expected:
         raise ValueError(f"{kind.value} distances pair with {expected.value} hypotheses")
     if problem.quantity.positive and hypothesis.value <= 0.0:
-        raise ValueError(f"hypothesis value must be positive, got {hypothesis.value!r}")
+        raise ValueError(f"{_name(problem)} needs a positive null value, got {hypothesis.value!r}")
 
 
 @dataclass(frozen=True)
@@ -671,7 +688,7 @@ def confidence_region(problem: TestProblem, x: Sample, gamma: float) -> Confiden
     alpha = _alpha_of(gamma)
     _check_sizes(problem, x)
     e = float(_estimates(problem, *x._rows, centres=True)[0])
-    eta = _radius(problem, None, alpha)
+    eta = _radius(problem, None, alpha, gamma)
     kind = problem.distance_kind
     lo, hi = _endpoints(kind, e, eta, x)
     return ConfidenceRegion(problem, gamma, eta, e, lo, math.inf if kind.half_line else hi, x)
@@ -682,7 +699,10 @@ def sure_region(
 ) -> SureRegion:
     """Estimates compatible with the sure hypothesis at confidence gamma:
     the complement of the rejection region at alpha = 1 - gamma."""
-    return SureRegion(gamma, rejection_region(problem, hypothesis, _alpha_of(gamma)))
+    alpha = _alpha_of(gamma)
+    _validate_hypothesis(problem, hypothesis)
+    eta = _radius(problem, None, alpha, gamma)
+    return SureRegion(gamma, Region(problem, hypothesis, alpha, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -759,16 +779,19 @@ def eta_alpha_over_null_grid(
     """Effective radius of the rejection region built the long way: the
     intersection over a grid of null states of the per-state rejection
     sets, which for a shared anchor is governed by the largest radius,
-    refused by ``_positive_radius`` where it is not positive.
+    refused by ``_positive_radius`` where it is not positive.  That of a
+    half-line null lies at its boundary, which a grid must reach.  The
+    hypothesis must pair with the problem, as for ``rejection_region``.
     """
     if not states:
         raise ValueError("empty state grid")
-    best = 0.0
-    for omega in states:
-        theta = quantity_value(problem, omega)
+    _validate_hypothesis(problem, hypothesis)
+    thetas = [quantity_value(problem, omega) for omega in states]
+    for theta in thetas:
         if not hypothesis.holds_at(theta):
             raise ValueError(f"grid state with quantity {theta!r} violates the null")
-        best = max(
-            best, eta_alpha_generic(problem, omega, alpha, anchor=hypothesis.value)
-        )
+    top = max(thetas)
+    if top < hypothesis.value:
+        raise ValueError(f"the grid stops at {top!r}, below the null boundary {hypothesis.value!r}")
+    best = max(eta_alpha_generic(problem, omega, alpha, hypothesis.value) for omega in states)
     return _positive_radius(problem, alpha, best)

@@ -31,10 +31,9 @@ from typing import Callable, Sequence
 
 from . import distributions as dist
 from .framework import (
-    CatalogEntry,
     Hypothesis,
     TestProblem,
-    _NAMES,
+    _name,
     _pivot,
     _positive_radius,
     _validate_hypothesis,
@@ -224,9 +223,9 @@ def _normal_scale(problem: TestProblem, hypothesis: Hypothesis) -> float:
     it.  An entry whose pivot is not normal is refused by name."""
     law, scale = _pivot(problem, None)
     if law.kind is not dist.Family.NORMAL:
-        name = _NAMES[CatalogEntry(problem.quantity, problem.distance_kind)]
         raise ValueError(
-            f"the likelihood ratio test needs a normal pivot; {name} has a {law.kind.value} one"
+            f"the likelihood ratio test needs a normal pivot; {_name(problem)} has a "
+            f"{law.kind.value} one"
         )
     _validate_hypothesis(problem, hypothesis)
     return scale

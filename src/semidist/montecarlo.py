@@ -88,6 +88,7 @@ from .framework import (
     Hypothesis,
     TestProblem,
     _statistic,
+    _validate_hypothesis,
     eta_gamma,
     quantity_value,
     rejection_region,
@@ -123,8 +124,8 @@ class ExperimentPlan:
     A hypothesis is present exactly for size and power runs.  A seed that
     is not a non-negative integer, a replication count that is not an
     integer in 1..2**64 (the replications the low word of Philox's counter
-    tells apart) and a truth whose draws could overflow float64 are
-    refused."""
+    tells apart), a truth whose draws could overflow float64 and a
+    hypothesis the problem cannot pair with are refused."""
 
     problem: TestProblem
     truth: State | TwoSampleState
@@ -146,6 +147,8 @@ class ExperimentPlan:
         for state in _sides(self.truth):
             if not math.isfinite(abs(state.mu) + _Z_MAX * state.sigma):
                 raise ValueError(f"draws of {state} overflow float64")
+        if self.hypothesis is not None:
+            _validate_hypothesis(self.problem, self.hypothesis)
 
 
 @dataclass(frozen=True)

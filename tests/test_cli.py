@@ -12,19 +12,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semidist
-from semidist import cli
+from semidist import cli, framework
 from semidist.framework import (
     CATALOG,
     Hypothesis,
     confidence_region,
     eta_alpha,
+    eta_gamma,
     mean_t,
     mean_z_upper,
     run_test,
+    state_with_quantity,
     variance,
+    variance_ratio,
     variance_upper,
 )
-from semidist.measurement import Sample, State
+from semidist.measurement import Sample, State, TwoSampleState
 from semidist.montecarlo import ExperimentPlan, coverage_experiment
 
 
@@ -230,8 +233,7 @@ class TestTestCommand:
     def test_missing_sigma_exits_2_and_names_the_alternative(self, one_col, capsys):
         assert cli.main(["test", "mean-z", one_col, "--null", "0"]) == 2
         err = capsys.readouterr().err
-        assert "--sigma" in err
-        assert "mean-t" in err
+        assert err == "error: mean-z needs known sigma; with sigma unknown use mean-t\n"
 
     def test_rejection_not_in_exit_code(self, tmp_path, capsys):
         path = tmp_path / "far.txt"
@@ -314,27 +316,39 @@ class TestLevelsTheRegionCannotMeet:
         return str(path)
 
     @pytest.mark.parametrize(
-        "argv, problem, alpha",
+        "argv, radius",
         [
             # A radius of -0.2345 would reject mu <= 100 on data whose mean is 2.25.
             (["test", "mean-z-upper", "{x}", "--sigma", "1", "--null", "100", "--alpha", "0.7"],
-             mean_z_upper(5, 1.0), 0.7),
-            # A negative radius would put lo above the estimate 0.806.
-            (["ci", "var-upper", "{x}", "--gamma", "0.3"], variance_upper(5), 0.7),
-            (["ci", "var-upper", "{x}", "--gamma", "0.3", "--json"], variance_upper(5), 0.7),
+             lambda: eta_alpha(mean_z_upper(5, 1.0), None, 0.7)),
+            # A negative radius would put lo above the estimate 0.806; the
+            # refusal names the gamma typed.
+            (["ci", "var-upper", "{x}", "--gamma", "0.3"],
+             lambda: eta_gamma(variance_upper(5), None, 0.3)),
+            (["ci", "var-upper", "{x}", "--gamma", "0.3", "--json"],
+             lambda: eta_gamma(variance_upper(5), None, 0.3)),
             # alpha* is 0.157 for var-upper at n = 2.
             (["experiment", "size", "--test", "var-upper", "--n", "2", "--alpha", "0.2",
-              "--null", "1", "--reps", "100"], variance_upper(2), 0.2),
+              "--null", "1", "--reps", "100"], lambda: eta_alpha(variance_upper(2), None, 0.2)),
         ],
         ids=["test", "ci", "ci-json", "experiment-size"],
     )
-    def test_exits_2_with_the_refusal(self, x_file, capsys, argv, problem, alpha):
+    def test_exits_2_with_the_refusal(self, x_file, capsys, argv, radius):
         with pytest.raises(ValueError) as refusal:
-            eta_alpha(problem, None, alpha)
+            radius()
         assert cli.main([word.format(x=x_file) for word in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {refusal.value}\n"
+
+    def test_a_confidence_level_is_named_as_typed(self, x_file, capsys):
+        argv = ["ci", "mean-z-upper", x_file, "--sigma", "1", "--gamma", "0.1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: mean-z-upper with n=5 cannot meet gamma=0.1: its radius there is not "
+            "positive, so the region would reject every sample; the levels it meets lie "
+            "above gamma*=0.5\n"
+        )
 
 
 class TestCiCommand:
@@ -579,10 +593,10 @@ class TestUnusedFlags:
     @pytest.mark.parametrize(
         "argv, flag, name",
         [
-            (["test", "var", "DATA", "--null", "1", "--sigma", "3"], "--sigma", "var"),
-            (["test", "mean-t", "DATA", "--null", "0", "--sigma1", "1"], "--sigma1", "mean-t"),
-            (["ci", "mean-z", "DATA", "--sigma", "1", "--sigma2", "2"], "--sigma2", "mean-z"),
-            (["ci", "var-ratio", "PAIR", "--sigma", "1"], "--sigma", "var-ratio"),
+            (["test", "var", "DATA", "--null", "1", "--sigma", "3"], "sigma", "var"),
+            (["test", "mean-t", "DATA", "--null", "0", "--sigma1", "1"], "sigma1", "mean-t"),
+            (["ci", "mean-z", "DATA", "--sigma", "1", "--sigma2", "2"], "sigma2", "mean-z"),
+            (["ci", "var-ratio", "PAIR", "--sigma", "1"], "sigma", "var-ratio"),
         ],
     )
     def test_sigma_flag_a_test_does_not_use(self, one_col, two_col, capsys, argv, flag, name):
@@ -595,13 +609,18 @@ class TestUnusedFlags:
     def test_sigma_flag_an_experiment_does_not_use(self, capsys):
         argv = ["experiment", "coverage", "--test", "var", "--sigma", "2", "--reps", "10"]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: var does not use --sigma\n"
+        assert capsys.readouterr().err == "error: var does not use sigma\n"
 
-    @pytest.mark.parametrize("flag", ["--m", "--mu2", "--sd2"])
-    def test_second_sample_flag_on_a_one_sample_experiment(self, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, named",
+        # The problem names its field m; the truth flags are the CLI's own.
+        [pytest.param("--m", "m", id="--m"), pytest.param("--mu2", "--mu2", id="--mu2"),
+         pytest.param("--sd2", "--sd2", id="--sd2")],
+    )
+    def test_second_sample_flag_on_a_one_sample_experiment(self, capsys, flag, named):
         argv = ["experiment", "coverage", "--test", "mean-z", flag, "7", "--reps", "10"]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == f"error: mean-z does not use {flag}\n"
+        assert capsys.readouterr().err == f"error: mean-z does not use {named}\n"
 
     def test_second_sample_defaults_on_a_two_sample_experiment(self, capsys):
         argv = ["experiment", "size", "--test", "diff-means", "--null", "0", "--n", "8",
@@ -611,6 +630,56 @@ class TestUnusedFlags:
         explicit = argv + ["--m", "8", "--mu2", "0", "--sd2", "1"]
         assert cli.main(explicit) == 0
         assert capsys.readouterr().out == implicit
+
+
+_ONE_SAMPLE = Sample((1.0, 2.0, 3.0))  # the one_col file
+
+
+class TestOneOwnerPerRefusal:
+    """What an entry does not accept is refused by the library alone: the
+    CLI passes its flags on and prints the library's refusal as it is."""
+
+    @pytest.mark.parametrize(
+        "argv, call",
+        [
+            pytest.param(["test", "mean-z", "DATA", "--null", "0"],
+                         lambda: framework.TestProblem(*CATALOG["mean-z"], 3),
+                         id="missing-sigma"),
+            pytest.param(["test", "var", "DATA", "--null", "1", "--sigma", "3"],
+                         lambda: framework.TestProblem(*CATALOG["var"], 3, sigma=3.0),
+                         id="test-sigma"),
+            pytest.param(["ci", "mean-t", "DATA", "--sigma1", "1"],
+                         lambda: framework.TestProblem(*CATALOG["mean-t"], 3, sigma1=1.0),
+                         id="ci-sigma1"),
+            pytest.param(["experiment", "coverage", "--test", "var", "--sigma", "2", "--reps", "10"],
+                         lambda: framework.TestProblem(*CATALOG["var"], 10, sigma=2.0),
+                         id="experiment-sigma"),
+            pytest.param(["experiment", "coverage", "--test", "mean-z", "--m", "7", "--reps", "10"],
+                         lambda: framework.TestProblem(*CATALOG["mean-z"], 10, 7, sigma=1.0),
+                         id="experiment-m"),
+            pytest.param(["test", "var", "DATA", "--null", "0"],
+                         lambda: run_test(variance(3), Hypothesis.point(0.0), 0.05, _ONE_SAMPLE),
+                         id="test-null-0"),
+            pytest.param(["experiment", "size", "--test", "var", "--null", "0", "--reps", "10"],
+                         lambda: ExperimentPlan(variance(10), State(0.0, 1.0), 0.05, 10, 0,
+                                                Hypothesis.point(0.0)),
+                         id="experiment-null-0"),
+            pytest.param(["experiment", "power", "--test", "var-ratio", "--null", "1",
+                          "--grid", "1,-0.5", "--reps", "10"],
+                         lambda: state_with_quantity(
+                             variance_ratio(10, 10),
+                             TwoSampleState(State(0.0, 1.0), State(0.0, 1.0)), -0.5),
+                         id="grid-negative"),
+        ],
+    )
+    def test_the_cli_prints_the_library_refusal(self, one_col, monkeypatch, capsys, argv, call):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert cli.main([one_col if word == "DATA" else word for word in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal.value}\n"
 
 
 class TestHelp:

@@ -216,7 +216,8 @@ class TestCalibratedRadii:
         assert all(a < b for a, b in zip(etas, etas[1:]))
 
     def test_missing_nuisance_points_to_t(self):
-        with pytest.raises(ValueError, match="mean_t"):
+        message = "^mean-z needs known sigma; with sigma unknown use mean-t$"
+        with pytest.raises(ValueError, match=message):
             eta_alpha(
                 mean_z(4, 1.0).__class__(
                     quantity=mean_z(4, 1.0).quantity,
@@ -603,6 +604,40 @@ class TestGenericGridIntersection:
         grid_eta = eta_alpha_over_null_grid(problem, hyp, 0.05, states)
         assert grid_eta == pytest.approx(eta_alpha(problem, None, 0.05), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "problem, hypothesis, states, top",
+        [
+            # Stopping at 0 would give 0.0201, against the null's 0.520.
+            (mean_z_upper(10, 1.0), Hypothesis.lower_half_line(0.5), [State(0.0, 1.0)], 0.0),
+            (mean_z_upper(10, 1.0), Hypothesis.lower_half_line(0.5),
+             [State(-2.0, 1.0), State(0.25, 1.0), State(-1.0, 1.0)], 0.25),
+            (variance_upper(10), Hypothesis.lower_half_line(2.0), [State(0.0, 1.5)], 1.5),
+        ],
+    )
+    def test_a_half_line_grid_short_of_its_boundary_is_refused(self, problem, hypothesis, states, top):
+        # The largest radius lies at the boundary, so a grid without it
+        # would give the radius of the grid, not of the null.
+        message = f"the grid stops at {top!r}, below the null boundary {hypothesis.value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eta_alpha_over_null_grid(problem, hypothesis, 0.05, states)
+
+    @pytest.mark.parametrize(
+        "problem, hypothesis, states",
+        [
+            # A two-sided radius (0.620) would be returned for a half-line null.
+            (mean_z(10, 1.0), Hypothesis.lower_half_line(0.5), [State(0.5, 1.0)]),
+            (mean_z_upper(10, 1.0), Hypothesis.point(0.5), [State(0.5, 1.0)]),
+            (variance(10), Hypothesis.point(-2.0), [State(0.0, 2.0)]),
+        ],
+    )
+    def test_a_null_the_problem_cannot_pair_with_is_refused_as_the_region_refuses_it(
+        self, problem, hypothesis, states
+    ):
+        with pytest.raises(ValueError) as refusal:
+            rejection_region(problem, hypothesis, 0.05)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+            eta_alpha_over_null_grid(problem, hypothesis, 0.05, states)
+
     def test_grid_state_outside_null_rejected(self):
         problem = variance(10)
         with pytest.raises(ValueError):
@@ -692,17 +727,19 @@ REFUSAL_CASES = [
 ]
 
 
-def _refused(call, problem, name, alpha, astar):
-    """``call`` raises the one refusal, naming the entry, its sizes, alpha
-    and an alpha* within rounding of ``astar``."""
+def _refused(call, problem, name, level, astar, via_gamma=False):
+    """``call`` raises the one refusal, naming the entry, its sizes and the
+    level as given: an alpha and an alpha* within rounding of ``astar``, or
+    a confidence level gamma and gamma* = 1 - alpha*."""
     sizes = f"n={problem.n}" + (f", m={problem.m}" if problem.two_sample else "")
+    symbol, side, bound = ("gamma", "above", 1.0 - astar) if via_gamma else ("alpha", "below", astar)
     message = (
-        f"{name} with {sizes} cannot meet alpha={alpha!r}: its radius there is not positive, "
-        "so the region would reject every sample; the levels it meets lie below alpha*="
+        f"{name} with {sizes} cannot meet {symbol}={level!r}: its radius there is not positive, "
+        f"so the region would reject every sample; the levels it meets lie {side} {symbol}*="
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}") as refusal:
         call()
-    assert float(str(refusal.value).removeprefix(message)) == pytest.approx(astar, rel=1e-13)
+    assert float(str(refusal.value).removeprefix(message)) == pytest.approx(bound, rel=1e-13)
 
 
 class TestLevelsTheRegionCannotMeet:
@@ -717,8 +754,9 @@ class TestLevelsTheRegionCannotMeet:
         astar = _alpha_star(problem)
         alpha = 0.7 if factor is None else astar * factor
         radius, via_gamma = RADIUS_ENTRY_POINTS[point]
-        seen = 1.0 - (1.0 - alpha) if via_gamma else alpha
-        _refused(lambda: radius(problem, alpha), problem, name, seen, astar)
+        # The gamma entry points are called with gamma = 1 - alpha.
+        seen = 1.0 - alpha if via_gamma else alpha
+        _refused(lambda: radius(problem, alpha), problem, name, seen, astar, via_gamma)
 
     @pytest.mark.parametrize("point,name,n", REFUSAL_CASES)
     def test_a_level_just_below_alpha_star_is_met(self, point, name, n):

@@ -84,6 +84,14 @@ class TestReports:
         with pytest.raises(ValueError, match=re.escape(message)):
             _coverage_plan(seed=seed)
 
+    def test_a_null_the_problem_cannot_pair_with_is_refused_when_built(self):
+        message = "var needs a positive null value, got 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(variance(10), State(0, 1), 0.05, 10, 0, Hypothesis.point(0.0))
+        message = "absolute distances pair with point hypotheses"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(mean_z(10, 1.0), State(0, 1), 0.05, 10, 0, Hypothesis.lower_half_line(0.0))
+
     def test_replications_beyond_the_streams_are_refused(self):
         _coverage_plan(reps=1 << 64)  # replications 0 .. 2**64 - 1 have counters
         for reps in (0, (1 << 64) + 1):
