@@ -10,8 +10,11 @@ one contiguous row per value index), and a single measured value is a
 batch of one column.  Every sum along a column, of the values, of their
 deviations and of the squared deviations, is added in the one pairwise
 order of ``_pairwise_sum``, within gamma(ceil(log2 n)) * sum |x_i| of the
-exact sum, and the sum of squared deviations is the corrected two-pass
-one.  So a block and a single measured value share one arithmetic, and
+exact sum.  The sum of squared deviations is the corrected two-pass one,
+exactly 0 on a constant column unless its squares underflow, so only a
+column whose SS is below the least normal takes the exact constancy
+test; a column whose squares overflow is summed again at a power-of-two
+scale.  So a block and a single measured value share one arithmetic, and
 the order of every addition is written here rather than taken from
 numpy's reductions.  The pushforward probabilities of the mean and SS
 statistics live here too.
@@ -326,7 +329,10 @@ def _scale(z: np.ndarray, state: State) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+_TINY = sys.float_info.min
+# The power of two by which a column whose SS overflows is scaled down:
+# its values' deviations, below 2^1025, then square to below 2^970.
+_SHIFT = 540
 
 
 def _pairwise_sum(terms: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -359,6 +365,34 @@ def _pairwise_sum(terms: np.ndarray, in_place: bool = False) -> np.ndarray:
     return acc[0].copy()
 
 
+def _corrected_ss(values: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The corrected two-pass SS of each column about its ``mean`` (Chan,
+    Golub and LeVeque, Am. Stat. 1983): the squared deviations' sum minus
+    sd * (sd / n), where sd is the deviations' own sum, which removes the
+    first-order error of a rounded mean.  The squares overwrite the
+    deviations once sd is taken, so the SS holds one copy of the values
+    (and half of one while sd is summed): keeping both side by side
+    measured about 8 % slower on n = m = 50 blocks with two Monte Carlo
+    workers."""
+    dev = np.subtract(values, mean)
+    sd = _pairwise_sum(dev)
+    ss = _pairwise_sum(np.square(dev, out=dev), in_place=True)
+    return ss - sd * (sd / len(values))
+
+
+def _root(ss: np.ndarray, d: int) -> np.ndarray:
+    """sqrt(ss / d), each step rounded once.  Where ss / d is subnormal
+    (ss is 0 or at least tiny), the quotient is taken at ss * 2^128, where
+    it is normal, and its root scaled back by 2^-64: both scalings are
+    exact, so such a column loses no bits to the quotient's underflow."""
+    q = ss / d
+    root = np.sqrt(q)
+    low = np.flatnonzero(q < _TINY)
+    if low.size:
+        root[low] = np.sqrt(ss[low] * 2.0**128 / d) * 2.0**-64
+    return root
+
+
 class _Rows:
     """Measured values as an (n, rows) array, one column per replication,
     with the estimators of every replication.  A ``Sample``'s block is an
@@ -385,35 +419,30 @@ class _Rows:
 
     @cached_property
     def ss(self) -> np.ndarray:
-        v, n = self.values, self.n
+        v, mean = self.values, self.mean
         with np.errstate(over="ignore", invalid="ignore"):
-            # The corrected two-pass SS (Chan, Golub and LeVeque, Am. Stat.
-            # 1983): the squared deviations' sum minus sd * (sd / n), where
-            # sd is the deviations' own sum, which removes the first-order
-            # error of a rounded mean.  The squares overwrite the
-            # deviations once sd is taken, so the SS holds one copy of the
-            # values (and half of one while sd is summed): keeping both side
-            # by side measured about 8 % slower on n = m = 50 blocks with
-            # two Monte Carlo workers.
-            dev = np.subtract(v, self.mean)
-            sd = _pairwise_sum(dev)
-            ss = _pairwise_sum(np.square(dev, out=dev), in_place=True)
-            ss = ss - sd * (sd / n)
-            # A rounded mean can leave a constant column off its value; its
-            # SS is set to 0.  Only a column with a small SS needs the exact
-            # test: for n copies of c (n eps < 1/2), a sum in any order and
-            # the division leave the mean within about n eps |mean| / 2 of
-            # c, so each deviation (exact, by Sterbenz) is at most
-            # (n + 2) eps |mean| / 2 plus half a subnormal.  The rounded sum
-            # of their n rounded squares is then below a sixteenth of the
-            # bound, and so are the correction, which is at most about as
-            # large, and the difference of the two; the slack also covers
-            # the bound's own roundings.  n tiny (tiny is the least normal)
-            # covers every subnormal term, and the bound overflows wherever
-            # such an SS can: an SS that overflows can read inf - inf = nan,
-            # which counts as near too.
-            bound = n * (2 * (n + 2) * _EPS) ** 2 * self.mean**2 + n * _TINY
-        near = np.flatnonzero(~(ss > bound))
+            ss = _corrected_ss(v, mean)
+            rescaled = not np.isfinite(ss).all()
+            if rescaled:
+                # A deviation or its square overflows (or the correction
+                # reads inf - inf): the column is summed again at 2^-_SHIFT
+                # times its values and mean and its SS scaled back, exactly
+                # (a value below 2^(_SHIFT - 1022) loses bits, but they lie
+                # far below the rounding of an SS this large).  So the SS
+                # is inf only near the top of the range, and a constant
+                # column's is 0 as below.
+                wide = np.flatnonzero(~np.isfinite(ss))
+                down = (np.ldexp(a, -_SHIFT) for a in (v[:, wide], mean[wide]))
+                ss[wide] = np.ldexp(_corrected_ss(*down), 2 * _SHIFT)
+        # A constant column's SS is 0 or below the least normal (tiny): the
+        # rounded mean of n copies of c lies a few ulps u off c, so every
+        # deviation is the same k u (exact, by Sterbenz), and the partial
+        # sums j k u, the squares k^2 u^2, the division by n and the
+        # correction are exact (n k^2 is far below 2^53), so
+        # SS = n k^2 u^2 - n k^2 u^2 = 0, except where the squares
+        # underflow.  So only columns whose SS is not at
+        # least tiny take the exact test, and a constant one is set to 0.
+        near = np.flatnonzero(~(ss >= _TINY))
         if near.size:
             w = v[:, near]
             constant = (w == w[:1]).all(axis=0)
@@ -422,17 +451,17 @@ class _Rows:
             # them (SS = 0) or enough that SS is subnormal and has lost bits.
             if (ss[near[~constant]] < _TINY).any():
                 raise ValueError("sum of squared deviations underflows float64")
-        if not np.isfinite(ss).all():
+        if rescaled and np.isinf(ss).any():
             raise ValueError("sum of squared deviations overflows float64")
         return ss
 
     @cached_property
     def sigma_bar(self) -> np.ndarray:
-        return np.sqrt(self.ss / self.n)
+        return _root(self.ss, self.n)
 
     @cached_property
     def sigma_bar_prime(self) -> np.ndarray:
-        return np.sqrt(self.ss / (self.n - 1))
+        return _root(self.ss, self.n - 1)
 
 
 def mu_bar(values: Sequence[float]) -> float:

@@ -437,3 +437,110 @@ class TestLogIntervalRadii:
         spec = chi_squared(n - 1) if family == "chi2" else fisher_f(n - 1, n - 1)
         symmetric_log_interval_eta(spec, alpha)
         assert 0 < len(calls) <= 50
+
+
+class TestSolverCost:
+    """The number of tail evaluations each solve takes, pinned on a fixed
+    grid: a change to a start, a guard or a stopping rule that leaves the
+    quantiles as they are still shows here."""
+
+    P = (0.4, 0.05, 1e-4, 1e-8, 1e-16, 1e-100)
+    # Per law, the evaluations of the lower-tail solve (``quantile``) and
+    # of the upper-tail one (``_solve(..., upper=True)``) at each p of P.
+    COUNTS = {
+        "normal": (normal(), (3, 3, 3, 3, 3, 3), (3, 3, 3, 3, 3, 3)),
+        "t3": (student_t(3), (3, 2, 2, 2, 2, 2), (3, 2, 2, 2, 2, 2)),
+        "t30": (student_t(30), (3, 3, 3, 3, 3, 1), (3, 3, 3, 3, 3, 1)),
+        "chi2(1)": (chi_squared(1), (4, 3, 2, 1, 1, 1), (3, 3, 4, 4, 4, 4)),
+        "chi2(9)": (chi_squared(9), (3, 3, 4, 4, 3, 1), (3, 3, 3, 4, 4, 4)),
+        "F(4, 7)": (fisher_f(4, 7), (3, 4, 8, 2, 2, 1), (3, 3, 5, 3, 2, 1)),
+    }
+    # symmetric_log_interval_eta at each alpha of P.
+    LOG_COUNTS = {
+        "chi2(2)": (chi_squared(2), (4, 3, 3, 3, 3, 2)),
+        "chi2(9)": (chi_squared(9), (4, 4, 4, 4, 4, 3)),
+        "F(4, 7)": (fisher_f(4, 7), (4, 3, 4, 4, 3, 3)),
+        "F(2, 30)": (fisher_f(2, 30), (4, 3, 3, 3, 3, 2)),
+    }
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """A list that takes one entry per evaluation of ``_invert``'s tail."""
+        calls, real = [], distributions._invert
+
+        def invert(f, *args, **kwargs):
+            return real(lambda x: calls.append(x) or f(x), *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "_invert", invert)
+        return calls
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_each_quantile_takes_its_pinned_number_of_evaluations(self, monkeypatch, name):
+        spec, lower, upper = self.COUNTS[name]
+        calls = self._counting(monkeypatch)
+        for side, want in ((False, lower), (True, upper)):
+            got = []
+            for p in self.P:
+                calls.clear()
+                distributions._solve(spec, p, side)
+                got.append(len(calls))
+            assert tuple(got) == want, side
+
+    @pytest.mark.parametrize("name", LOG_COUNTS)
+    def test_each_log_radius_takes_its_pinned_number_of_evaluations(self, monkeypatch, name):
+        spec, want = self.LOG_COUNTS[name]
+        calls = self._counting(monkeypatch)
+        got = []
+        for alpha in self.P:
+            calls.clear()
+            symmetric_log_interval_eta(spec, alpha)
+            got.append(len(calls))
+        assert tuple(got) == want
+
+    def test_the_t_start_keeps_hill_s_accuracy(self):
+        # Hill's start is within 2e-3 of the quantile where it expands
+        # about the normal quantile, and far closer in its far-tail branch:
+        # below 1e-7 for k <= 9 from p = 1e-6 down (7.6e-9 at worst here),
+        # and within 1e-5 for k = 3 from p = 0.05 down (7.0e-6).  A worse
+        # start costs evaluations that the pinned grid need not show.
+        for k in (3, 4, 5, 9, 30, 100):
+            for p in (0.4, 0.25, 0.1, 0.05, 0.01, 1e-4, 1e-6, 1e-16, 1e-50, 1e-100):
+                err = abs(distributions._t_start(p, k) / quantile(student_t(k), p) - 1.0)
+                bound = 1e-7 if k <= 9 and p <= 1e-6 else 1e-5 if k == 3 and p <= 0.05 else 2e-3
+                assert err <= bound, (k, p)
+
+
+class TestCdfAgainstMpmath:
+    """t and F cdfs against mpmath's regularized incomplete beta (40
+    digits, rounded to double), at the accuracy they reach: the worst
+    errors on these points are 4.5e-15 (t) and 1.14e-14 (F, from the
+    prefactor at F(30, 5)), far inside the 1e-12 of the scipy checks."""
+
+    T_X = (-50.0, -5.0, -2.0, -0.5)
+    T = {
+        1: (0.006365349100972796, 0.06283295818900118, 0.14758361765043326, 0.35241638234956674),
+        3: (8.808576020635988e-06, 0.007696219036651151, 0.0696629842794216, 0.3257239824240755),
+        9: (1.284476455437399e-12, 0.00036948395490162136, 0.03827641188535052, 0.31453564991301325),
+        30: (9.357708829611357e-31, 1.1648342733503898e-05, 0.02731252248149155, 0.31036150244256366),
+    }
+    F_X = (0.05, 0.5, 1.0, 2.5, 10.0)
+    F = {
+        (4, 7): (0.0057994537972128266, 0.2623135093673488, 0.5327857658636864, 0.8629666302475231,
+                 0.9949272391799676),
+        (9, 19): (3.6962182218567915e-05, 0.14355253212884939, 0.5274404232198463, 0.9556282250002236,
+                  0.9999839069336781),
+        (30, 5): (9.581174502890941e-09, 0.10733531810495875, 0.4346488763398733, 0.8448881357152825,
+                  0.9913657573262192),
+        (2, 50): (0.048723076162492315, 0.3904691294717208, 0.6248831977460357, 0.9077040018229358,
+                  0.9997777718309808),
+    }
+
+    @pytest.mark.parametrize("k", T)
+    def test_t(self, k):
+        for x, want in zip(self.T_X, self.T[k]):
+            assert abs(cdf(student_t(k), x) - want) <= 1e-14 * want, x
+
+    @pytest.mark.parametrize("dofs", F)
+    def test_f(self, dofs):
+        for x, want in zip(self.F_X, self.F[dofs]):
+            assert abs(cdf(fisher_f(*dofs), x) - want) <= 2e-14 * want, x

@@ -87,6 +87,13 @@ class TestSemiDistanceAxioms:
         assert d(0.3, 2.0) == 0.0
         assert d(2.5, 1.0) > 0.0
 
+    def test_the_log_ratio_takes_every_non_positive_value_as_one_point(self):
+        # log maps all of (-inf, 0] to -inf: at distance 0 from itself and
+        # infinitely far from every positive value.
+        d = make_distance(SemiDistanceKind.LOG_RATIO, 1.0)
+        assert d(0.0, 0.0) == d(-1.0, 0.0) == d(0.0, -1.0) == 0.0
+        assert d(2.0, 0.0) == d(2.0, -3.0) == d(0.0, 2.0) == math.inf
+
     def test_studentized_needs_context(self):
         d = SemiDistance(SemiDistanceKind.STUDENTIZED)
         with pytest.raises(ValueError):

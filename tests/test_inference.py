@@ -303,6 +303,17 @@ class TestLrt:
             math.exp(-0.5), rel=1e-12
         )
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.05, 1e-4, 1e-12])
+    def test_the_region_holds_its_boundary(self, alpha):
+        # At n = 1 and sigma = 1 the scale is 1, so theta = r scores
+        # exp(-r^2 / 2), the cutoff itself, bit for bit: the region is the
+        # set at or below the cutoff, so it holds that theta.
+        problem, hypothesis = mean_z(1, 1.0), Hypothesis.point(0.0)
+        region = lrt_region(hypothesis, alpha, problem)
+        assert lrt_lambda(region.radius, problem, hypothesis) == region.epsilon
+        assert region.contains(region.radius) and region.contains(-region.radius)
+        assert not region.contains(math.nextafter(region.radius, 0.0))
+
     @pytest.mark.parametrize("name", NORMAL_PIVOTS)
     def test_region_threshold_matches_distance_construction(self, name):
         # The same problem object states the law and scale of both.

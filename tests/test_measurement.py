@@ -8,16 +8,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy import stats
 
 from semidist.measurement import (
+    _SHIFT,
     STREAM_CONTRACT,
     Sample,
     State,
     TwoSampleState,
+    _corrected_ss,
     _finite_row,
     _pairwise_sum,
+    _Rows,
     _sample_block,
     _scale,
     _std_block,
@@ -252,17 +255,35 @@ class TestEstimators:
         assert sigma_bar((1.0, 1.0 + 2**-52)) == 2.0**-53
 
     @given(
-        st.floats(-1e150, 1e150, allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False),
         st.lists(st.integers(-3, 3), min_size=2, max_size=60),
     )
     def test_the_ss_of_distinct_near_constant_values_is_positive(self, c, steps):
         # The correction subtracts, so it must not take the SS of values
-        # a few ulps apart below 0 (nor to 0, as if they were equal).  Above
-        # 1e150 the square of a deviation of a few ulps can overflow.
+        # a few ulps apart below 0 (nor to 0, as if they were equal).  Over
+        # the whole range of c: only where the exact sum of the values or
+        # the exact SS reaches the top of the range is it refused.
         values = tuple(c + k * math.ulp(c) for k in steps)
+        assume(all(map(math.isfinite, values)))
+        total, _, exact, _ = _exact(values)
+        top = Fraction(sys.float_info.max) * (1 - Fraction(1, 2**40))
+        if abs(total) >= top or exact >= top:
+            try:
+                ss_bar(values)
+            except ValueError as error:
+                assert str(error).endswith(" overflows float64")
+                return
         ss = _unless_ss_underflows(ss_bar, values)
         if ss is not None:
             assert ss > 0.0 if len(set(values)) > 1 else ss == 0.0
+
+    def test_an_ss_whose_squares_overflow_is_summed_at_a_smaller_scale(self):
+        # The mean rounds to c, and the deviation of one ulp, 2^512, squares
+        # to 2^1024 at the values' own scale; the exact SS is 2^1023.
+        c = 6.038339879714466e169
+        assert math.ulp(c) == 2.0**512
+        assert ss_bar((c, c + math.ulp(c))) == 2.0**1023
+        assert sigma_bar((c, c + math.ulp(c))) == 2.0**511
 
     @given(samples)
     def test_the_ss_of_distinct_values_is_positive(self, values):
@@ -377,9 +398,10 @@ class TestExactOracle:
     """The estimators against exact rational arithmetic on seeded rows
     (``_oracle_rows``).  The sum keeps the pairwise tree's bound; the SS
     and sigma_bar bounds are the worst errors measured on these rows (2.08
-    and 1.42 ulps), rounded up.  The plain sum of squared deviations from
-    the rounded mean, in numpy's row-sum order, was up to 9.0e15 ulps off
-    the exact SS on the same rows."""
+    ulps for SS, 1.42 for sigma_bar and 1.45 for sigma_bar_prime), rounded
+    up.  The plain sum of squared deviations from the rounded mean, in
+    numpy's row-sum order, was up to 9.0e15 ulps off the exact SS on the
+    same rows, and sqrt(SS / n) with a subnormal quotient 33 ulps off."""
 
     SS_ULPS, SIGMA_BAR_ULPS = 3.0, 2.0
 
@@ -401,12 +423,13 @@ class TestExactOracle:
 
     def test_ss_and_sigma_bar_are_within_a_few_ulps(self):
         worst_ss = worst_sigma = 0.0
-        tiny = sys.float_info.min
+        tiny, quotients = sys.float_info.min, 0
         for values in _oracle_rows():
             n, ss = len(values), _exact(values)[2]
             try:
                 row = _finite_row(values, "sample")
-                got_ss, got_sigma = float(row.ss[0]), float(row.sigma_bar[0])
+                got_ss = float(row.ss[0])
+                got_sigmas = float(row.sigma_bar[0]), float(row.sigma_bar_prime[0])
             except ValueError as error:
                 # Refused only where the exact SS is below the least normal
                 # but for the underflow of its terms.
@@ -417,10 +440,152 @@ class TestExactOracle:
                 assert got_ss == 0.0
                 continue
             worst_ss = max(worst_ss, _ulps(got_ss, ss))
-            # sqrt(SS / n) has lost bits where SS / n is subnormal.
-            if got_ss / n >= tiny:
-                worst_sigma = max(worst_sigma, _sqrt_ulps(got_sigma, ss / n))
+            # Rows whose SS / n is subnormal are bounded too.
+            quotients += got_ss / n < tiny
+            for got, d in zip(got_sigmas, (n, n - 1)):
+                worst_sigma = max(worst_sigma, _sqrt_ulps(got, ss / d))
+        assert quotients >= 5
         assert worst_ss <= self.SS_ULPS and worst_sigma <= self.SIGMA_BAR_ULPS
+
+
+def _unzeroed_ss(rows):
+    """Each column's corrected SS before a constant column's is set to 0,
+    as ``_Rows.ss`` sums it: at the values' own scale (``raw``), and summed
+    again at 2^-_SHIFT times them and scaled back where that is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = _corrected_ss(rows.values, rows.mean)
+        wide = ~np.isfinite(raw)
+        down = (np.ldexp(a, -_SHIFT) for a in (rows.values[:, wide], rows.mean[wide]))
+        ss = raw.copy()
+        ss[wide] = np.ldexp(_corrected_ss(*down), 2 * _SHIFT)
+    return raw, ss
+
+
+_REFUSALS = (
+    "sum of the sample values overflows float64",
+    "sum of squared deviations underflows float64",
+    "sum of squared deviations overflows float64",
+)
+
+
+def _bound_gated(values, starts):
+    """The SS, or the refusal, of each block of columns starts[i] to
+    starts[i + 1] - 1 of ``values`` under a rule that takes the exact
+    constancy test on every column whose SS is not above
+    n (2 (n + 2) eps)^2 mean^2 + n tiny, a bound on the rounded SS of a
+    constant column that holds for any order of the sums."""
+    n, eps, tiny = len(values), sys.float_info.epsilon, sys.float_info.min
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _Rows(values)
+        sums_overflow = ~np.isfinite(rows.sums)
+        rows.mean = rows.sums / n
+        ss = _unzeroed_ss(rows)[1]
+        bound = n * (2 * (n + 2) * eps) ** 2 * rows.mean**2 + n * tiny
+    near = ~(ss > bound)
+    constant = (values == values[:1]).all(axis=0)
+    ss[near & constant] = 0.0
+    refused = zip(_REFUSALS, (sums_overflow, near & ~constant & (ss < tiny), ~np.isfinite(ss)))
+    flags = [(text, np.logical_or.reduceat(flag, starts[:-1])) for text, flag in refused]
+    outcomes = []
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        outcomes.append(next((text for text, flag in flags if flag[i]), ss[lo:hi]))
+    return outcomes
+
+
+def _adversarial_blocks(rng, n, count):
+    """``count`` seeded blocks of n values and 1, 3 or 8 columns each, as
+    one (n, columns) array and each block's first column (and the end).
+    A block's columns lie near one binade: for half of the blocks anywhere
+    from the subnormals to 2^1023, for the rest in 2^-450 to 2^500, where
+    no square underflows or overflows.  Each column is constant, a few
+    ulps off constant, constant but for one value an ulp above, or random
+    with a relative spread of 1e-1 to 1e-15."""
+    widths = rng.choice([1, 3, 8], count)
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    cols = int(starts[-1])
+    anywhere = rng.integers(0, 2, count).astype(bool)
+    binade = np.where(anywhere, rng.integers(-1074, 1024, count), rng.integers(-450, 501, count))
+    binade = np.repeat(binade, widths) + rng.integers(-2, 3, cols)
+    signs = rng.choice([-1.0, 1.0], cols)
+    c = np.ldexp(rng.uniform(1.0, 2.0, cols), np.clip(binade, -1074, 1023)) * signs
+    kind = rng.integers(0, 5, cols)
+    values = np.repeat(c[None, :], n, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.flatnonzero(kind == 1)
+        values[:, steps] += rng.integers(-3, 4, (n, steps.size)) * np.spacing(np.abs(c[steps]))
+        one = np.flatnonzero(kind == 2)
+        values[rng.integers(0, n, one.size), one] += np.spacing(np.abs(c[one]))
+        spread = np.flatnonzero(kind >= 3)
+        scale = 10.0 ** -rng.integers(1, 16, spread.size) * np.abs(c[spread])
+        values[:, spread] += (rng.random((n, spread.size)) - 0.5) * scale
+    return values, starts
+
+
+class TestConstantColumnsHaveAnExactSs:
+    """The reason ``_Rows.ss`` takes the exact constancy test only on
+    columns whose SS is below the least normal (tiny): n copies of c have
+    a rounded mean a few ulps u off c, every deviation is the same k u,
+    and the partial sums, squares, quotient and correction are exact, so
+    their SS is exactly 0 but where the squares underflow."""
+
+    @staticmethod
+    def _every_binade():
+        """+-0 and one c in each binade from the subnormals to 2^1023, of
+        alternating sign, with a seeded significand."""
+        rng = np.random.default_rng(29)
+        exps = np.arange(-1074, 1024)
+        c = np.ldexp(rng.uniform(1.0, 2.0, exps.size), exps) * np.where(exps % 2, -1.0, 1.0)
+        return np.concatenate([[0.0, -0.0], c])
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 10**4, 65_537])
+    def test_the_ss_of_a_constant_column_is_zero_or_below_tiny(self, n):
+        tiny, rescaled = sys.float_info.min, 0
+        cs = self._every_binade()
+        if n in {n for _, n in TestEstimators.ROUNDED_MEANS}:
+            cs = np.concatenate([cs, [c for c, m in TestEstimators.ROUNDED_MEANS if m == n]])
+        per = max(1, 2**20 // n)
+        for i in range(0, cs.size, per):
+            c = cs[i : i + per]
+            with np.errstate(over="ignore"):
+                c = c[np.isfinite(_Rows(np.broadcast_to(c, (n, c.size))).sums)]
+            # A read-only view: the SS must not write the values.
+            rows = _Rows(np.broadcast_to(c, (n, c.size)))
+            raw, ss = _unzeroed_ss(rows)
+            # At the values' own scale a square can overflow (nan = inf -
+            # inf); summed again at 2^-_SHIFT times them it is exact.
+            assert ((raw == 0.0) | (abs(raw) < tiny) | np.isnan(raw)).all()
+            assert ((ss == 0.0) | (abs(ss) < tiny)).all()
+            rescaled += np.isnan(raw).sum()
+            if n < 65_537:  # the constancy test's copy would double the cost
+                assert (rows.ss == 0.0).all() and not np.signbit(rows.ss).any()
+        assert rescaled > 0 if n > 2 else rescaled == 0
+
+    def test_gating_on_tiny_matches_the_rounding_error_bound(self):
+        # 40,000 seeded blocks, a quarter of them refused.  The blocks of
+        # one size that are not refused are taken as one array: columns are
+        # summed on their own, so that changes no bit.
+        rng = np.random.default_rng(20261020)
+        sizes = np.unique(np.geomspace(2, 1000, 60).astype(int))
+        counts = np.bincount(rng.choice(sizes.size, 40_000), minlength=sizes.size)
+        seen = dict.fromkeys(_REFUSALS, 0)
+        for n, count in zip(sizes.tolist(), counts.tolist()):
+            values, starts = _adversarial_blocks(rng, n, count)
+            want = _bound_gated(values, starts)
+            kept = [i for i, w in enumerate(want) if not isinstance(w, str)]
+            cols = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in kept])
+            got = _Rows(values[:, cols]).ss
+            assert got.tobytes() == np.concatenate([want[i] for i in kept]).tobytes()
+            for i in set(range(count)) - set(kept):
+                try:
+                    with np.errstate(over="ignore"):
+                        _Rows(values[:, starts[i] : starts[i + 1]]).ss
+                except ValueError as error:
+                    assert str(error) == want[i]
+                else:
+                    raise AssertionError(f"block {i} of size {n} is not refused: {want[i]}")
+                seen[want[i]] += 1
+        assert min(seen.values()) > 50 and sum(seen.values()) < 12_000
 
 
 class TestProbabilities:
