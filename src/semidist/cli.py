@@ -23,9 +23,10 @@ ends a row.  The first non-blank line is a header if it does not parse
 and has no empty field.  Any other line that does not parse, an empty
 comma-separated field, a row of more than two values and a non-finite
 value each stop the command (exit 2) with a message naming the line.
-``read_columns`` refuses the first four; a non-finite value is refused by
-``Sample`` (through ``measurement._finite_row``), the one check of every
-measured value, and ``_load_sample`` then names its line.
+``_data_rows`` reads lines by these rules and refuses the first three; a
+non-finite value is refused by ``Sample`` (``measurement._finite_row``),
+the one check of every measured value, and ``_load_sample`` then finds
+its line in ``_data_rows``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 import sys
 from itertools import repeat
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import framework
 from .framework import CATALOG, Hypothesis, TestProblem
@@ -78,8 +79,9 @@ def read_columns(path: str) -> tuple[list[float], list[float]]:
     empty lines, any line break, spaces around commas).  Anything it cannot
     read, which is every bad file, a file with a line of whitespace alone,
     a comma-separated file whose second column ends early and the
-    whitespace-separated two-column shapes, goes through the per-line scan:
-    it reads those shapes and names the first bad line in a ``CliError``."""
+    whitespace-separated two-column shapes, goes through the per-line scan
+    of ``_data_rows``: it reads those shapes and names the first bad line
+    in a ``CliError``."""
     lines = _read_lines(path)
     try:
         col1, col2 = _bulk_columns(lines)
@@ -118,31 +120,29 @@ def _bulk_columns(lines: list[str]) -> tuple[list[float], list[float]]:
 
 
 def _scan_columns(lines: list[str], path: str) -> tuple[list[float], list[float]]:
-    """The columns, line by line; a line with an empty field, a line that
-    does not parse (after the header) and a row of more than two values each
-    raise a ``CliError`` naming the line."""
-    col1: list[float] = []
-    col2: list[float] = []
-    allow_header = True
-    for number, raw in enumerate(lines, 1):
+    """The columns of the data rows of ``_data_rows``."""
+    rows = [values for _, _, values in _data_rows(lines, path)]
+    return [row[0] for row in rows], [row[1] for row in rows if len(row) == 2]
+
+
+def _data_rows(lines: list[str], path: str) -> Iterator[tuple[int, str, list[float]]]:
+    """(line number, line, values) of each data row: blank lines are skipped
+    and the first non-blank one is dropped if it is a header.  A line with
+    an empty field, a line that does not parse and a row of more than two
+    values each raise a ``CliError`` naming the line."""
+    rows = [(number, raw) for number, raw in enumerate(lines, 1) if raw.split()]
+    if rows and _is_header(rows[0][1]):
+        del rows[0]
+    for number, raw in rows:
         try:
             values = _row_values(raw)
         except ValueError:
             if _has_empty_field(raw):
                 raise CliError(f"empty field on line {number} of {path!r}: {raw!r}") from None
-            if allow_header:
-                allow_header = False
-                continue
             raise CliError(f"unparseable line {number} of {path!r}: {raw!r}") from None
-        if not values:
-            continue
-        allow_header = False
         if len(values) > 2:
             raise CliError(f"expected one or two columns in {path!r}, got {len(values)}")
-        col1.append(values[0])
-        if len(values) == 2:
-            col2.append(values[1])
-    return col1, col2
+        yield number, raw, values
 
 
 def _row_values(line: str) -> list[float]:
@@ -173,8 +173,8 @@ def _build_hypothesis(name: str, null_value: float) -> Hypothesis:
 
 def _load_sample(name: str, path: str) -> Sample:
     """The measured value in a data file for test ``name``.  ``Sample``
-    refuses a non-finite value; only then are the lines searched, for the
-    first one holding such a value."""
+    refuses a non-finite value; only then are the data rows searched, for
+    the first one holding such a value."""
     col1, col2 = read_columns(path)
     two_sample = CATALOG[name].quantity.two_sample
     if two_sample and not col2:
@@ -184,12 +184,8 @@ def _load_sample(name: str, path: str) -> Sample:
     try:
         return Sample(tuple(col1), tuple(col2) if two_sample else None)
     except ValueError:
-        for number, raw in enumerate(_read_lines(path), 1):
-            try:
-                finite = all(map(math.isfinite, _row_values(raw)))
-            except ValueError:
-                continue
-            if not finite:
+        for number, raw, values in _data_rows(_read_lines(path), path):
+            if not all(map(math.isfinite, values)):
                 raise CliError(f"non-finite value on line {number} of {path!r}: {raw.strip()!r}")
         raise
 

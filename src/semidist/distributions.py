@@ -124,12 +124,12 @@ def _unconverged(what: str, why: str = "did not converge", **params: float) -> V
     return ValueError(f"{what} {why} for {named}")
 
 
-def _gamma_series(a: float, x: float) -> float:
+def _gamma_series(a: float, x: float, steps: int) -> float:
     # Lower series, converges for x < a + 1.
     ap = a
     total = 1.0 / a
     term = total
-    for _ in range(_steps("incomplete gamma series", x, a)):
+    for _ in range(steps):
         ap += 1.0
         term *= x / ap
         total += term
@@ -140,9 +140,8 @@ def _gamma_series(a: float, x: float) -> float:
     return total
 
 
-def _gamma_cf(a: float, x: float) -> float:
+def _gamma_cf(a: float, x: float, steps: int) -> float:
     # Upper-tail continued fraction (modified Lentz), converges for x >= a + 1.
-    steps = _steps("incomplete gamma continued fraction", x, a)
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -169,10 +168,16 @@ def _gamma_cf(a: float, x: float) -> float:
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     """Regularized incomplete gammas (P(a, x), Q(a, x)) for x > 0: the
     series gives P below x = a + 1 and the continued fraction Q above, each
-    times the prefactor x^a e^-x / Gamma(a); the other is its complement."""
+    times the prefactor x^a e^-x / Gamma(a); the other is its complement.
+    Where the prefactor underflows to 0 that tail is exactly 0, the product
+    the expansion gives wherever it converges, so the expansion is not run:
+    from x near 1e32 the fraction's factors round to 1 - 2^-53, and never
+    meet its stop.  The shape's step cap is checked first all the same."""
     lower = x < a + 1.0
-    tail = (_gamma_series if lower else _gamma_cf)(a, x)
-    tail *= math.exp(-x + a * math.log(x) - math.lgamma(a))
+    what = "incomplete gamma series" if lower else "incomplete gamma continued fraction"
+    steps = _steps(what, x, a)
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    tail = (_gamma_series if lower else _gamma_cf)(a, x, steps) * front if front else 0.0
     return (tail, 1.0 - tail) if lower else (1.0 - tail, tail)
 
 
@@ -376,10 +381,12 @@ def _invert(
     a relative residual r, Newton on log f leaves about K r^2, K =
     |(log f)''| / (2 (log f)'^2) being at most about 1 in these laws'
     tails.  x then takes that step without evaluating f.  A step within
-    4e-16 * |x| stops too; ValueError if nothing stops in 200 steps.
+    4e-16 * |x| stops too; ValueError if nothing stops in 200 steps.  Each
+    point it evaluates f at, and the root, is a double: a step past the
+    largest one raises OverflowError, which the caller names.
     """
     for _ in range(200):
-        fx = f(x)
+        fx = f(_double(x))
         if fx > target:
             hi = x
         else:
@@ -394,7 +401,7 @@ def _invert(
         newton = lo <= nxt <= hi
         if abs(fx - target) <= (1e-9 if newton else 8.0 * _EPS) * target:
             # Converged; the last Newton step costs no evaluation of f.
-            return nxt if newton else x
+            return _double(nxt) if newton else x
         if lo < nxt < hi or abs(nxt - x) <= 4.0 * _EPS * abs(nxt):
             pass  # a Newton step, or one that converges without moving x
         elif hi == math.inf:
@@ -404,9 +411,24 @@ def _invert(
         else:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= 4.0 * _EPS * abs(nxt):
-            return nxt
+            return _double(nxt)
         x = nxt
     raise ValueError(f"no convergence inverting p={target!r} in 200 steps")
+
+
+def _double(x: float) -> float:
+    """``x``, a point a solve evaluates or returns, if it is finite; else
+    OverflowError."""
+    if abs(x) < math.inf:
+        return x
+    raise OverflowError(f"a solve stepped to {x!r}")
+
+
+def _beyond_float64(spec: DistributionSpec, what: str, end: str = "overflows") -> ValueError:
+    """The refusal of a point of ``spec`` that leaves float64: ``what``
+    names the point and its level, ``end`` the side it leaves by."""
+    dofs = ", ".join(str(d) for d in (spec.dof1, spec.dof2) if d is not None)
+    return ValueError(f"the {spec.kind.value}({dofs}) {what} {end} float64")
 
 
 def _normal_start(p: float) -> float:
@@ -505,24 +527,30 @@ def _solve(spec: DistributionSpec, q: float, upper: bool = False) -> float:
     ``_invert`` from a closed-form start; an upper start is the reflected
     lower one for z and t, and one over the lower one of F(d2, d1) for F.
     A start whose lower-tail asymptote is below the smallest double, where
-    the quantile lies too, is refused."""
+    the quantile lies too, is refused, as is a start or a step beyond the
+    largest double (the t quantile at p=1e-310 is about -1/(pi p))."""
     if q > 0.5:
         return _solve(spec, 1.0 - q, not upper)  # the smaller tail; 1 - q is exact
     z, lo = _normal_start(q), 0.0
     if spec.kind is Family.CHI_SQUARED:
         k = spec.dof1
         x = _chi2_start(-z, math.log1p(-q), k) if upper else _chi2_start(z, math.log(q), k)
+    elif upper and spec.kind is Family.FISHER_F:
+        w = _f_start(q, spec.dof2, spec.dof1)
+        x = 1.0 / w if w > 0.0 else math.inf
     elif spec.kind is Family.FISHER_F:
-        x = 1.0 / _f_start(q, spec.dof2, spec.dof1) if upper else _f_start(q, spec.dof1, spec.dof2)
+        x = _f_start(q, spec.dof1, spec.dof2)
     else:
         x, lo = z if spec.kind is Family.NORMAL else _t_start(q, spec.dof1), -math.inf
         x = -x if upper else x
-    if x <= lo:
-        dofs = ", ".join(str(d) for d in (spec.dof1, spec.dof2) if d is not None)
-        raise ValueError(f"the {spec.kind.value}({dofs}) quantile at p={q!r} underflows float64")
-    if upper:
-        return -_invert(lambda y: _sf(spec, -y), lambda y: pdf(spec, -y), q, -x, hi=-lo)
-    return _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), q, x, lo)
+    if lo == 0.0 and x <= 0.0:
+        raise _beyond_float64(spec, f"quantile at p={q!r}", "underflows")
+    try:
+        if upper:
+            return -_invert(lambda y: _sf(spec, -y), lambda y: pdf(spec, -y), q, -x, hi=-lo)
+        return _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), q, x, lo)
+    except OverflowError:
+        raise _beyond_float64(spec, f"quantile at p={'1 - ' if upper else ''}{q!r}") from None
 
 
 def quantile(spec: DistributionSpec, p: float) -> float:
@@ -564,16 +592,24 @@ def symmetric_log_interval_eta(dist: DistributionSpec, alpha: float) -> float:
     The mass outside, the sum of the two tails, falls strictly from 1 to 0
     as eta grows, with derivative -2s (e^(2 eta) f(s e^(2 eta)) +
     e^(-2 eta) f(s e^(-2 eta))) for the density f; ``_invert`` solves it
-    for alpha in y = -eta.
+    for alpha in y = -eta.  A level whose solve takes the upper end past the
+    largest double is refused: for chi-squared(1) every alpha below 1.2e-154,
+    as its lower tail near 0, sqrt(2x / pi), puts that end at 2.5 / alpha^2.
     """
     s = _log_scale(dist)
     half = _per_tail(alpha, 2.0)
 
+    def ends(y: float) -> tuple[float, float]:
+        # An upper end past the largest double raises OverflowError: math.exp's
+        # own, or _double's where s times it rounds to inf.
+        return s * math.exp(2.0 * y), _double(s * math.exp(-2.0 * y))
+
     def outside(y: float) -> float:
-        return cdf(dist, s * math.exp(2.0 * y)) + _sf(dist, s * math.exp(-2.0 * y))
+        down, up = ends(y)
+        return cdf(dist, down) + _sf(dist, up)
 
     def slope(y: float) -> float:
-        down, up = s * math.exp(2.0 * y), s * math.exp(-2.0 * y)
+        down, up = ends(y)
         return 2.0 * (up * pdf(dist, up) + down * pdf(dist, down))
 
     # Y = log(X / s) / 2 is near normal: log(chi-squared(k) / k) has mean
@@ -590,7 +626,10 @@ def symmetric_log_interval_eta(dist: DistributionSpec, alpha: float) -> float:
     else:
         mu, var = 0.5 * (m1 + math.log(dist.dof1 / s)), 0.25 * v1
     start = _normal_start(half) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
-    return -_invert(outside, slope, alpha, start, hi=0.0)
+    try:
+        return -_invert(outside, slope, alpha, start, hi=0.0)
+    except OverflowError:
+        raise _beyond_float64(dist, f"log interval at alpha={alpha!r} has an upper end that") from None
 
 
 def upper_tail_log_eta(dist: DistributionSpec, alpha: float) -> float:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semidist
 from semidist import cli, framework
+from semidist.distributions import chi_squared, symmetric_log_interval_eta
 from semidist.framework import (
     CATALOG,
     Hypothesis,
@@ -349,6 +350,69 @@ class TestLevelsTheRegionCannotMeet:
             "positive, so the region would reject every sample; the levels it meets lie "
             "above gamma*=0.5\n"
         )
+
+
+class TestLevelSweep:
+    """Every entry, at levels from 1e-300 to 0.9 on two and five rows, runs
+    (exit 0) or refuses with one ``error:`` line and no result (exit 2);
+    no level ends in a traceback.  A level leaves float64 on two rows, where
+    the laws have one degree of freedom: the refusal names the law, the
+    level and the end."""
+
+    ALPHAS = (1e-300, 1e-250, 1e-200, 1e-100, 1e-16, 0.3, 0.9)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_every_level_runs_or_refuses_in_one_line(self, tmp_path, capsys, name, n):
+        entry = CATALOG[name]
+        values = (1.5, 2.0, 0.25, 3.0, 4.5)[:n]
+        rows = [f"{v},{0.7 * v + 1.0}" if entry.quantity.two_sample else f"{v}" for v in values]
+        path = tmp_path / "x.txt"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        sigmas = [word for flag in entry.known_sigmas for word in (f"--{flag}", "1")]
+        null = "1" if entry.kind.log_scale else "0"
+        for alpha in self.ALPHAS:
+            argvs = [["test", name, str(path), "--null", null, "--alpha", repr(alpha), *sigmas]]
+            if 1.0 - alpha < 1.0:
+                argvs.append(["ci", name, str(path), "--gamma", repr(1.0 - alpha), *sigmas])
+            for argv in argvs:
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                assert code in (0, 2), argv
+                if code == 2:
+                    assert captured.out == "", argv
+                    assert captured.err.startswith("error: "), argv
+                    assert captured.err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize(
+        "name, alpha, refusal",
+        [
+            ("var", "1e-200", "the chi_squared(1) log interval at alpha=1e-200 has an upper end that"),
+            ("var-ratio", "1e-200", "the fisher_f(1, 1) log interval at alpha=1e-200 has an upper end that"),
+            ("var-ratio-upper", "1e-200", "the fisher_f(1, 1) quantile at p=1 - 1e-200"),
+            ("mean-t", "1e-310", "the student_t(1) quantile at p=1 - 5e-311"),
+        ],
+        ids=["var", "var-ratio", "var-ratio-upper", "mean-t"],
+    )
+    def test_a_level_beyond_float64_is_refused_by_law_and_end(self, tmp_path, capsys, name, alpha, refusal):
+        path = tmp_path / "x.csv"
+        two_sample = CATALOG[name].quantity.two_sample
+        path.write_text("1.5,2.5\n2.0,0.5\n" if two_sample else "1.5\n2.0\n", encoding="utf-8")
+        null = "1" if CATALOG[name].kind.log_scale else "0"
+        assert cli.main(["test", name, str(path), "--null", null, "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal} overflows float64\n"
+
+    def test_var_on_two_rows_at_1e_16_is_solved(self, tmp_path, capsys):
+        # The radius's upper end, 2 e^(2 eta), is near 1.3e32, where the
+        # incomplete gamma's continued fraction did not converge.
+        path = tmp_path / "x.txt"
+        path.write_text("1.5\n2.0\n", encoding="utf-8")
+        assert cli.main(["test", "var", str(path), "--null", "1", "--alpha", "1e-16", "--json"]) == 0
+        eta = json.loads(capsys.readouterr().out)["eta"]
+        assert eta == symmetric_log_interval_eta(chi_squared(1), 1e-16)
+        assert eta == pytest.approx(36.96, abs=0.005)
 
 
 class TestCiCommand:

@@ -200,6 +200,26 @@ class TestQuantile:
         assert len(calls) <= 5
 
     @pytest.mark.parametrize(
+        "solve, message",
+        [
+            # The t(1) quantile at p is -1/tan(pi p), about -3.2e309 at 1e-310.
+            (lambda: quantile(student_t(1), 1e-310), r"quantile at p=1e-310"),
+            # The start and the root lie beyond the largest double: the F(1, 1)
+            # upper tail beyond x is about 2 / (pi sqrt(x)), so x is near 4e399.
+            (lambda: distributions._solve(fisher_f(1, 1), 1e-200, upper=True),
+             r"quantile at p=1 - 1e-200"),
+            (lambda: upper_tail_log_eta(fisher_f(1, 1), 1e-200), r"quantile at p=1 - 1e-200"),
+            # The radius of a two-sided t test with one degree of freedom at 1e-310.
+            (lambda: distributions._solve(student_t(1), 5e-311, upper=True),
+             r"quantile at p=1 - 5e-311"),
+        ],
+        ids=["t1-lower", "f1_1-upper", "f1_1-log-upper", "t1-upper"],
+    )
+    def test_a_quantile_beyond_the_largest_double_is_refused(self, solve, message):
+        with pytest.raises(ValueError, match=rf"^the (student_t\(1\)|fisher_f\(1, 1\)) {message} overflows float64$"):
+            solve()
+
+    @pytest.mark.parametrize(
         "spec, reference",
         # -2 log(1 - p) for chi2_2; F(2, 4) has cdf 1 - (2 / (x + 2))^2 = x + O(x^2).
         [(chi_squared(2), 2e-300), (fisher_f(2, 4), 1e-300)],
@@ -372,6 +392,39 @@ class TestLogIntervalRadii:
         spec = fisher_f(9, 19)
         mass = cdf(spec, math.exp(2 * eta)) - cdf(spec, math.exp(-2 * eta))
         assert mass == pytest.approx(0.95, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "k, alpha, eta",
+        [(1, 1e-16, 36.96), (1, 1e-50, 115.25), (2, 1e-30, 34.74), (3, 1e-50, 38.63),
+         (2, 1e-300, 345.59)],
+    )
+    def test_far_radius_whose_upper_tail_underflows_is_solved(self, k, alpha, eta):
+        # The upper end lies near 1e32 or beyond, where the incomplete gamma's
+        # prefactor underflows to 0: the upper tail is 0 and the lower one
+        # holds alpha.  Its continued fraction did not converge there.
+        got = symmetric_log_interval_eta(chi_squared(k), alpha)
+        assert got == pytest.approx(eta, abs=0.005)
+        s = k + 1
+        mass = stats.chi2.cdf(s * math.exp(-2 * got), k) + stats.chi2.sf(s * math.exp(2 * got), k)
+        assert mass == pytest.approx(alpha, rel=5e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "spec, name, alpha",
+        [
+            # chi2(1) has lower tail sqrt(2x / pi) near 0, so its upper end is
+            # about 2.5 / alpha^2, beyond the largest double below 1.2e-154.
+            (chi_squared(1), r"chi_squared\(1\)", 1e-200),
+            (chi_squared(1), r"chi_squared\(1\)", 1e-310),
+            (fisher_f(1, 1), r"fisher_f\(1, 1\)", 1e-200),
+        ],
+        ids=["chi2_1-1e-200", "chi2_1-1e-310", "f1_1-1e-200"],
+    )
+    def test_radius_whose_upper_end_passes_float64_is_refused(self, spec, name, alpha):
+        with pytest.raises(
+            ValueError,
+            match=rf"^the {name} log interval at alpha={alpha!r} has an upper end that overflows float64$",
+        ):
+            symmetric_log_interval_eta(spec, alpha)
 
     def test_radius_shrinks_as_alpha_grows(self):
         etas = [
