@@ -10,8 +10,9 @@ the estimator stays within (probability >= gamma) or strays beyond
 (probability <= alpha); the two radii coincide at alpha = 1 - gamma,
 which is what makes a confidence region and a rejection region
 complements of each other.  The statistic is never negative, so a radius
-eta <= 0 would reject every sample: every radius is solved through
-``_positive_radius``, the one refusal of a level the region cannot meet.
+eta <= 0 would reject every sample, and a radius past the largest double
+is no answer: every radius is solved through ``_positive_radius``, the
+one refusal of a level the region cannot meet.
 
 Rejection uses ``d >= eta`` and coverage uses ``d < eta``; both sides
 evaluate the same semi-distance arithmetic on the same estimate, so the
@@ -483,27 +484,30 @@ def _pivot(
 def _positive_radius(
     problem: TestProblem, alpha: float, eta: float, gamma: float | None = None
 ) -> float:
-    """``eta``, the problem's radius at level alpha, if it is positive: the
-    one refusal of a level the region cannot meet, for every entry.  A
-    half-line statistic is clamped at 0, so at the null boundary P(d >= eta)
-    takes no value between 1 and alpha* = P(E > theta0), the pivot law's
-    mass beyond its origin; a two-sided entry's alpha* is 1.  The test is
-    on the rounded eta, not on alpha*, which is computed only to name it.
-    A confidence level ``gamma`` is named as given, met above 1 - alpha*."""
-    if eta > 0.0:
+    """``eta``, the problem's radius at level alpha, if it is positive and
+    finite: the one refusal of a level the region cannot meet, for every
+    entry.  A half-line statistic is clamped at 0, so at the null boundary
+    P(d >= eta) takes no value between 1 and alpha* = P(E > theta0), the
+    pivot law's mass beyond its origin; a two-sided entry's alpha* is 1.
+    The test is on the rounded eta, not on alpha*, which is computed only to
+    name it.  A finite solve times a pivot scale near the largest double
+    can overflow, and that radius is refused as overflowing float64.  A
+    confidence level ``gamma`` is named as given, met above 1 - alpha*."""
+    if 0.0 < eta < math.inf:
         return eta
+    sizes = f"n={problem.n}" + (f", m={problem.m}" if problem.two_sample else "")
+    level = f"alpha={alpha!r}" if gamma is None else f"gamma={gamma!r}"
+    head = f"{_name(problem)} with {sizes} cannot meet {level}: its radius there"
+    if eta > 0.0:
+        raise ValueError(f"{head} overflows float64")
     law, _ = _pivot(problem, None)
     astar = 1.0
     if problem.distance_kind.half_line:
         astar = dist._sf(law, dist._log_scale(law) if problem.distance_kind.log_scale else 0.0)
-    sizes = f"n={problem.n}" + (f", m={problem.m}" if problem.two_sample else "")
-    level, bound = f"alpha={alpha!r}", f"below alpha*={astar!r}"
-    if gamma is not None:
-        level, bound = f"gamma={gamma!r}", f"above gamma*={1.0 - astar!r}"
+    bound = f"below alpha*={astar!r}" if gamma is None else f"above gamma*={1.0 - astar!r}"
     raise ValueError(
-        f"{_name(problem)} with {sizes} cannot meet {level}: its radius there is not "
-        f"positive, so the region would reject every sample; the levels it meets lie "
-        f"{bound}"
+        f"{head} is not positive, so the region would reject every sample; the levels it "
+        f"meets lie {bound}"
     )
 
 

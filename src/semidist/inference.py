@@ -1,10 +1,9 @@
 """Maximum likelihood for the normal model and the likelihood ratio test.
 
 A constraint set of states is one box of the (mu, sigma) half-plane: mu
-in [mu_lo, mu_hi] and sigma free or fixed, optionally cut by a
-predicate.  Over a box the maximizer has one closed form, the mean
-clamped to the box with sigma fixed or re-centred there; a predicate
-falls back to derivative-free maximization.
+in [mu_lo, mu_hi] and sigma free or fixed.  Over a box the maximizer has
+one closed form, the mean clamped to the box with sigma fixed or
+re-centred there.
 
 The likelihood here is the normalized form: the density ratio against
 the best attainable density, so its supremum over the admissible
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import distributions as dist
 from .framework import (
@@ -38,7 +37,7 @@ from .framework import (
     _positive_radius,
     _validate_hypothesis,
 )
-from .measurement import State, _finite_row, mu_bar, sigma_bar
+from .measurement import State, _finite_row, mu_bar
 
 __all__ = [
     "ParameterRegion",
@@ -52,21 +51,17 @@ __all__ = [
     "lrt_region",
 ]
 
-_SIGMA_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class ParameterRegion:
     """A constraint set K inside the (mu, sigma) state space: the states
     with mu in [mu_lo, mu_hi] and sigma free (``sigma0`` None) or equal to
-    ``sigma0``, cut by ``predicate`` where one is given.  The constructors
-    name the boxes in use: the full space, a fixed mu, a half-line of mu
-    and a fixed sigma; ``custom`` is the full box cut by a predicate."""
+    ``sigma0``.  The constructors name the boxes in use: the full space, a
+    fixed mu, a half-line of mu and a fixed sigma."""
 
     mu_lo: float = -math.inf
     mu_hi: float = math.inf
     sigma0: float | None = None
-    predicate: Callable[[State], bool] | None = None
 
     def __post_init__(self) -> None:
         # Refuses NaN too, which min and max would pass over when clamping.
@@ -96,15 +91,10 @@ class ParameterRegion:
     def sigma_fixed(sigma0: float) -> "ParameterRegion":
         return ParameterRegion(sigma0=sigma0)
 
-    @staticmethod
-    def custom(predicate: Callable[[State], bool]) -> "ParameterRegion":
-        return ParameterRegion(predicate=predicate)
-
     def contains(self, state: State) -> bool:
         return (
             self.mu_lo <= state.mu <= self.mu_hi
             and (self.sigma0 is None or state.sigma == self.sigma0)
-            and (self.predicate is None or bool(self.predicate(state)))
         )
 
 
@@ -160,56 +150,14 @@ def _sigma_hat(x: Sequence[float], mu: float) -> float:
 
 
 def mle_normal(x: Sequence[float], region: ParameterRegion) -> State:
-    """Likelihood maximizer over the region.
-
-    Over a box the closed form: mu is the mean clamped to [mu_lo, mu_hi],
-    and sigma is sigma0 where it is fixed, else the root mean square
-    deviation from that mu.  A region cut by a predicate falls back to
-    derivative-free maximization seeded at the unconstrained estimate.
-    """
-    if region.predicate is None:
-        mu = min(max(mu_bar(x), region.mu_lo), region.mu_hi)
-        s = _sigma_hat(x, mu) if region.sigma0 is None else region.sigma0
-        if s == 0.0:
-            raise ValueError("degenerate sample: maximum-likelihood sigma is 0")
-        return State(mu, s)
-    # Custom region: penalized Nelder-Mead, seeded from the best feasible
-    # point among the closed-form estimate and a coarse grid around it.
-    mu0, s0 = mu_bar(x), max(sigma_bar(x), 1e-6)
-
-    def objective(p: Sequence[float]) -> float:
-        mu, sigma = p
-        if sigma < _SIGMA_FLOOR or not region.contains(State(mu, max(sigma, _SIGMA_FLOOR))):
-            return 1e300
-        return -log_likelihood(x, State(mu, sigma))
-
-    seeds = [(mu0, s0)]
-    span = max(max(x) - min(x), s0)
-    seeds += [
-        (mu0 + i * span / 5.0, s0 * 2.0**j)
-        for i in range(-10, 11)
-        for j in range(-6, 7)
-    ]
-    feasible = [(objective(p), p) for p in seeds]
-    feasible = [item for item in feasible if item[0] < 1e299]
-    if not feasible:
-        raise ValueError("no admissible state found in the custom region")
-    # Imported here: scipy.optimize triples the cost of importing semidist.
-    from scipy.optimize import minimize
-
-    best = None
-    for _, seed in sorted(feasible)[:3]:
-        res = minimize(
-            objective,
-            seed,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        if res.fun < 1e299 and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise ValueError("no admissible state found in the custom region")
-    return State(float(best.x[0]), max(float(best.x[1]), _SIGMA_FLOOR))
+    """Likelihood maximizer over the region, in closed form: mu is the mean
+    clamped to [mu_lo, mu_hi], and sigma is sigma0 where it is fixed, else
+    the root mean square deviation from that mu."""
+    mu = min(max(mu_bar(x), region.mu_lo), region.mu_hi)
+    s = _sigma_hat(x, mu) if region.sigma0 is None else region.sigma0
+    if s == 0.0:
+        raise ValueError("degenerate sample: maximum-likelihood sigma is 0")
+    return State(mu, s)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +212,9 @@ def lrt_region(hypothesis: Hypothesis, alpha: float, problem: TestProblem) -> Lr
     The estimate lands r or more standard errors beyond the null value
     with probability at most alpha, attained at the null boundary, where r
     is the normal upper quantile at alpha / 2 on a point null and at alpha
-    on a half-line.  A level whose radius is not positive is refused by
-    ``framework._positive_radius``, as the rejection region refuses it.
+    on a half-line.  A level whose radius is not positive, or overflows, is
+    refused by ``framework._positive_radius``, as the rejection region
+    refuses it.
     epsilon = exp(-r^2 / 2), kept below 1 (which would reject the null's
     own estimates), is the supremal cutoff whose worst-case null
     probability stays <= alpha; the region boundary then sits at

@@ -11,8 +11,8 @@ draws them with ``random.Random(seed).sample`` over the sites in module
 order, then ``ast.walk`` order within a module.
 
     python tests/mutation_sample.py WORKDIR --sample 40 --seed 20261020
-    python tests/mutation_sample.py WORKDIR --sites distributions.py:185 \\
-        inference.py:223:62 -- tests/test_distributions.py
+    python tests/mutation_sample.py WORKDIR --sites distributions.py:145 \\
+        inference.py:190:35 -- tests/test_distributions.py tests/test_inference.py
     python tests/mutation_sample.py WORKDIR --control
 
 A site given as ``module:line`` takes every operator on that line.

@@ -345,10 +345,12 @@ def test_criterion_7_mle():
             ParameterRegion.mu_fixed(anchor),
             ParameterRegion.mu_half_line(anchor, "lower"),
             ParameterRegion.mu_half_line(anchor, "upper"),
-            ParameterRegion.custom(lambda s, c=anchor: s.mu <= c),
+            ParameterRegion(anchor - 0.5, anchor + 0.5),
         )[j % 4]
         est = mle_normal(x, region)
-        mus = np.append(np.linspace(min(x) - 2.0, max(x) + 2.0, 101), anchor)
+        mus = np.append(
+            np.linspace(min(x) - 2.0, max(x) + 2.0, 101), (anchor - 0.5, anchor, anchor + 0.5)
+        )
         top = 2.0 * math.sqrt(sigma_bar(x) ** 2 + (mu_bar(x) - anchor) ** 2) + 0.5
         sigmas = np.linspace(0.02, top, 101)
         best, best_state = -math.inf, None

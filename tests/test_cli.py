@@ -404,6 +404,24 @@ class TestLevelSweep:
         assert captured.out == ""
         assert captured.err == f"error: {refusal} overflows float64\n"
 
+    @pytest.mark.parametrize("name", ["mean-z", "mean-z-upper"])
+    @pytest.mark.parametrize(
+        "command, level",
+        [(["test", "--null", "0", "--alpha", "1e-16"], "alpha=1e-16"),
+         (["ci", "--gamma", "0.999"], "gamma=0.999"),
+         (["ci", "--gamma", "0.999", "--json"], "gamma=0.999")],
+        ids=["test", "ci", "ci --json"],
+    )
+    def test_a_radius_past_float64_is_refused_by_entry(self, tmp_path, capsys, name, command, level):
+        # The quantile is finite, and its product with the scale, 1e308 /
+        # sqrt(2), is not.
+        path = tmp_path / "x.txt"
+        path.write_text("1.5\n2.0\n", encoding="utf-8")
+        assert cli.main([command[0], name, str(path), *command[1:], "--sigma", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} with n=2 cannot meet {level}: its radius there overflows float64\n"
+
     def test_var_on_two_rows_at_1e_16_is_solved(self, tmp_path, capsys):
         # The radius's upper end, 2 e^(2 eta), is near 1.3e32, where the
         # incomplete gamma's continued fraction did not converge.

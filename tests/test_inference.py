@@ -1,5 +1,5 @@
-"""Maximum likelihood closed forms, constrained maximization, and the
-calibrated likelihood ratio test."""
+"""Maximum likelihood closed forms over every box of states, checked
+against an exhaustive grid, and the calibrated likelihood ratio test."""
 
 import math
 
@@ -105,12 +105,14 @@ class TestMle:
             elif kind == 2:
                 region = ParameterRegion.mu_half_line(anchor, "upper")
             else:
-                region = ParameterRegion.custom(lambda s, c=anchor: s.mu <= c)
+                region = ParameterRegion(anchor - 0.5, anchor + 0.5)
             est = mle_normal(x, region)
-            # exhaustive grid over a box around the data; the anchor joins
-            # the grid so boundary optima are reachable under the exact
-            # membership tests
-            mus = np.append(np.linspace(min(x) - 2.0, max(x) + 2.0, 121), anchor)
+            # exhaustive grid over a box around the data; the anchor and the
+            # interval's ends join the grid so boundary optima are reachable
+            # under the exact membership tests
+            mus = np.append(
+                np.linspace(min(x) - 2.0, max(x) + 2.0, 121), (anchor - 0.5, anchor, anchor + 0.5)
+            )
             sigma_top = 2.0 * math.sqrt(
                 sigma_bar(x) ** 2 + (mu_bar(x) - anchor) ** 2
             ) + 0.5
@@ -140,10 +142,6 @@ class TestMle:
             assert abs(est.sigma - best_state.sigma) <= sigma_step
             assert log_likelihood(x, est) >= best - 1e-9
 
-    def test_custom_empty_region(self):
-        with pytest.raises(ValueError):
-            mle_normal((1.0, 2.0), ParameterRegion.custom(lambda s: False))
-
     def test_one_degeneracy_message(self):
         for region in (
             ParameterRegion.full(),
@@ -161,9 +159,9 @@ class TestMle:
             (lambda: ParameterRegion.mu_half_line(0.5, "lower"), State(0.6, 1.0)),
             (lambda: ParameterRegion.mu_half_line(0.5, "upper"), State(0.4, 1.0)),
             (lambda: ParameterRegion.sigma_fixed(0.7), State(0.5, 1.0)),
-            (lambda: ParameterRegion.custom(lambda s: s.mu <= 0.5), State(0.6, 1.0)),
+            (lambda: ParameterRegion(0.2, 0.8), State(0.9, 1.0)),
         ],
-        ids=["full", "mu_fixed", "lower half-line", "upper half-line", "sigma_fixed", "custom"],
+        ids=["full", "mu_fixed", "lower half-line", "upper half-line", "sigma_fixed", "mu interval"],
     )
     def test_the_maximizer_lies_in_its_region(self, make, outside):
         region = make()

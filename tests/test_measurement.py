@@ -916,12 +916,22 @@ class TestInPlaceKernel:
 
 
 def test_import_leaves_scipy_optimize_out():
-    code = "import sys, semidist; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": ":".join(sys.path)},
-    ).stdout
-    assert out.strip() == "False"
+    # Nor does any likelihood path: every region is a box, maximized in
+    # closed form.
+    code = (
+        "import sys\n"
+        "from semidist.framework import Hypothesis, mean_z\n"
+        "from semidist.inference import ParameterRegion as R, likelihood, lrt_region, mle_normal\n"
+        "from semidist.measurement import State\n"
+        "x = (1.5, 2.0, 0.25, 3.0)\n"
+        "for region in (R.full(), R.mu_fixed(1.0), R.mu_half_line(1.0, 'lower'),\n"
+        "               R.mu_half_line(1.0, 'upper'), R.sigma_fixed(2.0)):\n"
+        "    mle_normal(x, region)\n"
+        "likelihood(x, State(1.0, 1.0), R.mu_fixed(1.0))\n"
+        "lrt_region(Hypothesis.point(0.0), 0.05, mean_z(5, 1.0))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code) == "False"
 
 
 def _fresh_interpreter(code, *args):
