@@ -7,15 +7,17 @@ radii that the variance tests calibrate against.
 Everything here is computed from scratch: regularized incomplete gamma
 (series + continued fraction) backs chi-squared, and regularized
 incomplete beta (continued fraction) backs t and F; each law has an upper
-tail, ``_sf``, beside its CDF.  One safeguarded Newton inversion,
-``_invert``, solves every quantile and radius on a tail mass, never on
-1 - mass: a lower tail, an upper tail, or the two tails outside a log
-interval.  Each solve starts next to its root, from a closed form: a
-rational normal quantile (Abramowitz & Stegun 26.2.23), Hill's t quantile
-(CACM Algorithm 396), Wilson & Hilferty's chi-squared, Paulson's
-cube-root F, the lower-tail asymptotes of the incomplete gamma and beta,
-and for the log radius the normal approximation of log chi-squared and
-log F.  All functions are pure and reentrant.
+tail, ``_sf``, beside its CDF, and one log density, ``_log_pdf``, whose exp
+is ``pdf``.  One safeguarded Newton inversion, ``_invert``, solves every
+quantile and radius on a tail mass, never on 1 - mass: a lower tail, an
+upper tail, or the two tails outside a log interval, each with its slope in
+logs, so a step exists where the density underflows.  Each solve starts
+next to its root, from a closed form: a rational normal quantile
+(Abramowitz & Stegun 26.2.23), Hill's t quantile (CACM Algorithm 396),
+Wilson & Hilferty's chi-squared, Paulson's cube-root F, the lower-tail
+asymptotes of the incomplete gamma and beta, and for the log radius the
+normal approximation of log chi-squared and log F.  All functions are pure
+and reentrant.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "upper_tail_log_eta",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 600
@@ -248,57 +250,51 @@ def _beta_inc(a: float, b: float, x: float, xc: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+def _log_pdf(spec: DistributionSpec, x: float) -> float:
+    """The log of the density of ``spec`` at x (x > 0 for chi-squared and
+    F).  The t and F forms stay finite where x^2 or d1 x overflows, so a
+    solve's slope in logs has a value where the density underflows."""
+    if spec.kind is Family.NORMAL:
+        return -0.5 * x * x - _LOG_SQRT_2PI
+    if spec.kind is Family.CHI_SQUARED:
+        # x^(k/2-1) e^(-x/2) / (2^(k/2) Gamma(k/2))
+        half = 0.5 * spec.dof1
+        return (half - 1.0) * math.log(x) - 0.5 * x - half * math.log(2.0) - math.lgamma(half)
+    if spec.kind is Family.STUDENT_T:
+        k = spec.dof1
+        front = math.lgamma(0.5 * (k + 1)) - math.lgamma(0.5 * k) - 0.5 * math.log(k * math.pi)
+        return front - 0.5 * (k + 1) * _log1p_product(abs(x), abs(x), k)
+    d1, d2 = spec.dof1, spec.dof2
+    front = math.lgamma(0.5 * (d1 + d2)) - math.lgamma(0.5 * d1) - math.lgamma(0.5 * d2)
+    front = front + 0.5 * d1 * math.log(d1 / d2) + (0.5 * d1 - 1.0) * math.log(x)
+    return front - 0.5 * (d1 + d2) * _log1p_product(d1, x, d2)
 
 
-def _chi2_pdf(x: float, k: int) -> float:
-    # x^(k/2-1) e^(-x/2) / (2^(k/2) Gamma(k/2))
-    half = 0.5 * k
-    return math.exp(
-        (half - 1.0) * math.log(x) - 0.5 * x - half * math.log(2.0) - math.lgamma(half)
-    )
+def _log1p_product(u: float, v: float, k: float) -> float:
+    """log(1 + u v / k) for u, v >= 0 and k >= 1; where u v overflows, the
+    1 is below its rounding and the log is taken factor by factor."""
+    w = u * v
+    return math.log1p(w / k) if w < math.inf else math.log(u) + math.log(v) - math.log(k)
 
 
-def _t_pdf(x: float, k: int) -> float:
-    ln = (
-        math.lgamma(0.5 * (k + 1))
-        - math.lgamma(0.5 * k)
-        - 0.5 * math.log(k * math.pi)
-        - 0.5 * (k + 1) * math.log1p(x * x / k)
-    )
-    return math.exp(ln)
-
-
-def _f_pdf(x: float, d1: int, d2: int) -> float:
-    ln = (
-        math.lgamma(0.5 * (d1 + d2))
-        - math.lgamma(0.5 * d1)
-        - math.lgamma(0.5 * d2)
-        + 0.5 * d1 * math.log(d1 / d2)
-        + (0.5 * d1 - 1.0) * math.log(x)
-        - 0.5 * (d1 + d2) * math.log1p(d1 * x / d2)
-    )
-    return math.exp(ln)
+def _log_sum(*logs: float) -> float:
+    """log(sum(exp(t) for t in logs)), where each exp may underflow."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(t - top) for t in logs))
 
 
 def pdf(spec: DistributionSpec, x: float) -> float:
-    """Density of ``spec`` at ``x``.
+    """Density of ``spec`` at ``x``: the exp of its log density, which the
+    solves use as their slope.
 
     Raises ValueError for x outside the support (chi-squared and F
     require x > 0).
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    if spec.kind is Family.NORMAL:
-        return _normal_pdf(x)
-    if spec.kind is Family.STUDENT_T:
-        return _t_pdf(x, spec.dof1)
-    if x <= 0.0:
+    if x <= 0.0 and spec.kind in (Family.CHI_SQUARED, Family.FISHER_F):
         raise ValueError(f"{spec.kind.value} density requires x > 0, got {x!r}")
-    if spec.kind is Family.CHI_SQUARED:
-        return _chi2_pdf(x, spec.dof1)
-    return _f_pdf(x, spec.dof1, spec.dof2)
+    return math.exp(_log_pdf(spec, x))
 
 
 def cdf(spec: DistributionSpec, x: float) -> float:
@@ -330,7 +326,9 @@ def _sf(spec: DistributionSpec, x: float) -> float:
         return 1.0
     if spec.kind is Family.FISHER_F:
         u, d2 = spec.dof1 * x, spec.dof2
-        return _beta_inc(0.5 * d2, 0.5 * spec.dof1, d2 / (u + d2), u / (u + d2))
+        # Where d1 x overflows, d2 / (d1 x) is the argument to rounding.
+        w, wc = (d2 / (u + d2), u / (u + d2)) if u < math.inf else (d2 / spec.dof1 / x, 1.0)
+        return _beta_inc(0.5 * d2, 0.5 * spec.dof1, w, wc)
     return _gamma_tails(0.5 * spec.dof1, 0.5 * x)[1]
 
 
@@ -365,18 +363,23 @@ def _t_tail(k: int, x: float) -> float:
 
 
 def _invert(
-    f, slope, target: float, x: float, lo: float = -math.inf, hi: float = math.inf
+    f, log_slope, target: float, x: float, lo: float = -math.inf, hi: float = math.inf
 ) -> float:
     """The x in (lo, hi) with f(x) = target, for a tail mass f nondecreasing
-    from 0 at ``lo``, with derivative slope, from the start x.  An upper
-    tail, falling in its variable, is passed as a function of y = -x.
+    from 0 at ``lo``, with derivative exp(log_slope), from the start x.  An
+    upper tail, falling in its variable, is passed as a function of y = -x.
 
     Each evaluation of f shrinks the bracket (lo, hi), whose ends may start
-    infinite.  The steps are Newton's on log f (slope f'/f): in a far tail,
-    where f is near exponential or a power, they converge quadratically
-    where Newton on f moves by a fixed fraction.  A step that leaves the
-    bracket goes to its midpoint instead, or out by max(|x|, 1) while the
-    end on its side is infinite.  The stop is a residual within 8e-16 *
+    infinite.  The steps are Newton's on log f: in a far tail, where f is
+    near exponential or a power, they converge quadratically where Newton on
+    f moves by a fixed fraction.  f / f' is taken as exp(log f - log f'),
+    the slope in logs as DiDonato & Morris (ACM TOMS 1992, Algorithm 708)
+    take the incomplete beta's prefactor, so there is a step wherever f > 0,
+    also where f' underflows (the t(3) density at its 1e-250 quantile).  A
+    step that leaves the bracket goes to its midpoint instead, or, where f
+    is 0 and the upper end infinite, out by max(|x|, 1): the lower tails of
+    chi-squared(1000) below p = 1e-304 and of F(1000, d2) below about 1e-164
+    underflow at their starts.  The stop is a residual within 8e-16 *
     target, or within 1e-9 * target with a Newton step in the bracket: from
     a relative residual r, Newton on log f leaves about K r^2, K =
     |(log f)''| / (2 (log f)'^2) being at most about 1 in these laws'
@@ -391,13 +394,9 @@ def _invert(
             hi = x
         else:
             lo = x
-        try:
-            d = slope(x)
-        except ValueError:
-            d = 0.0
         nxt = math.nan
-        if fx > 0.0 and 0.0 < d < math.inf:
-            nxt = x - math.log(fx / target) * fx / d
+        if fx > 0.0:
+            nxt = x - math.log(fx / target) * math.exp(math.log(fx) - log_slope(x))
         newton = lo <= nxt <= hi
         if abs(fx - target) <= (1e-9 if newton else 8.0 * _EPS) * target:
             # Converged; the last Newton step costs no evaluation of f.
@@ -406,8 +405,6 @@ def _invert(
             pass  # a Newton step, or one that converges without moving x
         elif hi == math.inf:
             nxt = x + max(abs(x), 1.0)
-        elif lo == -math.inf:
-            nxt = x - max(abs(x), 1.0)
         else:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= 4.0 * _EPS * abs(nxt):
@@ -447,7 +444,7 @@ def _t_start(p: float, k: int) -> float:
     if k == 1:
         x = 1.0 / math.tan(0.5 * math.pi * q)
     elif k == 2:
-        x = math.sqrt(2.0 / (q * (2.0 - q)) - 2.0)
+        x = (1.0 - q) / math.sqrt(q * (1.0 - 0.5 * q))  # finite where 1 / q overflows
     else:
         a = 1.0 / (k - 0.5)
         b = 48.0 / (a * a)
@@ -497,7 +494,9 @@ def _f_start(p: float, d1: int, d2: int) -> float:
         if num > 0.0 and den > 0.0:
             return (num / den) ** 3
     a, b = 0.5 * d1, 0.5 * d2
-    u = math.exp((math.log(p * a) + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / a)
+    # log p + log a, not log(p a), which is log 0 at p = 5e-324 and d1 = 1.
+    log_pa = math.log(p) + math.log(a)
+    u = math.exp((log_pa + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / a)
     return d2 * u / (d1 * (1.0 - u)) if u < 1.0 else 1.0
 
 
@@ -547,8 +546,8 @@ def _solve(spec: DistributionSpec, q: float, upper: bool = False) -> float:
         raise _beyond_float64(spec, f"quantile at p={q!r}", "underflows")
     try:
         if upper:
-            return -_invert(lambda y: _sf(spec, -y), lambda y: pdf(spec, -y), q, -x, hi=-lo)
-        return _invert(lambda x: cdf(spec, x), lambda x: pdf(spec, x), q, x, lo)
+            return -_invert(lambda y: _sf(spec, -y), lambda y: _log_pdf(spec, -y), q, -x, hi=-lo)
+        return _invert(lambda x: cdf(spec, x), lambda x: _log_pdf(spec, x), q, x, lo)
     except OverflowError:
         raise _beyond_float64(spec, f"quantile at p={'1 - ' if upper else ''}{q!r}") from None
 
@@ -597,6 +596,7 @@ def symmetric_log_interval_eta(dist: DistributionSpec, alpha: float) -> float:
     as its lower tail near 0, sqrt(2x / pi), puts that end at 2.5 / alpha^2.
     """
     s = _log_scale(dist)
+    log_s = math.log(s)
     half = _per_tail(alpha, 2.0)
 
     def ends(y: float) -> tuple[float, float]:
@@ -608,9 +608,12 @@ def symmetric_log_interval_eta(dist: DistributionSpec, alpha: float) -> float:
         down, up = ends(y)
         return cdf(dist, down) + _sf(dist, up)
 
-    def slope(y: float) -> float:
+    def log_slope(y: float) -> float:
+        # log 2 + log(u f(u)) summed over the ends u = s e^(+-2y), log u from y.
         down, up = ends(y)
-        return 2.0 * (up * pdf(dist, up) + down * pdf(dist, down))
+        return math.log(2.0) + _log_sum(
+            log_s + 2.0 * y + _log_pdf(dist, down), log_s - 2.0 * y + _log_pdf(dist, up)
+        )
 
     # Y = log(X / s) / 2 is near normal: log(chi-squared(k) / k) has mean
     # psi(k/2) - log(k/2) ~ -1/k - 1/(3k^2) and variance psi'(k/2) ~
@@ -627,7 +630,7 @@ def symmetric_log_interval_eta(dist: DistributionSpec, alpha: float) -> float:
         mu, var = 0.5 * (m1 + math.log(dist.dof1 / s)), 0.25 * v1
     start = _normal_start(half) * (math.sqrt(var) + 0.5 * mu * mu / math.sqrt(var))
     try:
-        return -_invert(outside, slope, alpha, start, hi=0.0)
+        return -_invert(outside, log_slope, alpha, start, hi=0.0)
     except OverflowError:
         raise _beyond_float64(dist, f"log interval at alpha={alpha!r} has an upper end that") from None
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, student_t, chi_squared, fisher_f
-from .measurement import Sample, State, TwoSampleState, _Rows
+from .measurement import _TINY, Sample, State, TwoSampleState, _Rows
 
 __all__ = [
     "SemiDistanceKind",
@@ -473,12 +473,26 @@ def _pivot(
     if problem.distance_kind.studentized:
         return student_t(n - 1), 1.0
     if q is QuantityKind.MU:
-        sigma = omega.sigma if isinstance(omega, State) else problem.sigma
-        return dist.normal(), sigma / math.sqrt(n)
-    sigma1, sigma2 = problem.sigma1, problem.sigma2
-    if isinstance(omega, TwoSampleState):
-        sigma1, sigma2 = omega.first.sigma, omega.second.sigma
-    return dist.normal(), math.sqrt(sigma1**2 / n + sigma2**2 / m)
+        sigmas = (omega.sigma if isinstance(omega, State) else problem.sigma,)
+    elif isinstance(omega, TwoSampleState):
+        sigmas = (omega.first.sigma, omega.second.sigma)
+    else:
+        sigmas = (problem.sigma1, problem.sigma2)
+    return dist.normal(), _standard_error(tuple(zip(sigmas, (n, m))))
+
+
+def _standard_error(sides: tuple[tuple[float, int], ...]) -> float:
+    """sqrt(sum of sigma^2 / k) over the (sigma, k) sides, one or two: the
+    normal pivot's scale.  Where the sum leaves the normal range (a square
+    overflows, or every term is subnormal), it is taken on the sigmas times
+    2^-600 or 2^600 and its root scaled back, as ``measurement._root`` does:
+    both scalings are exact, so no bits are lost to the range, and a sum in
+    the range keeps its bits."""
+    var = sum(s * s / k for s, k in sides)
+    if _TINY <= var < math.inf:
+        return math.sqrt(var)
+    c = 2.0**-600 if var == math.inf else 2.0**600
+    return math.sqrt(sum((s * c) ** 2 / k for s, k in sides)) / c
 
 
 def _positive_radius(
@@ -716,7 +730,8 @@ def sure_region(
 
 def _statistic_law_tail(problem: TestProblem, omega: State | TwoSampleState, anchor: float | None):
     """P_omega(d^x(E(x), pi(omega)) >= eta) from the exact sampling law, and
-    its derivative, as functions of y = -eta (both nondecreasing in y)."""
+    the log of its derivative, as functions of y = -eta (both nondecreasing
+    in y)."""
     kind = problem.distance_kind
     law, scale = _pivot(problem, omega)
     shift = 0.0
@@ -741,13 +756,15 @@ def _statistic_law_tail(problem: TestProblem, omega: State | TwoSampleState, anc
     def tail(y: float) -> float:
         return dist._sf(law, point(-y)) + (0.0 if kind.half_line else dist.cdf(law, point(y)))
 
-    def slope(y: float) -> float:
-        # The density at each end times |d point / d eta| there: 2 point on
-        # the log scale, 1 / scale otherwise.
+    def log_slope(y: float) -> float:
+        # The log density at each end plus log |d point / d eta| there: log 2
+        # point on the log scale, -log scale otherwise.
         ends = (point(-y),) if kind.half_line else (point(-y), point(y))
-        return sum((2.0 * u if kind.log_scale else 1.0 / scale) * dist.pdf(law, u) for u in ends)
+        return dist._log_sum(*(
+            (math.log(2.0 * u) if kind.log_scale else -math.log(scale)) + dist._log_pdf(law, u) for u in ends
+        ))
 
-    return tail, slope
+    return tail, log_slope
 
 
 def eta_alpha_generic(
@@ -768,10 +785,10 @@ def eta_alpha_generic(
     dist._level("alpha", alpha)
     if problem.distance_kind.half_line and anchor is None:
         raise ValueError("half-line kinds need the hypothesis anchor")
-    tail, slope = _statistic_law_tail(problem, omega, anchor)
+    tail, log_slope = _statistic_law_tail(problem, omega, anchor)
     if tail(0.0) <= alpha:
         return 0.0
-    return -dist._invert(tail, slope, alpha, -1.0, hi=0.0)
+    return -dist._invert(tail, log_slope, alpha, -1.0, hi=0.0)
 
 
 def eta_alpha_over_null_grid(

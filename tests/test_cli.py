@@ -422,6 +422,71 @@ class TestLevelSweep:
         assert captured.out == ""
         assert captured.err == f"error: {name} with n=2 cannot meet {level}: its radius there overflows float64\n"
 
+    @staticmethod
+    def _one_line_or_answer(capsys, argv):
+        """The exit code and stdout of ``argv``, having checked the sweep's
+        contract: exit 0, or exit 2 with no output and one ``error:`` line
+        that is not a bare math error; a traceback fails the test."""
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2), argv
+        if code == 2:
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: "), argv
+            assert captured.err.count("\n") == 1, argv
+            assert not captured.err.startswith("error: math "), (argv, captured.err)
+        return code, captured.out
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_the_smallest_level_runs_or_refuses_by_name(self, tmp_path, capsys, name, n):
+        # At alpha = 5e-324 the F start took log(p a), and p a is 0 for d1 = 1.
+        entry = CATALOG[name]
+        values = (1.5, 2.0, 0.25, 3.0, 4.5)[:n]
+        rows = [f"{v},{0.7 * v + 1.0}" if entry.quantity.two_sample else f"{v}" for v in values]
+        path = tmp_path / "x.txt"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        sigmas = [word for flag in entry.known_sigmas for word in (f"--{flag}", "1")]
+        null = "1" if entry.kind.log_scale else "0"
+        self._one_line_or_answer(capsys, ["test", name, str(path), "--null", null, "--alpha", "5e-324", *sigmas])
+
+    def test_var_ratio_upper_at_the_smallest_level_is_refused_by_law_and_end(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("1.5,2.5\n2.0,0.5\n", encoding="utf-8")
+        assert cli.main(["test", "var-ratio-upper", str(path), "--null", "1", "--alpha", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the fisher_f(1, 1) quantile at p=1 - 5e-324 overflows float64\n"
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_every_sigma_and_data_scale_runs_or_refuses_in_one_line(self, tmp_path, capsys, name, n):
+        # The data scaled by 10^k and each known sigma from 1e-300 to 1e308,
+        # at two levels, three nulls and ci.  sigma^2 / n left the double
+        # range: a traceback from 1e155 up, and from 1e-155 down a radius of
+        # 0 refused as a level the region cannot meet.  A ci on a known
+        # sigma up to 1e300 has a finite radius, so it answers.  An answer
+        # prints no inf or nan but a half-line interval's upper end.
+        entry = CATALOG[name]
+        path = tmp_path / "x.txt"
+        nulls = ("0.5", "1", "2") if entry.kind.log_scale else ("-1", "0", "1")
+        for scale in (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300):
+            values = [v * scale for v in (1.5, 2.0, 0.25, 3.0, 4.5)[:n]]
+            rows = [f"{v!r},{0.7 * v + scale!r}" if entry.quantity.two_sample else repr(v) for v in values]
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            for sigma in ("1e-300", "1", "1e300", "1e308") if entry.known_sigmas else (None,):
+                flags = [word for flag in entry.known_sigmas for word in (f"--{flag}", sigma)]
+                for alpha in ("0.05", "1e-16"):
+                    for null in nulls:
+                        argv = ["test", name, str(path), "--null", null, "--alpha", alpha, *flags]
+                        _, out = self._one_line_or_answer(capsys, argv)
+                        assert "inf" not in out and "nan" not in out, (argv, out)
+                    argv = ["ci", name, str(path), "--gamma", repr(1.0 - float(alpha)), *flags]
+                    code, out = self._one_line_or_answer(capsys, argv)
+                    assert code == 0 or sigma in (None, "1e308"), argv
+                    if entry.kind.half_line:
+                        out = out.replace(", inf)", ")")
+                    assert "inf" not in out and "nan" not in out, (argv, out)
+
     def test_var_on_two_rows_at_1e_16_is_solved(self, tmp_path, capsys):
         # The radius's upper end, 2 e^(2 eta), is near 1.3e32, where the
         # incomplete gamma's continued fraction did not converge.

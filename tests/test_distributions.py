@@ -6,6 +6,7 @@ test_acceptance.py.
 """
 
 import math
+import sys
 
 import pytest
 from scipy import stats
@@ -68,6 +69,12 @@ class TestPdf:
             pdf(fisher_f(3, 4), 0.0)
         with pytest.raises(ValueError):
             pdf(normal(), math.inf)
+
+    @pytest.mark.parametrize("spec", [chi_squared(3), fisher_f(3, 4)], ids=["chi2", "f"])
+    def test_the_density_at_0_is_refused_by_name(self, spec):
+        # Not the "math domain error" of log 0 in the log density.
+        with pytest.raises(ValueError, match=rf"^{spec.kind.value} density requires x > 0, got 0.0$"):
+            pdf(spec, 0.0)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES)
     def test_nonnegative(self, spec):
@@ -237,6 +244,34 @@ class TestQuantile:
         assert quantile(spec, p) == pytest.approx(-quantile(spec, 1.0 - p), rel=1e-13)
 
 
+class TestLogDensity:
+    """One log density per family: ``pdf`` is its exp, and it is a double
+    where the density underflows, which the solves' log slopes need."""
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES + [student_t(1), chi_squared(1), fisher_f(1, 1)])
+    @pytest.mark.parametrize("x", [0.3, 2.5, 40.0])
+    def test_pdf_is_the_exp_of_the_log_density(self, spec, x):
+        assert pdf(spec, x) == math.exp(distributions._log_pdf(spec, x))
+
+    @pytest.mark.parametrize(
+        "spec, x, want",
+        [
+            # mpmath at 40 digits: the t form where x^2 overflows, the F form
+            # where d1 x overflows, and an F density that underflows.
+            (student_t(1), 1e160, -737.971959643944),
+            (student_t(3), -1e200, -1840.871738667524),
+            (student_t(30), 1e300, -21362.25007575424),
+            (fisher_f(50, 1), 1e307, -1061.2643735237891),
+            (fisher_f(4, 2), 1e308, -1418.3924172843322),
+            (fisher_f(8, 2), 1e200, -921.0340371976183),
+        ],
+    )
+    def test_far_log_density_is_a_double(self, spec, x, want):
+        # Terms of about 2e4 cancel in the F forms: rel 1e-14 is their rounding.
+        assert distributions._log_pdf(spec, x) == pytest.approx(want, rel=1e-14)
+        assert pdf(spec, x) < sys.float_info.min
+
+
 class TestLargeDof:
     """Chi-squared at 10^5 and 10^6 dof, where the incomplete gamma series
     needs thousands of terms near x = a, its switch to the continued fraction."""
@@ -321,6 +356,15 @@ class TestStudentTFarTail:
 
     def test_cauchy_quantile_far_below(self):
         assert quantile(student_t(1), 1e-300) == pytest.approx(-1.0 / (math.pi * 1e-300), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(309, 324))
+    def test_t2_quantile_at_a_subnormal_level_is_the_closed_form(self, k):
+        # (2p - 1) / sqrt(2p (1 - p)), about -1 / sqrt(2p): 2.2e154 to 2.2e161,
+        # where x^2 and the density's x^-3 leave float64.
+        p = float(f"1e-{k}")
+        want = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert quantile(student_t(2), p) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert distributions._solve(student_t(2), p, upper=True) == pytest.approx(-want, rel=1e-13, abs=0.0)
 
     def test_dof_too_large_for_the_leading_term_is_refused(self):
         with pytest.raises(ValueError, match=r"x=2e\+154"):
@@ -425,6 +469,53 @@ class TestLogIntervalRadii:
             match=rf"^the {name} log interval at alpha={alpha!r} has an upper end that overflows float64$",
         ):
             symmetric_log_interval_eta(spec, alpha)
+
+    # Per F law, the last alpha = 1e-k (k = 1..320) whose upper end e^(2 eta)
+    # is a double, by mpmath at 40 digits: the end passes the largest double
+    # near eta = 354.9.
+    LAST_DOUBLE_END = {(4, 1): 154, (8, 1): 154, (20, 1): 154, (50, 1): 154, (4, 2): 308, (8, 2): 308}
+    # mpmath's root in eta (40 digits, rounded) for a subset of those levels:
+    # k = 10, the first and last k the density-product slope left without a
+    # Newton step (refused then), k = 200 for d2 = 2, and the last double end,
+    # where d1 e^(2 eta) overflows.  The mass outside falls as e^(-d2 eta)
+    # there (mpmath's d log(mass) / d eta is -d2 to six digits), so eta within
+    # one ulp of the root puts the mass within d2 ulp(eta) <= 1.2e-13 of alpha.
+    FAR_ETA = {
+        ((4, 1), 10): 22.738168857488677, ((4, 1), 108): 248.39150797090517,
+        ((4, 1), 150): 345.10008187665505, ((4, 1), 154): 354.31042224863126,
+        ((8, 1), 10): 22.76888949835017, ((8, 1), 108): 248.42222861176666,
+        ((8, 1), 142): 326.7101217735642, ((8, 1), 154): 354.34114288949274,
+        ((20, 1), 10): 22.787564770121, ((20, 1), 108): 248.4409038835375,
+        ((20, 1), 113): 259.9538293485077, ((20, 1), 154): 354.3598181612636,
+        ((50, 1), 10): 22.795059910469256, ((50, 1), 108): 248.44839902388574,
+        ((50, 1), 153): 352.0647282086178, ((50, 1), 154): 354.36731330161183,
+        ((4, 2), 10): 11.512925465132728, ((4, 2), 165): 189.96327017200878,
+        ((4, 2), 200): 230.25850929940458, ((4, 2), 300): 345.38776394910684,
+        ((4, 2), 308): 354.59810432108304,
+        ((8, 2), 10): 11.512925464938979, ((8, 2), 162): 186.5093925325177,
+        ((8, 2), 200): 230.25850929940458, ((8, 2), 307): 353.446811774586,
+        ((8, 2), 308): 354.59810432108304,
+    }
+
+    @pytest.mark.parametrize("dofs", LAST_DOUBLE_END)
+    def test_every_level_whose_end_is_a_double_is_solved(self, dofs):
+        name = rf"fisher_f\({dofs[0]}, {dofs[1]}\)"
+        for k in range(1, 321):
+            alpha = float(f"1e-{k}")
+            if k <= self.LAST_DOUBLE_END[dofs]:
+                assert 0.0 < symmetric_log_interval_eta(fisher_f(*dofs), alpha) < 354.9, k
+                continue
+            with pytest.raises(
+                ValueError,
+                match=rf"^the {name} log interval at alpha={alpha!r} has an upper end that overflows float64$",
+            ):
+                symmetric_log_interval_eta(fisher_f(*dofs), alpha)
+
+    @pytest.mark.parametrize("dofs, k", FAR_ETA)
+    def test_far_radius_is_the_mpmath_root(self, dofs, k):
+        want = self.FAR_ETA[dofs, k]
+        got = symmetric_log_interval_eta(fisher_f(*dofs), float(f"1e-{k}"))
+        assert abs(got - want) <= math.ulp(want)
 
     def test_radius_shrinks_as_alpha_grows(self):
         etas = [
@@ -550,6 +641,17 @@ class TestSolverCost:
             got.append(len(calls))
         assert tuple(got) == want
 
+    @pytest.mark.parametrize("p", [1e-250, 1e-300])
+    def test_a_far_t_quantile_whose_density_underflows_takes_newton_steps(self, monkeypatch, p):
+        # The t(3) density at these quantiles (|x| about 2e83 and 1e100)
+        # underflows to 0, but its log does not: 2 evaluations each, where a
+        # slope formed from the density left 97 (1e-250) and 92 (1e-300).
+        calls = self._counting(monkeypatch)
+        for side in (False, True):
+            calls.clear()
+            distributions._solve(student_t(3), p, side)
+            assert len(calls) == 2, side
+
     def test_the_t_start_keeps_hill_s_accuracy(self):
         # Hill's start is within 2e-3 of the quantile where it expands
         # about the normal quantile, and far closer in its far-tail branch:
@@ -561,6 +663,13 @@ class TestSolverCost:
                 err = abs(distributions._t_start(p, k) / quantile(student_t(k), p) - 1.0)
                 bound = 1e-7 if k <= 9 and p <= 1e-6 else 1e-5 if k == 3 and p <= 0.05 else 2e-3
                 assert err <= bound, (k, p)
+
+    @pytest.mark.parametrize("p", [0.4, 0.05, 1e-8, 1e-100, 1e-310])
+    def test_the_t_start_is_exact_at_two_dof(self, p):
+        # Hill's start is the t(2) quantile, (2p - 1) / sqrt(2p (1 - p)), in a
+        # form that stays finite where 1 / p overflows.
+        want = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert distributions._t_start(p, 2) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestCdfAgainstMpmath:

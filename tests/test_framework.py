@@ -272,6 +272,16 @@ class TestCalibratedRadii:
         assert generic == pytest.approx(closed, rel=1e-10)
 
 
+    @pytest.mark.parametrize("alpha", [1e-108, 1e-150])
+    def test_generic_inversion_where_the_density_product_underflows(self, alpha):
+        # F(4, 1): the density at the upper end (about 5.6e215 at 1e-108)
+        # underflows, but its log does not, so both solves keep their Newton
+        # steps; the density product left the generic solve stepping past
+        # the largest double (a bare OverflowError) and the closed form refused.
+        problem, omega = variance_ratio(5, 2), TwoSampleState(State(0.0, 1.0), State(0.0, 1.0))
+        closed = eta_alpha(problem, None, alpha)
+        assert eta_alpha_generic(problem, omega, alpha) == pytest.approx(closed, rel=1e-12)
+
     @pytest.mark.parametrize(
         "problem, alpha, reference",
         [
@@ -423,6 +433,55 @@ def _null_candidates(problem, x, rng):
         return [e * math.exp(off) for off in rng.uniform(-1.5, 1.5, 4)]
     spread = eta_alpha(problem, None, 0.05) * 2.5
     return [e + off for off in rng.uniform(-spread, spread, 4)]
+
+
+class TestNormalPivotScale:
+    """The normal pivot's scale sqrt(sum of sigma^2 / k) over its one or
+    two sides, taken at a power of two where the sum leaves the normal
+    range: every sigma the entries accept gives a finite radius or one
+    refused by name, with no bits lost to the range."""
+
+    Z = 1.959963984540054  # scipy: norm.isf(0.025)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e-155, 1e155, 1e200, 1e300])
+    def test_two_sided_radius_is_z_sigma_root_of_the_sizes(self, sigma):
+        # sigma^2 / n is subnormal or 0 from sigma = 1e-155 down, and
+        # overflows from 1e155 up; at 1e-160 the radius was 2.4e-4 off.
+        want = self.Z * sigma * math.sqrt(1.0 / 5 + 1.0 / 5)
+        assert eta_alpha(mean_diff_z(5, 5, sigma, sigma), None, 0.05) == pytest.approx(want, rel=1e-15, abs=0.0)
+        want = self.Z * sigma / math.sqrt(5)
+        assert eta_alpha(mean_z(5, sigma), None, 0.05) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_a_scale_in_the_range_is_the_plain_root(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            s1, s2 = (float(s) for s in 10.0 ** rng.uniform(-150, 150, 2))
+            n, m = (int(k) for k in rng.integers(1, 10**6, 2))
+            _, scale = framework._pivot(mean_diff_z(n, m, s1, s2), None)
+            assert scale == math.sqrt(s1 * s1 / n + s2 * s2 / m)
+            assert framework._pivot(mean_z(n, s1), None)[1] == math.sqrt(s1 * s1 / n)
+
+    @pytest.mark.parametrize("sigma", [2.0**-600, 2.0**600])
+    def test_a_scale_out_of_the_range_is_a_power_of_two_times_one_in_it(self, sigma):
+        for n, m in ((1, 1), (3, 7), (50, 2)):
+            _, scale = framework._pivot(mean_diff_z(n, m, sigma, 3.0 * sigma), None)
+            assert scale == sigma * math.sqrt(1.0 / n + 9.0 / m)
+            state = TwoSampleState(State(0.0, sigma), State(1.0, 0.5 * sigma))
+            assert framework._pivot(mean_diff_z(n, m, 1.0, 1.0), state)[1] == sigma * math.sqrt(1.0 / n + 0.25 / m)
+
+    def test_a_scale_past_the_largest_double_is_refused_by_entry(self):
+        with pytest.raises(ValueError, match=r"^diff-means with n=1, m=1 cannot meet alpha=0.05: its radius there overflows float64$"):
+            eta_alpha(mean_diff_z(1, 1, 1.7e308, 1.7e308), None, 0.05)
+
+    def test_coverage_at_a_huge_sigma_is_the_coverage_at_sigma_1(self):
+        # 2^600 scales draws, estimates and the radius exactly; sigma^2
+        # overflowed before, and the plan raised OverflowError.
+        hits = []
+        for sigma in (1.0, 2.0**600):
+            truth = TwoSampleState(State(0.0, sigma), State(0.0, sigma))
+            plan = ExperimentPlan(mean_diff_z(5, 5, sigma, sigma), truth, 0.95, 400, 11)
+            hits.append(mc.coverage_experiment(plan).hits)
+        assert hits[0] == hits[1]
 
 
 class TestRegionsAndDuality:
