@@ -194,27 +194,21 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _steps("incomplete beta continued fraction", x, a, b) + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+    # m is a float, exact at every step, so each term stays float arithmetic.
+    for m in map(float, range(1, _steps("incomplete beta continued fraction", x, a, b) + 1)):
+        m2 = 2.0 * m
+        # The even and the odd term of step m, each one Lentz update.
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             break
     else:
@@ -366,8 +360,9 @@ def _invert(
     f, log_slope, target: float, x: float, lo: float = -math.inf, hi: float = math.inf
 ) -> float:
     """The x in (lo, hi) with f(x) = target, for a tail mass f nondecreasing
-    from 0 at ``lo``, with derivative exp(log_slope), from the start x.  An
-    upper tail, falling in its variable, is passed as a function of y = -x.
+    from 0 at ``lo``, with derivative exp(log_slope), from the start x, which
+    every caller takes from a closed form next to the root.  An upper tail,
+    falling in its variable, is passed as a function of y = -x.
 
     Each evaluation of f shrinks the bracket (lo, hi), whose ends may start
     infinite.  The steps are Newton's on log f: in a far tail, where f is
@@ -376,17 +371,20 @@ def _invert(
     the slope in logs as DiDonato & Morris (ACM TOMS 1992, Algorithm 708)
     take the incomplete beta's prefactor, so there is a step wherever f > 0,
     also where f' underflows (the t(3) density at its 1e-250 quantile).  A
-    step that leaves the bracket goes to its midpoint instead, or, where f
-    is 0 and the upper end infinite, out by max(|x|, 1): the lower tails of
-    chi-squared(1000) below p = 1e-304 and of F(1000, d2) below about 1e-164
-    underflow at their starts.  The stop is a residual within 8e-16 *
-    target, or within 1e-9 * target with a Newton step in the bracket: from
-    a relative residual r, Newton on log f leaves about K r^2, K =
-    |(log f)''| / (2 (log f)'^2) being at most about 1 in these laws'
-    tails.  x then takes that step without evaluating f.  A step within
-    4e-16 * |x| stops too; ValueError if nothing stops in 200 steps.  Each
-    point it evaluates f at, and the root, is a double: a step past the
-    largest one raises OverflowError, which the caller names.
+    step that leaves the bracket goes to its midpoint instead, as does one
+    where f / target overflows (f far above a subnormal target, as the lower
+    F(1000, 30) tail is at its start for p = 1e-309), where Newton on log f
+    overshoots the bracket.  Where f is 0 and the upper end infinite, the
+    step goes out by max(|x|, 1): the lower tails of chi-squared(1000) below
+    p = 1e-304 and of F(1000, d2) below about 1e-164 underflow at their
+    starts.  The stop is a residual within 8e-16 * target, or within 1e-9 *
+    target with a Newton step in the bracket: from a relative residual r,
+    Newton on log f leaves about K r^2, K = |(log f)''| / (2 (log f)'^2)
+    being at most about 1 in these laws' tails.  x then takes that step
+    without evaluating f.  A step within 4e-16 * |x| stops too; ValueError
+    if nothing stops in 200 steps.  Each point it evaluates f at, and the
+    root, is a double: a step past the largest one raises OverflowError,
+    which the caller names.
     """
     for _ in range(200):
         fx = f(_double(x))
@@ -395,7 +393,7 @@ def _invert(
         else:
             lo = x
         nxt = math.nan
-        if fx > 0.0:
+        if 0.0 < fx / target < math.inf:
             nxt = x - math.log(fx / target) * math.exp(math.log(fx) - log_slope(x))
         newton = lo <= nxt <= hi
         if abs(fx - target) <= (1e-9 if newton else 8.0 * _EPS) * target:

@@ -502,7 +502,8 @@ def _positive_radius(
     finite: the one refusal of a level the region cannot meet, for every
     entry.  A half-line statistic is clamped at 0, so at the null boundary
     P(d >= eta) takes no value between 1 and alpha* = P(E > theta0), the
-    pivot law's mass beyond its origin; a two-sided entry's alpha* is 1.
+    statistic's tail at eta = 0 on the null boundary; a two-sided entry's
+    alpha* is 1, as its two tails at one point need not sum to exactly 1.
     The test is on the rounded eta, not on alpha*, which is computed only to
     name it.  A finite solve times a pivot scale near the largest double
     can overflow, and that radius is refused as overflowing float64.  A
@@ -514,10 +515,7 @@ def _positive_radius(
     head = f"{_name(problem)} with {sizes} cannot meet {level}: its radius there"
     if eta > 0.0:
         raise ValueError(f"{head} overflows float64")
-    law, _ = _pivot(problem, None)
-    astar = 1.0
-    if problem.distance_kind.half_line:
-        astar = dist._sf(law, dist._log_scale(law) if problem.distance_kind.log_scale else 0.0)
+    astar = _statistic_law_tail(problem, None, None)[0](0.0) if problem.distance_kind.half_line else 1.0
     bound = f"below alpha*={astar!r}" if gamma is None else f"above gamma*={1.0 - astar!r}"
     raise ValueError(
         f"{head} is not positive, so the region would reject every sample; the levels it "
@@ -728,14 +726,16 @@ def sure_region(
 # ---------------------------------------------------------------------------
 
 
-def _statistic_law_tail(problem: TestProblem, omega: State | TwoSampleState, anchor: float | None):
+def _statistic_law_tail(problem: TestProblem, omega: State | TwoSampleState | None, anchor: float | None):
     """P_omega(d^x(E(x), pi(omega)) >= eta) from the exact sampling law, and
     the log of its derivative, as functions of y = -eta (both nondecreasing
-    in y)."""
+    in y).  ``omega`` None is the null boundary at the problem's known
+    nuisance values, where a half-line anchor is the state's own quantity
+    and so shifts nothing."""
     kind = problem.distance_kind
     law, scale = _pivot(problem, omega)
     shift = 0.0
-    if kind.half_line:
+    if kind.half_line and omega is not None:
         theta = quantity_value(problem, omega)
         # Half-line studentized: the law at interior null states is
         # noncentral-t, outside this library's four families.
@@ -775,9 +775,14 @@ def eta_alpha_generic(
 ) -> float:
     """The radius by direct inversion of the statistic's sampling law,
     with no catalog algebra: cross-validates the closed forms.  Its tail
-    mass is solved for alpha by ``_invert`` from eta = 1.  Where the mass
-    at eta = 0 is already at most alpha, as at an interior state of a
-    half-line null, every radius meets alpha and 0 is their infimum.
+    mass is solved for alpha by ``_invert``, started, as every solve is,
+    next to its root: at the closed-form radius at omega (the boundary's,
+    at an interior state of a half-line null).  The root is fixed by this
+    mass and ``_invert``'s residual stop alone, so a closed form off by more
+    than that stop shows against it.  Where the mass at eta = 0 is already
+    at most alpha, as at an interior state of a half-line null, every
+    radius meets alpha and 0 is their infimum; otherwise a level the closed
+    form refuses is refused with its text.
 
     ``anchor`` is the half-line reference (the hypothesis value); it is
     ignored by two-sided kinds.
@@ -788,7 +793,7 @@ def eta_alpha_generic(
     tail, log_slope = _statistic_law_tail(problem, omega, anchor)
     if tail(0.0) <= alpha:
         return 0.0
-    return -dist._invert(tail, log_slope, alpha, -1.0, hi=0.0)
+    return -dist._invert(tail, log_slope, alpha, -eta_alpha(problem, omega, alpha), hi=0.0)
 
 
 def eta_alpha_over_null_grid(

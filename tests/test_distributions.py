@@ -235,6 +235,28 @@ class TestQuantile:
     def test_lower_tail_just_above_the_smallest_double_is_solved(self, spec, reference):
         assert quantile(spec, 1e-300) == pytest.approx(reference, rel=1e-13, abs=0.0)
 
+    # mpmath at 60 digits: the root in log x of the log of the regularized
+    # incomplete beta, at p = 1e-309 ... 1e-312.
+    F1000_AT_SUBNORMAL_P = {
+        1: (0.0003204866032124165, 0.00031854565895376075, 0.00031661928433478876,
+            0.0003147073361319045),
+        2: (0.0006350132810715638, 0.0006311748955030348, 0.0006273652353240634,
+            0.00062358401922358),
+        5: (0.001551909473965789, 0.0015425706487104463, 0.0015333012241075844,
+            0.0015241005264056452),
+        30: (0.008183309601442862, 0.008135149986014337, 0.008087335968383569,
+             0.008039864335743049),
+        1000: (0.06949899387313566, 0.06913235300610933, 0.06876791274957429,
+               0.06840565689244399),
+    }
+
+    @pytest.mark.parametrize("d2", F1000_AT_SUBNORMAL_P)
+    def test_f_lower_tail_at_a_subnormal_level_is_the_mpmath_root(self, d2):
+        # The cdf at the start is far above p, so fx / p overflows, and the
+        # solve bisects until it does not.
+        for p, want in zip((1e-309, 1e-310, 1e-311, 1e-312), self.F1000_AT_SUBNORMAL_P[d2]):
+            assert quantile(fisher_f(1000, d2), p) == pytest.approx(want, rel=1e-14, abs=0.0), p
+
     @pytest.mark.parametrize("spec", [normal(), student_t(1), student_t(4), student_t(1000)])
     @pytest.mark.parametrize("tail", [1e-4, 1e-8, 1e-10])
     def test_symmetric_upper_tail_is_the_reflected_lower_tail(self, spec, tail):

@@ -132,6 +132,9 @@ TWO_SIDED_AT_THE_SMALLEST_LEVEL = {
     "lrt_region": lambda v: lrt_region(Hypothesis.point(0.0), v, mean_z(5, 1.0)),
 }
 
+# alpha = 10^-k, k = 1, 4, ..., 307.
+_FAR_LEVELS = tuple(float(f"1e-{k}") for k in range(1, 308, 3))
+
 
 class TestCalibratedRadii:
     @pytest.mark.parametrize("value", [0.0, 1.0, math.nan], ids=["0", "1", "nan"])
@@ -269,7 +272,7 @@ class TestCalibratedRadii:
     def test_closed_form_matches_generic_inversion(self, problem, omega, hypothesis):
         closed = eta_alpha(problem, omega, 0.05)
         generic = eta_alpha_generic(problem, omega, 0.05, anchor=hypothesis.value)
-        assert generic == pytest.approx(closed, rel=1e-10)
+        assert generic == pytest.approx(closed, rel=1e-12)
 
 
     @pytest.mark.parametrize("alpha", [1e-108, 1e-150])
@@ -281,6 +284,23 @@ class TestCalibratedRadii:
         problem, omega = variance_ratio(5, 2), TwoSampleState(State(0.0, 1.0), State(0.0, 1.0))
         closed = eta_alpha(problem, None, alpha)
         assert eta_alpha_generic(problem, omega, alpha) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(framework.CATALOG))
+    def test_the_generic_answers_wherever_the_closed_form_does(self, name):
+        # At the null boundary, over alpha = 10^-k, k = 1, 4, ..., 307, and
+        # 1e-310: each n takes every fifth k from its own offset, so each
+        # level is met at one n.  Far log-scale levels put the ends near the
+        # largest double, and subnormal ones make f / alpha overflow.
+        for i, n in enumerate((2, 3, 5, 10, 30)):
+            problem = _half_line_problem(name, n)
+            omega = _boundary(problem)
+            for alpha in (*_FAR_LEVELS[i::5], 1e-310):
+                try:
+                    closed = eta_alpha(problem, omega, alpha)
+                except ValueError:
+                    continue  # refused by law and end, or as not positive
+                generic = eta_alpha_generic(problem, omega, alpha, anchor=1.0)
+                assert generic == pytest.approx(closed, rel=1e-12), (n, alpha)
 
     @pytest.mark.parametrize(
         "problem, alpha, reference",
@@ -639,6 +659,51 @@ class TestRegionsAndDuality:
             run_test(mean_z(4, 1.0), Hypothesis.point(0.0), 0.05, Sample((1.0, 2.0)))
         with pytest.raises(ValueError):
             estimate(mean_diff_z(3, 3, 1.0, 1.0), Sample((1.0, 2.0, 3.0)))
+
+
+class TestGenericSolverCost:
+    """The tail evaluations of ``eta_alpha_generic``'s own solve, with the
+    closed form it starts from already cached, pinned on a fixed grid as
+    ``TestSolverCost`` pins the quantiles'."""
+
+    P = (0.2, 0.05, 1e-4, 1e-8, 1e-16, 1e-100)
+    # At an interior state of a half-line null (quantity 0.9, null 1), the
+    # start, the boundary's radius, lies off the root.
+    INTERIOR = {
+        "mean-z-upper": (5, 5, 4, 4, 4, 4),
+        "var-upper": (0, 5, 5, 5, 5, 5),  # at 0.2 the mass at eta = 0 is below alpha
+        "diff-means-upper": (4, 4, 4, 4, 4, 4),
+        "var-ratio-upper": (5, 4, 4, 4, 3, 2),
+    }
+
+    @staticmethod
+    def _counts(monkeypatch, name, theta):
+        calls, real = [], distributions._invert
+
+        def invert(f, *args, **kwargs):
+            return real(lambda x: calls.append(x) or f(x), *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "_invert", invert)
+        problem = _half_line_problem(name, 10)
+        omega = framework.state_with_quantity(problem, _boundary(problem), theta)
+        got = []
+        for alpha in TestGenericSolverCost.P:
+            eta_alpha(problem, omega, alpha)
+            calls.clear()
+            eta_alpha_generic(problem, omega, alpha, anchor=1.0)
+            got.append(len(calls))
+        return tuple(got)
+
+    @pytest.mark.parametrize("name", list(framework.CATALOG))
+    def test_a_boundary_solve_takes_one_evaluation(self, monkeypatch, name):
+        # Its start is the closed form's root, so the mass there is within
+        # the residual stop and one Newton step, with no second evaluation,
+        # finishes it.
+        assert self._counts(monkeypatch, name, 1.0) == (1,) * len(self.P)
+
+    @pytest.mark.parametrize("name", INTERIOR)
+    def test_an_interior_solve_takes_its_pinned_number_of_evaluations(self, monkeypatch, name):
+        assert self._counts(monkeypatch, name, 0.9) == self.INTERIOR[name]
 
 
 class TestGenericGridIntersection:
