@@ -23,6 +23,7 @@ and reentrant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,7 +66,8 @@ class Tails(Enum):
 class DistributionSpec:
     """One of the four sampling distributions, with its degrees of freedom.
 
-    dof2 is present iff kind is FISHER_F.
+    dof2 is present iff kind is FISHER_F; each dof is a count (``_count``),
+    stored as an int.
     """
 
     kind: Family
@@ -77,11 +79,9 @@ class DistributionSpec:
             if self.dof1 is not None or self.dof2 is not None:
                 raise ValueError("normal distribution takes no degrees of freedom")
             return
-        if self.dof1 is None or int(self.dof1) != self.dof1 or self.dof1 < 1:
-            raise ValueError(f"dof1 must be a positive integer, got {self.dof1!r}")
+        object.__setattr__(self, "dof1", _count("dof1", self.dof1))
         if self.kind is Family.FISHER_F:
-            if self.dof2 is None or int(self.dof2) != self.dof2 or self.dof2 < 1:
-                raise ValueError(f"dof2 must be a positive integer, got {self.dof2!r}")
+            object.__setattr__(self, "dof2", _count("dof2", self.dof2))
         elif self.dof2 is not None:
             raise ValueError(f"{self.kind.value} takes a single degree of freedom")
 
@@ -507,6 +507,28 @@ def _level(name: str, value: float) -> float:
     return value
 
 
+# The counter's ends, spelled as a refusal names them.
+_SPELLED = {1 << 64: "2**64", (1 << 64) - 1: "2**64 - 1"}
+
+
+def _count(name: str, value: int, least: int = 1, most: int | None = None) -> int:
+    """``value``, a count named ``name`` (a size, a degree of freedom, a
+    replication, a seed or a worker count), as an int if it is an integer
+    in least..most (no upper end where ``most`` is None); the one check of
+    every count, so each refusal names the parameter, its range and the
+    value.  An integer is what ``range`` accepts (``operator.index``): an
+    int or a numpy integer, not a float, even 2.0, nor a string."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least or (most is not None and count > most):
+        lo, hi = (_SPELLED.get(end, end) for end in (least, most))
+        span = f">= {lo}" if most is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return count
+
+
 def _per_tail(alpha: float, tails: float) -> float:
     """The mass a level alpha leaves in each of ``tails`` (1 or 2) tails;
     the one place a two-sided level is halved, so a level whose half
@@ -561,9 +583,10 @@ def quantile(spec: DistributionSpec, p: float) -> float:
     return _solve(spec, _level("p", p))
 
 
-def z_alpha(alpha: float, tails: Tails) -> float:
-    """Normal critical value: mass alpha/2 per tail (TWO) or alpha in one (ONE)."""
-    return _solve(normal(), _per_tail(alpha, tails.value), upper=True)
+def z_alpha(alpha: float, tails: Tails | int) -> float:
+    """Normal critical value: mass alpha/2 per tail (TWO) or alpha in one
+    (ONE); ``tails`` is a member or its count, 1 or 2."""
+    return _solve(normal(), _per_tail(alpha, Tails(tails).value), upper=True)
 
 
 # ---------------------------------------------------------------------------

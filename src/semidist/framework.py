@@ -220,10 +220,11 @@ _NAMES = {entry: name for name, entry in CATALOG.items()}
 @dataclass(frozen=True)
 class TestProblem:
     """Quantity + semi-distance kind, one of the ``CATALOG`` entries (the
-    quantity fixes the estimator), with sample sizes and the known sigmas
-    a z entry's calibration needs.  A refused field (a sigma or m the
-    entry has no use for, a known sigma left out) names the entry as the
-    command line does, which passes its flags here and prints the refusal."""
+    quantity fixes the estimator), with sample sizes, counts stored as
+    ints (``dist._count``), and the known sigmas a z entry's calibration
+    needs.  A refused field (a sigma or m the entry has no use for, a
+    known sigma left out) names the entry as the command line does, which
+    passes its flags here and prints the refusal."""
 
     quantity: QuantityKind
     distance_kind: SemiDistanceKind
@@ -240,12 +241,11 @@ class TestProblem:
         name = _NAMES.get(entry)
         if name is None:
             raise ValueError(f"({self.quantity.value}, {kind.value}) is not a catalog test")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", dist._count("n", self.n))
         two_sample = self.quantity.two_sample
-        if two_sample and (self.m is None or self.m < 1):
-            raise ValueError("two-sample problems need m >= 1")
-        if not two_sample and self.m is not None:
+        if two_sample:
+            object.__setattr__(self, "m", dist._count("m", self.m))
+        elif self.m is not None:
             raise ValueError(f"{name} does not use m")
         known = entry.known_sigmas
         for flag in ("sigma", "sigma1", "sigma2"):
@@ -419,15 +419,24 @@ def estimate(problem: TestProblem, x: Sample) -> float:
     return float(_estimates(problem, *x._rows)[0])
 
 
+def _check_state(problem: TestProblem, state: State | TwoSampleState | None) -> None:
+    """Refuse a state of the other shape than the problem's quantity takes,
+    naming the quantity: a two-sample quantity needs a TwoSampleState, any
+    other a State.  None, a radius's stand-in for the problem's known
+    nuisance values, passes."""
+    q = problem.quantity
+    if state is not None and q.two_sample != isinstance(state, TwoSampleState):
+        raise ValueError(f"{q.value} needs a {'TwoSampleState' if q.two_sample else 'State'}")
+
+
 def quantity_value(problem: TestProblem, state: State | TwoSampleState) -> float:
     """The inference target pi(omega) of a state under the problem's quantity map."""
+    _check_state(problem, state)
     q = problem.quantity
     if q is QuantityKind.MU:
         return state.mu
     if q is QuantityKind.SIGMA:
         return state.sigma
-    if not isinstance(state, TwoSampleState):
-        raise ValueError(f"{q.value} needs a TwoSampleState")
     if q is QuantityKind.MU_DIFF:
         return state.first.mu - state.second.mu
     return state.first.sigma / state.second.sigma
@@ -439,6 +448,7 @@ def state_with_quantity(
     """The inverse of quantity_value: ``state`` with its first component
     moved so that the quantity value is theta.  A positive quantity
     refuses a theta that is not above 0, naming the entry."""
+    _check_state(problem, state)
     q = problem.quantity
     if q.positive and not theta > 0.0:
         raise ValueError(f"{_name(problem)} needs a positive quantity value, got {theta!r}")
@@ -465,7 +475,9 @@ def _pivot(
     entry's scale read from its law (``dist._log_scale``).  A known-sigma
     entry takes the state's sigma where one is supplied, else the
     problem's known value (run_test, regions), which is where "sigma
-    fixed and known" actually bites."""
+    fixed and known" actually bites; a state of the other shape is
+    refused."""
+    _check_state(problem, omega)
     n, m, q = problem.n, problem.m, problem.quantity
     if problem.distance_kind.log_scale:
         law = chi_squared(n - 1) if q is QuantityKind.SIGMA else fisher_f(n - 1, m - 1)

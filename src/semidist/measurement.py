@@ -54,7 +54,7 @@ package init costs more than the rest of ``import semidist``.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import struct
 import sys
 from dataclasses import dataclass
@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import DistributionSpec, _sf, chi_squared, cdf, normal
+from .distributions import DistributionSpec, _count, _sf, chi_squared, cdf, normal
 
 __all__ = [
     "State",
@@ -162,17 +162,16 @@ def _finite_row(block: Sequence[float], name: str) -> "_Rows":
 def stream(seed: int, replication: int = 0) -> np.random.Generator:
     """Reproducible generator for one replication, derived from (seed, j):
     ``Philox(seed)`` advanced by j, so its counter sits just below
-    replication j's first block.
+    replication j's first block.  The seed is an integer >= 0 and j one in
+    0..2**64 - 1, the replications the counter's low 64 bits tell apart.
 
     Replications' counters are disjoint and none depends on the order the
     streams are created in.  With ``sample`` it is the reference
     implementation of the stream contract, which ``_sample_block``
     reproduces bit for bit.
     """
-    replication = operator.index(replication)
-    if not 0 <= replication < 1 << 64:
-        raise ValueError(f"replication must lie in 0..2**64 - 1, got {replication}")
-    return np.random.Generator(np.random.Philox(seed).advance(replication))
+    bitgen = np.random.Philox(_count("seed", seed, 0))
+    return np.random.Generator(bitgen.advance(_count("replication", replication, 0, (1 << 64) - 1)))
 
 
 _Z_MAX = 8.21  # |Phi^-1(2^-53)| = 8.2095... rounded up: no draw has a larger |z|
@@ -220,14 +219,12 @@ def _std_block(seed: int, count: int, start: int, stop: int) -> np.ndarray:
     array: column i holds the ``count`` values that ``sample`` scales for
     replication ``start + i``, and row k value k of every replication,
     drawn by numpy's Philox a group of four rows at a time and put through
-    ``sample``'s own word -> normal map.
+    ``sample``'s own word -> normal map.  Replications are the low 64 bits
+    of the Philox counter, so start lies in 0..2**64 and stop in
+    start..2**64.
     """
-    start, stop = operator.index(start), operator.index(stop)
-    if not 0 <= start <= stop <= 1 << 64:
-        raise ValueError(
-            f"replications are the low 64 bits of the Philox counter, "
-            f"so they lie in 0..2**64 - 1, got {start} to {stop - 1}"
-        )
+    start = _count("start", start, 0, 1 << 64)
+    stop = _count("stop", stop, start, 1 << 64)
     bitgen = np.random.Philox(seed).advance(start)
     return _std_normal(_counter_words(bitgen, count, stop - start))
 
@@ -287,8 +284,7 @@ def sample(
     """
     if (seed is None) == (rng is None):
         raise ValueError("exactly one of seed and rng must be given")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _count("n", n)
     if rng is None:
         rng = stream(seed)
     bitgen = rng.bit_generator
@@ -299,8 +295,7 @@ def sample(
         )
     sides = _sides(state)
     if len(sides) > 1:
-        if m is None or m < 1:
-            raise ValueError(f"two-sample draw needs m >= 1, got {m}")
+        m = _count("m", m)
     elif m is not None:
         raise ValueError("m is only meaningful for a TwoSampleState")
     z = _std_normal(_counter_words(bitgen, n + (m or 0), 1))
@@ -496,18 +491,24 @@ def sigma_bar_prime(values: Sequence[float]) -> float:
 
 
 def _as_intervals(interval: Interval | Iterable[Interval]) -> list[Interval]:
-    """``interval`` as a list of (lo, hi) pairs, none of them empty."""
+    """``interval``, a pair of reals (Python or numpy) or a union of such
+    pairs, as a sorted list of (lo, hi) pairs of floats, none of them empty
+    and no two overlapping, so their masses add up to the union's.  The
+    intervals are open, so two may touch at an end."""
     pair = (
         isinstance(interval, tuple)
         and len(interval) == 2
-        and all(isinstance(v, (int, float)) for v in interval)
+        and all(isinstance(v, numbers.Real) for v in interval)
     )
-    out = [interval] if pair else list(interval)  # type: ignore[arg-type]
+    out = sorted((float(lo), float(hi)) for lo, hi in ([interval] if pair else interval))
     if not out:
         raise ValueError("empty interval union")
     for lo, hi in out:
         if hi <= lo:
             raise ValueError(f"empty interval ({lo!r}, {hi!r})")
+    for (lo, hi), (lo2, hi2) in zip(out, out[1:]):
+        if lo2 < hi:
+            raise ValueError(f"intervals ({lo!r}, {hi!r}) and ({lo2!r}, {hi2!r}) overlap")
     return out
 
 
@@ -527,7 +528,7 @@ def normal_prob(state: State, interval: Interval | Iterable[Interval]) -> float:
     """Probability the single-draw observation lands in ``interval``.
 
     ``interval`` is an (a, b) pair (endpoints may be +-inf) or an
-    iterable of disjoint pairs whose masses are summed.
+    iterable of disjoint pairs, which may touch, whose masses are summed.
     """
     mu, sd = state.mu, state.sigma
     return math.fsum(
@@ -543,8 +544,7 @@ def image_prob_mean(
 
     The mean of n draws is Normal(mu, sigma/sqrt(n)).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _count("n", n)
     return normal_prob(State(state.mu, state.sigma / math.sqrt(n)), interval)
 
 
@@ -557,12 +557,10 @@ def image_prob_ss(
     SS / sigma^2 is chi-squared with n - 1 degrees of freedom, so the
     mass is the chi-squared mass of interval / sigma^2.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _count("n", n, 2)
     spec, var = chi_squared(n - 1), state.sigma**2
     intervals = _as_intervals(interval)
-    for lo, _ in intervals:
-        if lo < 0.0:
-            raise ValueError(f"SS interval must lie in (0, inf), got lo={lo!r}")
+    if intervals[0][0] < 0.0:  # the least lower end, as the union is sorted
+        raise ValueError(f"SS interval must lie in (0, inf), got lo={intervals[0][0]!r}")
     # The law's mean, n - 1, is a point in its bulk.
     return math.fsum(_interval_mass(spec, n - 1, lo / var, hi / var) for lo, hi in intervals)

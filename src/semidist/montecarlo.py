@@ -72,7 +72,6 @@ proportional set size and the first curve ran about 120 ms slower.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 import time
@@ -83,10 +82,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distributions import _level
+from .distributions import _count, _level
 from .framework import (
     Hypothesis,
     TestProblem,
+    _check_state,
     _statistic,
     _validate_hypothesis,
     eta_gamma,
@@ -121,11 +121,12 @@ __all__ = [
 class ExperimentPlan:
     """One experiment: a problem, the true state, the level (gamma for
     coverage, alpha for size/power), the replication count and the seed.
-    A hypothesis is present exactly for size and power runs.  A seed that
-    is not a non-negative integer, a replication count that is not an
-    integer in 1..2**64 (the replications the low word of Philox's counter
-    tells apart), a truth whose draws could overflow float64 and a
-    hypothesis the problem cannot pair with are refused."""
+    A hypothesis is present exactly for size and power runs.  The seed is
+    an integer >= 0 and the replication count one in 1..2**64 (the
+    replications the low word of Philox's counter tells apart), each
+    stored as an int (``_count``).  A truth of the other shape than the
+    problem's, one whose draws could overflow float64 and a hypothesis the
+    problem cannot pair with are refused."""
 
     problem: TestProblem
     truth: State | TwoSampleState
@@ -136,14 +137,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         _level("level", self.level)
-        if not isinstance(self.replications, numbers.Integral):
-            raise ValueError(f"replications must be an integer, got {self.replications!r}")
-        if not 1 <= self.replications <= 1 << 64:
-            raise ValueError(f"replications must lie in 1..2**64, got {self.replications}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.problem.two_sample != isinstance(self.truth, TwoSampleState):
-            raise ValueError("truth does not match the problem's sample structure")
+        replications = _count("replications", self.replications, 1, 1 << 64)
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        _check_state(self.problem, self.truth)
         for state in _sides(self.truth):
             if not math.isfinite(abs(state.mu) + _Z_MAX * state.sigma):
                 raise ValueError(f"draws of {state} overflow float64")
@@ -306,10 +303,7 @@ def _hit_counts(plans: Sequence[ExperimentPlan], workers: int) -> list[int]:
     """Hits of each plan (plans as ``_hits`` takes them); when the
     replications are split, the process's worker pool runs one task per
     chunk, each for every plan, and stays open for the next call."""
-    if not isinstance(workers, numbers.Integral):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    workers = _count("workers", workers)
     replications = plans[0].replications
     spans = _split(0, replications, 1 if replications < 2 * workers else workers)
     if len(spans) == 1:

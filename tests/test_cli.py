@@ -673,10 +673,10 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "flags, env, message",
         [
-            (["--seed", "-3"], None, "seed must be a non-negative integer, got -3"),
+            (["--seed", "-3"], None, "seed must be an integer >= 0, got -3"),
             ([], "abc", "$SEMIDIST_SEED must be an integer, got 'abc'"),
-            ([], "-2", "seed must be a non-negative integer, got -2"),
-            (["--reps", str(2**64 + 1)], None, f"replications must lie in 1..2**64, got {2**64 + 1}"),
+            ([], "-2", "seed must be an integer >= 0, got -2"),
+            (["--reps", str(2**64 + 1)], None, f"replications must be an integer in 1..2**64, got {2**64 + 1}"),
         ],
     )
     def test_seed_and_replications_are_checked_before_the_run(

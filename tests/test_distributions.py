@@ -6,6 +6,7 @@ test_acceptance.py.
 """
 
 import math
+import re
 import sys
 
 import pytest
@@ -438,6 +439,15 @@ class TestZAlpha:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             z_alpha(0.0, Tails.TWO)
+
+    @pytest.mark.parametrize("tails", [Tails.ONE, Tails.TWO])
+    def test_tails_is_a_member_or_its_count(self, tails):
+        assert z_alpha(0.05, tails.value) == z_alpha(0.05, tails)
+
+    @pytest.mark.parametrize("tails", [0, 3, "2", None])
+    def test_other_tails_are_refused_by_the_enum(self, tails):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(tails))} is not a valid Tails$"):
+            z_alpha(0.05, tails)
 
 
 class TestLogIntervalRadii:

@@ -927,3 +927,25 @@ class TestQuantityValues:
         assert quantity_value(variance(4), State(1.0, 2.0)) == 2.0
         assert quantity_value(mean_diff_z(4, 4, 2.0, 0.5), two) == 0.75
         assert quantity_value(variance_ratio(4, 4), two) == 4.0
+
+    @pytest.mark.parametrize(
+        "problem, state, message",
+        [
+            (mean_z(10, 1.0), TwoSampleState(State(0.0, 1.0), State(0.0, 1.0)), "mu needs a State"),
+            (variance(10), TwoSampleState(State(0.0, 1.0), State(0.0, 1.0)), "sigma needs a State"),
+            (mean_diff_z(10, 5, 1.0, 1.0), State(0.0, 1.0), "mu_diff needs a TwoSampleState"),
+            (variance_ratio(10, 5), State(0.0, 1.0), "sigma_ratio needs a TwoSampleState"),
+        ],
+        ids=["mu", "sigma", "mu_diff", "sigma_ratio"],
+    )
+    def test_a_state_of_the_other_shape_is_refused_naming_the_quantity(self, problem, state, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quantity_value(problem, state)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            framework.state_with_quantity(problem, state, 2.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentPlan(problem, state, 0.95, 10, 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eta_alpha(problem, state, 0.05)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eta_alpha_generic(problem, state, 0.05, 1.0)

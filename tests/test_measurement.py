@@ -670,6 +670,44 @@ class TestProbabilities:
         with pytest.raises(ValueError):
             image_prob_ss(State(0.0, 1.0), 1, (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(0, np.int64(1)), (np.float64(0.0), 1.0), (np.int32(0), np.float32(1.0))],
+        ids=["int64-end", "float64-start", "int32-and-float32"],
+    )
+    def test_a_pair_with_numpy_ends_is_one_interval(self, pair):
+        assert normal_prob(State(0.0, 1.0), pair) == normal_prob(State(0.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "union, first, second",
+        [
+            ([(-1, 1), (-1, 1)], (-1.0, 1.0), (-1.0, 1.0)),
+            ([(-1, 1), (0, 2)], (-1.0, 1.0), (0.0, 2.0)),
+            ([(0, 2), (-1.5, 0.5)], (-1.5, 0.5), (0.0, 2.0)),
+            ([(5, math.inf), (-math.inf, 0), (-1, 6)], (-math.inf, 0.0), (-1.0, 6.0)),
+        ],
+    )
+    def test_overlapping_intervals_are_refused_naming_both(self, union, first, second):
+        message = f"intervals {first!r} and {second!r} overlap"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normal_prob(State(0.0, 1.0), union)
+
+    def test_overlapping_ss_intervals_are_refused(self):
+        message = "intervals (1.0, 3.0) and (2.0, 4.0) overlap"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            image_prob_ss(State(0.0, 1.0), 5, [(1, 3), (2, 4)])
+
+    def test_touching_intervals_add_up_in_any_order(self):
+        whole = normal_prob(State(0.0, 1.0), (-1.0, 2.0))
+        for union in ([(-1.0, 0.5), (0.5, 2.0)], [(0.5, 2.0), (-1.0, 0.5)]):
+            assert normal_prob(State(0.0, 1.0), union) == pytest.approx(whole, rel=1e-15)
+        low = image_prob_ss(State(0.0, 1.0), 5, [(2.0, 4.0), (1.0, 2.0)])
+        assert low == pytest.approx(image_prob_ss(State(0.0, 1.0), 5, (1.0, 4.0)), rel=1e-15)
+
+    def test_a_negative_ss_end_is_refused_wherever_it_is_listed(self):
+        with pytest.raises(ValueError, match=re.escape("got lo=-1.0")):
+            image_prob_ss(State(0.0, 1.0), 5, [(1.0, 2.0), (-1.0, 0.5)])
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):

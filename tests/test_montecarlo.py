@@ -80,7 +80,7 @@ class TestReports:
 
     @pytest.mark.parametrize("seed", [-3, 1.5, "7", None])
     def test_seed_that_is_no_non_negative_integer_is_refused(self, seed):
-        message = f"seed must be a non-negative integer, got {seed!r}"
+        message = f"seed must be an integer >= 0, got {seed!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             _coverage_plan(seed=seed)
 
@@ -100,7 +100,7 @@ class TestReports:
 
     @pytest.mark.parametrize("reps", [100.0, 1.5, "7", None])
     def test_replications_that_are_no_integer_are_refused(self, reps):
-        message = f"replications must be an integer, got {reps!r}"
+        message = f"replications must be an integer in 1..2**64, got {reps!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             _coverage_plan(reps=reps)
 
@@ -266,7 +266,7 @@ class TestWorkers:
         size_plan = ExperimentPlan(
             mean_t(10), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
         )
-        message = f"workers must be >= 1, got {workers}"
+        message = f"workers must be an integer >= 1, got {workers}"
         with pytest.raises(ValueError, match=message):
             coverage_experiment(_coverage_plan(reps=100), workers=workers)
         with pytest.raises(ValueError, match=message):
@@ -279,7 +279,7 @@ class TestWorkers:
         size_plan = ExperimentPlan(
             mean_t(10), State(0.0, 1.0), 0.05, 100, 1, Hypothesis.point(0.0)
         )
-        message = f"workers must be an integer, got {workers!r}"
+        message = f"workers must be an integer >= 1, got {workers!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             coverage_experiment(_coverage_plan(reps=100), workers=workers)
         with pytest.raises(ValueError, match=re.escape(message)):
